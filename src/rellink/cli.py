@@ -1,9 +1,9 @@
 """Batch command-line interface: ingest a KB, link questions, evaluate runs.
 
 Questions and results flow as JSON Lines, one record per question, streamed
-so large runs never hold the whole set in memory.  Output records keep the
-input order, so identical inputs produce byte-identical outputs under any
-worker count.
+so large runs never hold the whole set in memory: each record is read,
+linked and written before the next is read.  Output records keep the input
+order, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .evaluation import (
@@ -30,12 +29,10 @@ from .generator import ENV_PREFIX, GeneratorConfig, GeneratorError, make_generat
 from .kb_store import KbLoadError, KbStore, load_kb, load_profile_config
 from .knowledge_integration import (
     DEFAULT_BUDGET,
-    EncoderInput,
     InputTooLongError,
     QuestionRecord,
     build_encoder_input,
     read_question_records,
-    token_count,
 )
 from .knowledge_validation import (
     DEFAULT_ASK_LIMIT,
@@ -118,17 +115,9 @@ def _process_question(
     vconfig: ValidationConfig,
 ) -> dict:
     try:
-        if args.wo_kb:
-            if token_count(record.question) > args.budget:
-                raise InputTooLongError(
-                    f"question alone is {token_count(record.question)} tokens, "
-                    f"budget {args.budget}"
-                )
-            enc = EncoderInput(record.question, [], record.question, args.budget)
-        else:
-            enc = build_encoder_input(
-                store, record.question, record.entities, args.budget, similarity
-            )
+        # The ablation feeds the bare question: no entity structures.
+        entities = [] if args.wo_kb else record.entities
+        enc = build_encoder_input(store, record.question, entities, args.budget, similarity)
         beams = generator.generate(enc, record.question_id)
         if args.wo_kb:
             result = fallback_result(store, beams, record.entities)
@@ -152,21 +141,12 @@ def cmd_link(args: argparse.Namespace) -> int:
     generator = make_generator(config, similarity)
     vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
 
-    def work(record: QuestionRecord) -> dict:
-        return _process_question(record, store, generator, similarity, args, vconfig)
-
     source = _open_in(args.questions)
     sink = _open_out(args.out)
     try:
-        records = read_question_records(source, store.profile)
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = pool.map(work, records)
-                for output in results:
-                    sink.write(json.dumps(output) + "\n")
-        else:
-            for record in records:
-                sink.write(json.dumps(work(record)) + "\n")
+        for record in read_question_records(source, store.profile):
+            output = _process_question(record, store, generator, similarity, args, vconfig)
+            sink.write(json.dumps(output) + "\n")
     finally:
         if source is not sys.stdin:
             source.close()
@@ -289,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ablation: raw question input, no KB validation",
     )
-    p_link.add_argument("--workers", type=int, default=1)
     p_link.set_defaults(func=cmd_link)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")

@@ -54,7 +54,10 @@ class GeneratorConfig:
 
 
 def _ranked(raw: Iterable[tuple[str, float]], width: int) -> list[OutputSequence]:
-    ordered = sorted(raw, key=lambda pair: (-pair[1], pair[0]))[:width]
+    """The top ``width`` beams by descending score.  The sort is stable, so
+    input order ranks equal scores: callers pass text-sorted input to break
+    ties by text."""
+    ordered = sorted(raw, key=lambda pair: -pair[1])[:width]
     return [OutputSequence(text, score, i + 1) for i, (text, score) in enumerate(ordered)]
 
 
@@ -74,15 +77,6 @@ def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[s
     return beams
 
 
-def write_beam_fixture(sink: IO[str], beams: dict[str, list[tuple[str, float]]]) -> None:
-    for question_id, entries in beams.items():
-        record = {
-            "question_id": question_id,
-            "beams": [{"text": t, "score": s} for t, s in entries],
-        }
-        sink.write(json.dumps(record) + "\n")
-
-
 class FixtureGenerator:
     """Replays pre-recorded beams keyed by question id."""
 
@@ -95,10 +89,8 @@ class FixtureGenerator:
         if question_id not in self._beams:
             logger.warning("no fixture beams for question %r", question_id)
             return []
-        # Stable sort: file order defines rank among equal scores.
-        entries = sorted(self._beams[question_id], key=lambda pair: -pair[1])
-        entries = entries[: self.beam_width]
-        return [OutputSequence(text, score, i + 1) for i, (text, score) in enumerate(entries)]
+        # File order ranks equal scores.
+        return _ranked(self._beams[question_id], self.beam_width)
 
 
 class RemoteGenerator:
@@ -118,7 +110,7 @@ class RemoteGenerator:
             raw = [(s["text"], float(s["score"])) for s in body["sequences"]]
         except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
             raise GeneratorError(f"remote generation failed: {exc}") from None
-        return _ranked(raw, self.beam_width)
+        return _ranked(sorted(raw), self.beam_width)
 
 
 class BaselineGenerator:
@@ -148,7 +140,7 @@ class BaselineGenerator:
             pairs = [ArgRelPair(EntityArg(mention), label) for mention, label in combo]
             score = sum(self.similarity.score(enc.question, label) for _, label in combo)
             raw.append((serialize_target(pairs), score))
-        return _ranked(raw, self.beam_width)
+        return _ranked(sorted(raw), self.beam_width)
 
 
 Generator = FixtureGenerator | RemoteGenerator | BaselineGenerator
@@ -162,10 +154,3 @@ def make_generator(config: GeneratorConfig, similarity: Similarity | None = None
         assert config.endpoint is not None
         return RemoteGenerator(config.endpoint, config.beam_width, config.timeout)
     return BaselineGenerator(config.beam_width, similarity)
-
-
-def generate(
-    config: GeneratorConfig, enc: EncoderInput, question_id: str | None = None
-) -> list[OutputSequence]:
-    """One-shot convenience wrapper over :func:`make_generator`."""
-    return make_generator(config).generate(enc, question_id)

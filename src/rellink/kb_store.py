@@ -9,6 +9,7 @@ relation labels to the IRIs that carry them.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import re
 from typing import IO, Iterable, Iterator, Sequence
@@ -40,7 +41,11 @@ _TRIPLE_RE = re.compile(
     r"\s*\.\s*(?:#.*)?$"
 )
 
-_STRING_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\", "'": "'"}
+# N-Triples ECHAR (literals only) and UCHAR (literals and IRIs) escapes.
+_STRING_ESCAPES = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\",
+}
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 
 
 class KbLoadError(Exception):
@@ -51,18 +56,26 @@ class HierarchyCycleError(KbLoadError):
     """The subclass hierarchy contains a cycle."""
 
 
-def _unescape_literal(raw: str) -> str:
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            out.append(_STRING_ESCAPES.get(raw[i + 1], raw[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _unescape(raw: str, echars: bool) -> str:
+    """Decode UCHAR escapes, plus ECHAR escapes when ``echars`` is set.
+
+    Any other backslash sequence raises ValueError.
+    """
+    if "\\" not in raw:
+        return raw
+
+    def decode(m: re.Match) -> str:
+        digits = m.group(1) or m.group(2)
+        if digits is not None:
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ValueError(f"escape {m.group(0)!r} is not a character")
+            return chr(code)
+        if echars and m.group(3) in _STRING_ESCAPES:
+            return _STRING_ESCAPES[m.group(3)]
+        raise ValueError(f"malformed or unknown escape {m.group(0)!r}")
+
+    return _ESCAPE_RE.sub(decode, raw)
 
 
 class KbStore:
@@ -70,7 +83,7 @@ class KbStore:
 
     def __init__(self, profile: Profile):
         self.profile = profile
-        self.triples: set[Triple] = set()
+        self._size = 0
         # subject -> predicate -> {object}; dicts double as ordered sets.
         self._spo: dict[Iri, dict[Iri, dict[Term, None]]] = {}
         self._pos: dict[Iri, dict[Term, dict[Iri, None]]] = {}
@@ -87,7 +100,7 @@ class KbStore:
             return NotImplemented
         return (
             self.profile == other.profile
-            and self.triples == other.triples
+            and self._spo == other._spo
             and self._parents == other._parents
             and self.instance_counts() == other.instance_counts()
             and self._labels == other._labels
@@ -95,16 +108,17 @@ class KbStore:
         )
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self._size
 
     # -- construction -----------------------------------------------------
 
     def add_triple(self, triple: Triple) -> None:
-        if triple in self.triples:
-            return
-        self.triples.add(triple)
         s, p, o = triple.subject, triple.predicate, triple.object
-        self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
+        objects = self._spo.setdefault(s, {}).setdefault(p, {})
+        if o in objects:
+            return
+        objects[o] = None
+        self._size += 1
         self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
         self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
 
@@ -129,26 +143,33 @@ class KbStore:
         self._parents.setdefault(child, {})[parent] = None
 
     def check_hierarchy(self) -> None:
-        """Raise :class:`HierarchyCycleError` if subclass edges form a cycle."""
-        state: dict[Iri, int] = {}  # 1 = on stack, 2 = done
+        """Raise :class:`HierarchyCycleError` if subclass edges form a cycle.
 
-        def visit(node: Iri, trail: list[Iri]) -> None:
-            state[node] = 1
-            trail.append(node)
-            for parent in self._parents.get(node, {}):
+        Depth-first over parents with an explicit stack, so hierarchies of
+        any depth are checked without recursion.
+        """
+        state: dict[Iri, int] = {}  # 1 = on the trail, 2 = done
+        for root in list(self._parents):
+            if root in state:
+                continue
+            state[root] = 1
+            trail = [root]
+            pending = [iter(self._parents.get(root, {}))]
+            while pending:
+                parent = next(pending[-1], None)
+                if parent is None:
+                    state[trail.pop()] = 2
+                    pending.pop()
+                    continue
                 mark = state.get(parent)
                 if mark == 1:
                     cycle = trail[trail.index(parent):] + [parent]
                     path = " -> ".join(t.value for t in cycle)
                     raise HierarchyCycleError(f"class hierarchy cycle: {path}")
                 if mark is None:
-                    visit(parent, trail)
-            trail.pop()
-            state[node] = 2
-
-        for node in list(self._parents):
-            if node not in state:
-                visit(node, [])
+                    state[parent] = 1
+                    trail.append(parent)
+                    pending.append(iter(self._parents.get(parent, {})))
 
     # -- lookups ----------------------------------------------------------
 
@@ -384,7 +405,7 @@ class KbStore:
 
 def _parse_nt_term(raw: str, profile: Profile) -> Term:
     if raw.startswith("<"):
-        return normalize_iri(raw[1:-1], profile)
+        return normalize_iri(_unescape(raw[1:-1], echars=False), profile)
     if raw.startswith("_:"):
         return Iri(raw)
     # Literal: strip the closing quote plus any language or datatype tag.
@@ -401,7 +422,7 @@ def _parse_nt_term(raw: str, profile: Profile) -> Term:
         i += 1
     if end is None:
         raise ValueError("unterminated literal")
-    return Literal(_unescape_literal(body[:end]))
+    return Literal(_unescape(body[:end], echars=True))
 
 
 def parse_nt_line(line: str, profile: Profile) -> Triple | None:
@@ -517,15 +538,4 @@ def load_profile_config(source: str | IO[str] | Iterable[str]) -> Profile:
         raise KbLoadError("profile config names no base profile")
     if not extra:
         return base
-    merged = dict(base.prefixes)
-    merged.update(extra)
-    return Profile(
-        name=base.name,
-        prefixes=merged,
-        property_namespaces=base.property_namespaces,
-        preference=base.preference,
-        type_predicate=base.type_predicate,
-        subclass_predicate=base.subclass_predicate,
-        statement_namespace=base.statement_namespace,
-        direct_only=base.direct_only,
-    )
+    return dataclasses.replace(base, prefixes={**base.prefixes, **extra})

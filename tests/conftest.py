@@ -12,6 +12,7 @@ DBO = "http://dbpedia.org/ontology/"
 DBP = "http://dbpedia.org/property/"
 DBR = "http://dbpedia.org/resource/"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+RDFS_SUBCLASS = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 WD = "http://www.wikidata.org/entity/"
 WDS = "http://www.wikidata.org/entity/statement/"
 WDT = "http://www.wikidata.org/prop/direct/"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -10,12 +11,15 @@ from conftest import (
     ALMA_GOLD_GRAPH,
     ALMA_QUESTION,
     ALMA_TRIPLES,
+    DBO,
     FORD_BEAM_1,
     FORD_ONTOLOGY,
     FORD_QUESTION,
     FORD_TRIPLES,
     OBAMA_QUESTION,
     OBAMA_TRIPLES,
+    RDFS_SUBCLASS,
+    nt,
 )
 from rellink.cli import main
 
@@ -87,6 +91,18 @@ def run_link(tmp_path, kb, ontology, questions, beams, *extra):
 
 
 class TestIngest:
+    def test_deep_hierarchy(self, tmp_path, capsys):
+        depth = sys.getrecursionlimit() + 100
+        kb = tmp_path / "deep.nt"
+        kb.write_text(
+            "\n".join(
+                nt(f"{DBO}C{i}", RDFS_SUBCLASS, f"{DBO}C{i + 1}") for i in range(depth)
+            )
+            + "\n"
+        )
+        assert main(["ingest", "--kb", str(kb)]) == 0
+        assert f"triples:        {depth}" in capsys.readouterr().out
+
     def test_counts_printed(self, ford_files, capsys):
         _, kb, ontology, _, _ = ford_files
         status = main(["ingest", "--kb", str(kb), "--ontology", str(ontology)])
@@ -127,12 +143,6 @@ class TestLink:
         _, out2 = run_link(*ford_files)
         assert first == out2.read_bytes()
 
-    def test_workers_preserve_order_and_bytes(self, ford_files):
-        _, sequential = run_link(*ford_files)
-        base = sequential.read_bytes()
-        _, parallel = run_link(*ford_files, "--workers", "4")
-        assert parallel.read_bytes() == base
-
     def test_wo_kb_skips_validation(self, ford_files):
         status, out = run_link(*ford_files, "--wo-kb")
         assert status == 0
@@ -165,6 +175,18 @@ class TestLink:
         assert status == 0
         record = json.loads(out.read_text())
         assert "error" in record
+        assert record["relations"] == []
+        assert record["validated"] is False
+
+    def test_wo_kb_budget_failure_is_per_question(self, ford_files):
+        tmp, kb, ontology, questions, beams = ford_files
+        tokens = len(FORD_QUESTION.split())
+        status, out = run_link(
+            tmp, kb, ontology, questions, beams, "--wo-kb", "--budget", str(tokens - 1)
+        )
+        assert status == 0
+        record = json.loads(out.read_text())
+        assert record["error"] == f"question alone is {tokens} tokens, budget {tokens - 1}"
         assert record["relations"] == []
         assert record["validated"] is False
 

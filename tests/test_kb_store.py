@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import io
+import sys
 
 import pytest
 
-from conftest import DBO, DBP, DBR, P, PS, RDF_TYPE, WD, WDS, WDT, nt
+from conftest import DBO, DBP, DBR, P, PS, RDF_TYPE, RDFS_SUBCLASS, WD, WDS, WDT, nt
 from rellink.kb_store import (
     HierarchyCycleError,
     KbLoadError,
@@ -16,6 +17,7 @@ from rellink.kb_store import (
 )
 from rellink.terms import (
     DBPEDIA,
+    WIKIDATA,
     Iri,
     Literal,
     PropertyPath,
@@ -63,6 +65,35 @@ class TestNtParsing:
     def test_missing_terminal_dot(self):
         with pytest.raises(KbLoadError):
             load_kb(f"<{DBR}A> <{DBO}r> <{DBR}B>")
+
+
+class TestNtEscapes:
+    def literal(self, body: str) -> Literal:
+        return parse_nt_line(f'<{DBR}A> <{DBO}r> "{body}" .', DBPEDIA).object
+
+    def test_uchar_in_literal(self):
+        assert self.literal("Caf\\u00E9") == Literal("Caf\u00e9")
+        assert self.literal("smile \\U0001F600") == Literal("smile \U0001F600")
+
+    def test_echars_in_literal(self):
+        assert self.literal("a\\tb\\bc\\nd\\re\\ff") == Literal("a\tb\bc\nd\re\ff")
+        assert self.literal("\\'q\\' \\\\u0041") == Literal("'q' \\u0041")
+
+    def test_uchar_in_iri(self):
+        triple = parse_nt_line(f"<{DBR}Caf\\u00E9> <{DBO}r> <{DBR}B> .", DBPEDIA)
+        assert triple.subject == Iri("dbr:Caf\u00e9")
+
+    @pytest.mark.parametrize(
+        "body", ["bad \\u00G9", "short \\u12", "unknown \\q", "surrogate \\uD800"]
+    )
+    def test_bad_literal_escape_names_line(self, body):
+        text = nt(DBR + "A", DBO + "r", DBR + "B") + f'\n<{DBR}A> <{DBO}r> "{body}" .\n'
+        with pytest.raises(KbLoadError, match="triples line 2"):
+            load_kb(text)
+
+    def test_echar_in_iri_rejected(self):
+        with pytest.raises(KbLoadError, match="triples line 1"):
+            load_kb(f"<{DBR}A\\tB> <{DBO}r> <{DBR}B> .")
 
 
 class TestLoading:
@@ -128,6 +159,32 @@ class TestOntology:
         )
         with pytest.raises(HierarchyCycleError):
             load_kb("", ontology=ontology)
+
+    def test_cycle_message_names_path(self):
+        ontology = "\n".join(
+            [
+                f"subclass\t{DBO}D\t{DBO}A",
+                f"subclass\t{DBO}A\t{DBO}B",
+                f"subclass\t{DBO}B\t{DBO}C",
+                f"subclass\t{DBO}C\t{DBO}A",
+            ]
+        )
+        with pytest.raises(
+            HierarchyCycleError,
+            match="^class hierarchy cycle: dbo:A -> dbo:B -> dbo:C -> dbo:A$",
+        ):
+            load_kb("", ontology=ontology)
+
+    def test_cycle_below_deep_chain(self):
+        depth = sys.getrecursionlimit() + 100
+        triples = "\n".join(
+            nt(f"{DBO}C{i}", RDFS_SUBCLASS, f"{DBO}C{i + 1}") for i in range(depth)
+        )
+        triples += "\n" + nt(f"{DBO}C{depth}", RDFS_SUBCLASS, f"{DBO}C{depth - 1}")
+        with pytest.raises(
+            HierarchyCycleError, match=f"cycle: dbo:C{depth - 1} -> dbo:C{depth} -> dbo:C{depth - 1}$"
+        ):
+            load_kb(triples)
 
 
 class TestRelationsOf:
@@ -296,6 +353,15 @@ class TestProfileConfig:
         )
         assert profile.prefixes["ex"] == "http://example.org/"
         assert profile.prefixes["dbo"] == "http://dbpedia.org/ontology/"
+
+    def test_extra_prefix_keeps_reified_fields(self):
+        profile = load_profile_config(
+            "profile = wikidata\nprefix.ex = http://example.org/\n"
+        )
+        assert profile.prefixes["ex"] == "http://example.org/"
+        assert profile.statement_namespace == WIKIDATA.statement_namespace == "p"
+        assert profile.direct_only == WIKIDATA.direct_only
+        assert profile.preference == WIKIDATA.preference
 
     def test_missing_base(self):
         with pytest.raises(KbLoadError):
