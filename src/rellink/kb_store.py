@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .terms import (
     Iri,
     Literal,
-    PatternTerm,
+    Predicate,
     Profile,
     PropertyPath,
     Term,
@@ -271,103 +271,70 @@ class KbStore:
 
     # -- pattern matching -------------------------------------------------
 
-    def _resolve(self, term: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
-        if isinstance(term, Variable) and term.name in binding:
-            return binding[term.name]
-        return term
+    def _enters(self, via: Iri | None, p: Iri) -> bool:
+        """Whether ``p`` is an entry edge of a path through ``via``."""
+        if via is not None:
+            return p == via
+        return namespace_of(p, self.profile) == self.profile.statement_namespace
 
-    def _entry_edges(self, via: Iri | None, subject: Iri) -> Iterator[tuple[Iri, Term]]:
-        """Statement nodes reachable from a subject over the entry namespace."""
-        for p, objects in self._spo.get(subject, {}).items():
-            if via is not None:
-                if p != via:
-                    continue
-            elif namespace_of(p, self.profile) != self.profile.statement_namespace:
-                continue
-            for stmt in objects:
-                yield p, stmt
+    def _pairs(
+        self, pred: Predicate, s: Term | None, o: Term | None
+    ) -> Iterator[tuple[Iri, Term]]:
+        """``(subject, object)`` pairs joined by ``pred``; ``None`` is unbound.
 
-    def _match_path(
-        self, pattern: TriplePattern, binding: dict[str, Term]
-    ) -> Iterator[dict[str, Term]]:
-        path = pattern.predicate
-        assert isinstance(path, PropertyPath)
-        subj = self._resolve(pattern.subject, binding)
-        obj = self._resolve(pattern.object, binding)
-
-        if isinstance(subj, Variable):
-            # Enumerate candidate subjects from the entry-edge index.
-            if path.via is not None:
-                entries = [path.via]
-            else:
-                entries = [
-                    p
-                    for p in self._pos
-                    if namespace_of(p, self.profile) == self.profile.statement_namespace
-                ]
-            for entry in entries:
-                for stmt, subjects in self._pos.get(entry, {}).items():
-                    if not isinstance(stmt, Iri):
-                        continue
-                    for s in subjects:
-                        sub_binding = dict(binding)
-                        sub_binding[subj.name] = s
-                        tail = TriplePattern(s, path, pattern.object)
-                        yield from self._match_path(tail, sub_binding)
+        Every walk starts from a bound end, so no index is scanned and
+        filtered: a flat predicate reads ``_spo[s][pred]``, else
+        ``_pos[pred][o]``, else all of ``_pos[pred]``.  A path with a bound
+        subject follows its entry edges out of ``_spo[s]``; one with an
+        unbound subject walks back from its edge step through ``_osp`` of
+        each statement node.
+        """
+        if isinstance(pred, PropertyPath):
+            if s is not None:
+                for p, stmts in self._spo.get(s, {}).items():
+                    if self._enters(pred.via, p):
+                        for stmt in stmts:
+                            for _, obj in self._pairs(pred.edge, stmt, o):
+                                yield s, obj
+                return
+            for stmt, obj in self._pairs(pred.edge, None, o):
+                for subj, entries in self._osp.get(stmt, {}).items():
+                    if any(self._enters(pred.via, p) for p in entries):
+                        yield subj, obj
             return
-
-        if isinstance(subj, Literal):
-            return
-        for _, stmt in self._entry_edges(path.via, subj):
-            if not isinstance(stmt, Iri):
-                continue
-            tail_objects = self._spo.get(stmt, {}).get(path.edge, {})
-            if isinstance(obj, Variable):
-                for o in tail_objects:
-                    out = dict(binding)
-                    out[obj.name] = o
-                    yield out
-            elif obj in tail_objects:
-                yield dict(binding)
+        if s is not None:
+            objects = self._spo.get(s, {}).get(pred, {})
+            if o is None:
+                for obj in objects:
+                    yield s, obj
+            elif o in objects:
+                yield s, o
+        elif o is not None:
+            for subj in self._pos.get(pred, {}).get(o, {}):
+                yield subj, o
+        else:
+            for obj, subjects in self._pos.get(pred, {}).items():
+                for subj in subjects:
+                    yield subj, obj
 
     def match_pattern(
         self, pattern: TriplePattern, binding: dict[str, Term] | None = None
     ) -> Iterator[dict[str, Term]]:
         """Bindings (extending ``binding``) under which one pattern holds."""
         binding = binding or {}
-        if isinstance(pattern.predicate, PropertyPath):
-            yield from self._match_path(pattern, binding)
-            return
-        subj = self._resolve(pattern.subject, binding)
-        obj = self._resolve(pattern.object, binding)
-        pred = pattern.predicate
-
-        if isinstance(subj, Variable):
-            for o, subjects in self._pos.get(pred, {}).items():
-                if not isinstance(obj, Variable) and o != obj:
-                    continue
-                for s in subjects:
-                    out = dict(binding)
-                    out[subj.name] = s
-                    if isinstance(obj, Variable):
-                        if obj.name == subj.name:
-                            if o != s:
-                                continue
-                        else:
-                            out[obj.name] = o
-                    yield out
-            return
-
-        if isinstance(subj, Literal):
-            return
-        objects = self._spo.get(subj, {}).get(pred, {})
-        if isinstance(obj, Variable):
-            for o in objects:
-                out = dict(binding)
-                out[obj.name] = o
-                yield out
-        elif obj in objects:
-            yield dict(binding)
+        subj, obj = pattern.subject, pattern.object
+        s = binding.get(subj.name) if isinstance(subj, Variable) else subj
+        o = binding.get(obj.name) if isinstance(obj, Variable) else obj
+        same = s is None and subj == obj  # ?x p ?x
+        for ps, po in self._pairs(pattern.predicate, s, o):
+            if same and ps != po:
+                continue
+            out = dict(binding)
+            if s is None:
+                out[subj.name] = ps
+            if o is None:
+                out[obj.name] = po
+            yield out
 
     def pattern_satisfiable(self, pattern: TriplePattern) -> bool:
         return next(self.match_pattern(pattern), None) is not None

@@ -79,11 +79,8 @@ def build_entity_structure(
     store: KbStore,
     question: str,
     entity: LinkedEntity,
-    max_rels: int | None = None,
     similarity: Similarity | None = None,
 ) -> EntityStructure:
-    if max_rels is not None and max_rels < 0:
-        raise ValueError("max_rels must be >= 0")
     cls = store.most_specific_type(entity.entity)
     type_label = store.label_of(cls) if cls is not None else None
     # Typing predicates feed the type slot, not the relation candidates.
@@ -92,8 +89,6 @@ def build_entity_structure(
         store.label_of(r) for r in store.relations_of(entity.entity) if r not in skip
     }
     ranked = rank_candidate_relations(question, labels, similarity)
-    if max_rels is not None:
-        ranked = ranked[:max_rels]
     return EntityStructure(entity.mention, type_label, ranked)
 
 
@@ -145,7 +140,6 @@ def build_encoder_input(
     entities: Iterable[LinkedEntity],
     budget: int = DEFAULT_BUDGET,
     similarity: Similarity | None = None,
-    max_rels: int | None = None,
 ) -> EncoderInput:
     """Render the question with all entity structures, shrunk to the budget.
 
@@ -158,10 +152,7 @@ def build_encoder_input(
         raise InputTooLongError(
             f"question alone is {token_count(question)} tokens, budget {budget}"
         )
-    structures = [
-        build_entity_structure(store, question, e, max_rels, similarity)
-        for e in ordered
-    ]
+    structures = [build_entity_structure(store, question, e, similarity) for e in ordered]
     kept = [list(s.relations) for s in structures]
     cursor = 0
     while True:

@@ -54,7 +54,6 @@ class CandidateGraph:
     """One joined pattern choice per pair, with its enumeration provenance."""
 
     patterns: tuple[TriplePattern, ...]
-    beam_rank: int = 0
     choices: tuple[int, ...] = ()
 
 
@@ -146,9 +145,7 @@ def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     return expand_entity_relation(store, pair)
 
 
-def enumerate_graphs(
-    store: KbStore, pairs: Sequence[ArgRelPair], beam_rank: int = 0
-) -> Iterator[CandidateGraph]:
+def enumerate_graphs(store: KbStore, pairs: Sequence[ArgRelPair]) -> Iterator[CandidateGraph]:
     """Stream candidate graphs in lexicographic order of per-pair choices.
 
     Patterns that match nothing on their own are pruned first; a pair left
@@ -162,7 +159,7 @@ def enumerate_graphs(
         per_pair.append(surviving)
     for combo in product(*(range(len(options)) for options in per_pair)):
         patterns = tuple(per_pair[i][c] for i, c in enumerate(combo))
-        yield CandidateGraph(patterns, beam_rank, combo)
+        yield CandidateGraph(patterns, combo)
 
 
 def _resolved_pairs(
@@ -191,7 +188,7 @@ def validate_sequence(
     pairs = _resolved_pairs(seq, entities, wh_lexicon)
     if pairs is None or not pairs:
         return None
-    for graph in enumerate_graphs(store, pairs, seq.rank):
+    for graph in enumerate_graphs(store, pairs):
         if store.match_graph(graph) is not None:
             relations = _unique(relation_uri(p.predicate) for p in graph.patterns)
             return LinkingResult(relations, True, seq.rank)

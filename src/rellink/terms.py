@@ -30,7 +30,13 @@ class Iri:
 
 @dataclass(frozen=True)
 class Literal:
-    """A literal node; identity is the lexical form only."""
+    """A literal node; identity is the lexical form only.
+
+    Datatype and language tags are dropped at load, so ``"1"^^xsd:integer``
+    and ``"1"@en`` on one subject and predicate load as one triple.  Gold
+    graphs can only write plain ``"..."`` literals, and relaxed scoring needs
+    them to match typed KB literals.
+    """
 
     lexical: str
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import itertools
+import random
 import sys
 
 import pytest
@@ -11,6 +13,7 @@ from conftest import DBO, DBP, DBR, P, PS, RDF_TYPE, RDFS_SUBCLASS, WD, WDS, WDT
 from rellink.kb_store import (
     HierarchyCycleError,
     KbLoadError,
+    KbStore,
     load_kb,
     load_profile_config,
     parse_nt_line,
@@ -21,8 +24,10 @@ from rellink.terms import (
     Iri,
     Literal,
     PropertyPath,
+    Triple,
     TriplePattern,
     Variable,
+    namespace_of,
 )
 
 VX = Variable("x")
@@ -44,6 +49,9 @@ class TestNtParsing:
     def test_literal_with_language_tag(self):
         line = f'<{DBR}A> <{DBO}r> "hello"@en .'
         assert parse_nt_line(line, DBPEDIA).object == Literal("hello")
+        typed = f'<{DBR}A> <{DBO}r> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .'
+        tagged = f'<{DBR}A> <{DBO}r> "1"@en .'
+        assert len(load_kb(typed + "\n" + tagged)) == 1
 
     def test_escaped_quote_in_literal(self):
         line = f'<{DBR}A> <{DBO}r> "say \\"hi\\"" .'
@@ -340,6 +348,137 @@ class TestMatchGraph:
         path = PropertyPath(Iri("p:P176"), Iri("ps:P176"))
         pattern = TriplePattern(VY, path, Iri("wd:Q99"))
         assert wikidata_store.match_graph([pattern]) == {"y": Iri("wd:Q42")}
+
+
+# -- differential check of the matcher against a scan of the raw triples ---
+
+PROPS = ("P1", "P2")
+ENTITIES = [Iri(f"wd:Q{i}") for i in range(5)]
+LITERALS = [Literal(str(i)) for i in range(2)]
+STATEMENTS = [Iri(f"wds:S{i}") for i in range(4)]
+FLAT = [Iri(f"{ns}:{pid}") for ns in ("dbo", "dbp", "wdt", "p", "ps", "pq") for pid in PROPS]
+TERM_KINDS = ("entity", "literal", "x", "y")
+PREDICATE_KINDS = ("flat", "statement", "qualifier")
+
+
+def _random_store(rng: random.Random, profile) -> tuple[list[tuple], KbStore]:
+    """Flat edges, p:/ps: statements and pq: qualifiers over small pools, so
+    that subjects, objects, statements and self-loops collide."""
+    values = ENTITIES + LITERALS
+    triples = []
+    for _ in range(rng.randint(0, 12)):
+        pred = Iri(f"{rng.choice(('dbo', 'dbp', 'wdt', 'p'))}:{rng.choice(PROPS)}")
+        triples.append((rng.choice(ENTITIES), pred, rng.choice(values + STATEMENTS)))
+    for _ in range(rng.randint(0, 8)):
+        stmt = rng.choice(STATEMENTS)
+        triples.append((rng.choice(ENTITIES), Iri(f"p:{rng.choice(PROPS)}"), stmt))
+        triples.append((stmt, Iri(f"ps:{rng.choice(PROPS)}"), rng.choice(values)))
+        if rng.random() < 0.5:
+            triples.append((stmt, Iri(f"pq:{rng.choice(PROPS)}"), rng.choice(values)))
+    rng.shuffle(triples)
+    store = KbStore(profile)
+    for s, p, o in triples:
+        store.add_triple(Triple(s, p, o))
+    return triples, store
+
+
+def _random_pattern(rng: random.Random, s_kind: str, p_kind: str, o_kind: str) -> TriplePattern:
+    def term(kind):
+        if kind == "entity":
+            return rng.choice(ENTITIES)
+        if kind == "literal":
+            return rng.choice(LITERALS)
+        return Variable(kind)
+
+    pid = rng.choice(PROPS)
+    if p_kind == "flat":
+        pred = rng.choice(FLAT)
+    elif p_kind == "statement":
+        pred = PropertyPath(Iri(f"p:{pid}"), Iri(f"ps:{pid}"))
+    else:
+        pred = PropertyPath(None, Iri(f"pq:{pid}"))
+    return TriplePattern(term(s_kind), pred, term(o_kind))
+
+
+def _scan_solutions(triples, profile, pattern: TriplePattern) -> list[dict]:
+    pred = pattern.predicate
+    if isinstance(pred, PropertyPath):
+        def enters(p):
+            if pred.via is not None:
+                return p == pred.via
+            return namespace_of(p, profile) == profile.statement_namespace
+
+        pairs = {
+            (s, o)
+            for s, p, stmt in triples
+            if enters(p)
+            for s2, p2, o in triples
+            if s2 == stmt and p2 == pred.edge
+        }
+    else:
+        pairs = {(s, o) for s, p, o in triples if p == pred}
+    out = []
+    for pair in pairs:
+        binding = {}
+        for term, value in zip((pattern.subject, pattern.object), pair):
+            if isinstance(term, Variable):
+                if binding.setdefault(term.name, value) != value:
+                    break
+            elif term != value:
+                break
+        else:
+            out.append(binding)
+    return out
+
+
+def _scan_join(triples, profile, patterns) -> list[dict]:
+    solutions = [{}]
+    for pattern in patterns:
+        solutions = [
+            {**a, **b}
+            for a in solutions
+            for b in _scan_solutions(triples, profile, pattern)
+            if all(a.get(k, v) == v for k, v in b.items())
+        ]
+    return solutions
+
+
+def _as_set(bindings) -> set[frozenset]:
+    return {frozenset(b.items()) for b in bindings}
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+class TestMatcherDifferential:
+    def test_every_pattern_shape(self, profile):
+        shapes = list(itertools.product(TERM_KINDS, PREDICATE_KINDS, TERM_KINDS))
+        for seed in range(150):
+            rng = random.Random(seed)
+            triples, store = _random_store(rng, profile)
+            for shape in shapes:
+                pattern = _random_pattern(rng, *shape)
+                expected = _as_set(_scan_solutions(triples, profile, pattern))
+                assert _as_set(store.match_pattern(pattern)) == expected, (seed, str(pattern))
+                assert store.pattern_satisfiable(pattern) == bool(expected), (seed, str(pattern))
+
+    def test_two_pattern_graphs(self, profile):
+        for seed in range(150):
+            rng = random.Random(seed)
+            triples, store = _random_store(rng, profile)
+            for _ in range(10):
+                graph = [
+                    _random_pattern(
+                        rng, rng.choice(TERM_KINDS), rng.choice(PREDICATE_KINDS), rng.choice(TERM_KINDS)
+                    )
+                    for _ in range(2)
+                ]
+                expected = _scan_join(triples, profile, graph)
+                first = store.match_graph(graph)
+                assert (first is None) == (not expected), (seed, [str(p) for p in graph])
+                assert first is None or first in expected
+                for var in (VX, VY):
+                    assert store.answers(graph, var) == {
+                        sol[var.name] for sol in expected if var.name in sol
+                    }, (seed, [str(p) for p in graph])
 
 
 class TestProfileConfig:

@@ -35,16 +35,6 @@ class TestBuildEntityStructure:
         structure = build_entity_structure(ford_store, "Ghost question", unknown)
         assert structure == EntityStructure("Ghost", None, [])
 
-    def test_max_rels_truncates(self, ford_store, ford_entities):
-        structure = build_entity_structure(
-            ford_store, FORD_QUESTION, ford_entities[0], max_rels=1
-        )
-        assert len(structure.relations) == 1
-
-    def test_negative_max_rels(self, ford_store, ford_entities):
-        with pytest.raises(ValueError):
-            build_entity_structure(ford_store, FORD_QUESTION, ford_entities[0], max_rels=-1)
-
 
 class TestRendering:
     def test_full_structure(self):
