@@ -74,14 +74,12 @@ def _load_store(args: argparse.Namespace) -> KbStore:
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    endpoint = os.environ.get(ENV_PREFIX + "ENDPOINT", args.endpoint)
-    timeout = float(os.environ.get(ENV_PREFIX + "TIMEOUT", args.timeout))
     return GeneratorConfig(
         kind=args.generator,
         beam_width=args.beams,
         fixture_path=args.fixtures,
-        endpoint=endpoint,
-        timeout=timeout,
+        endpoint=args.endpoint,
+        timeout=args.timeout,
     )
 
 

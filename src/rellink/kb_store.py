@@ -275,7 +275,8 @@ class KbStore:
         """Whether ``p`` is an entry edge of a path through ``via``."""
         if via is not None:
             return p == via
-        return namespace_of(p, self.profile) == self.profile.statement_namespace
+        stmt_ns = self.profile.statement_namespace
+        return stmt_ns is not None and namespace_of(p, self.profile) == stmt_ns
 
     def _pairs(
         self, pred: Predicate, s: Term | None, o: Term | None

@@ -5,20 +5,19 @@ namespace variant of the relation in both orientations, all sharing the hub
 variable ?x (placeholder pairs use ?y for the argument position).
 Individually unsatisfiable patterns are pruned, the remaining choices are
 enumerated as a lazy cartesian product, and the first candidate graph with a
-satisfying join wins.  Beams are scanned in rank order; ASK questions are
-checked with fully bound triples instead.
+satisfying join wins.  Beams are scanned in rank order in one pass that
+parses each beam once and keeps the first parseable beam as the fallback;
+ASK questions are checked with fully bound triples instead.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .kb_store import KbStore
 from .sequence_grammar import (
-    WH_LEXICON,
     ArgRelPair,
     EntityArg,
     OutputParseError,
@@ -29,7 +28,6 @@ from .sequence_grammar import (
 )
 from .terms import (
     Iri,
-    PatternTerm,
     Predicate,
     PropertyPath,
     TriplePattern,
@@ -69,16 +67,16 @@ class LinkingResult:
 class ValidationConfig:
     beam_limit: int = DEFAULT_BEAM_LIMIT
     ask_limit: int = DEFAULT_ASK_LIMIT
-    wh_lexicon: frozenset[str] = field(default_factory=lambda: WH_LEXICON)
 
 
 def _routes(store: KbStore, label: str) -> list[Predicate]:
     """Ordered relation routes a label can take in this store.
 
-    Flat profiles list each namespace variant by preference.  Reified
-    profiles emit, per property id: the direct edge, a statement route
-    through the property's entry predicate, and a qualifier route through
-    any entry predicate; type/subclass properties stay direct-only.
+    Flat profiles list each namespace variant in the order of the profile's
+    property namespaces.  Reified profiles emit, per property id: the direct
+    edge, a statement route through the property's entry predicate, and a
+    qualifier route through any entry predicate; type/subclass properties
+    stay direct-only.
     """
     profile = store.profile
     variants = [
@@ -88,7 +86,7 @@ def _routes(store: KbStore, label: str) -> list[Predicate]:
     ]
     if not variants:
         return []
-    order = {ns: i for i, ns in enumerate(profile.preference)}
+    order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
 
     if profile.statement_namespace is None:
         variants.sort(key=lambda iri: (order[namespace_of(iri, profile)], iri.value))
@@ -113,36 +111,20 @@ def _routes(store: KbStore, label: str) -> list[Predicate]:
     return routes
 
 
-def _oriented(route: Predicate, arg: PatternTerm, other: PatternTerm) -> list[TriplePattern]:
-    return [TriplePattern(arg, route, other), TriplePattern(other, route, arg)]
-
-
-def expand_entity_relation(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
-    """Patterns connecting the pair's resolved entity to ?x over its label.
-
-    Two orientations per route; a label resolving in both namespaces of a
-    flat profile therefore yields four patterns.  Unknown labels yield none.
-    """
-    assert isinstance(pair.argument, EntityArg) and pair.argument.entity is not None
-    entity = pair.argument.entity
-    patterns: list[TriplePattern] = []
-    for route in _routes(store, pair.relation_label):
-        patterns.extend(_oriented(route, entity, VAR_X))
-    return patterns
-
-
-def expand_placeholder_relation(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
-    """Like entity expansion with the unbound ?y in the argument position."""
-    patterns: list[TriplePattern] = []
-    for route in _routes(store, pair.relation_label):
-        patterns.extend(_oriented(route, VAR_Y, VAR_X))
-    return patterns
-
-
 def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
-    if isinstance(pair.argument, PlaceholderArg):
-        return expand_placeholder_relation(store, pair)
-    return expand_entity_relation(store, pair)
+    """Patterns connecting the pair's argument to ?x over its label.
+
+    The argument is the resolved entity, or the unbound ?y for a
+    placeholder.  Two orientations per route; a label resolving in both
+    namespaces of a flat profile therefore yields four patterns.  Unknown
+    labels yield none.
+    """
+    arg = VAR_Y if isinstance(pair.argument, PlaceholderArg) else pair.argument.entity
+    assert arg is not None, "unresolved entity argument"
+    patterns: list[TriplePattern] = []
+    for route in _routes(store, pair.relation_label):
+        patterns += [TriplePattern(arg, route, VAR_X), TriplePattern(VAR_X, route, arg)]
+    return patterns
 
 
 def enumerate_graphs(store: KbStore, pairs: Sequence[ArgRelPair]) -> Iterator[CandidateGraph]:
@@ -162,83 +144,79 @@ def enumerate_graphs(store: KbStore, pairs: Sequence[ArgRelPair]) -> Iterator[Ca
         yield CandidateGraph(patterns, combo)
 
 
-def _resolved_pairs(
-    seq: OutputSequence,
-    entities: Sequence,
-    wh_lexicon: frozenset[str],
-) -> list[ArgRelPair] | None:
-    """Parse a beam; None when unparseable or an entity arg is unresolved."""
-    try:
-        pairs = parse_output(seq.text, list(entities), wh_lexicon)
-    except OutputParseError:
-        return None
-    for pair in pairs:
-        if isinstance(pair.argument, EntityArg) and pair.argument.entity is None:
-            return None
-    return pairs
+def _parsed(
+    beams: Sequence[OutputSequence], entities: Sequence
+) -> Iterator[tuple[OutputSequence, list[ArgRelPair]]]:
+    """Each parseable beam with its pairs, in rank order; parses lazily."""
+    entities = list(entities)
+    for seq in beams:
+        try:
+            pairs = parse_output(seq.text, entities)
+        except OutputParseError:
+            continue
+        yield seq, pairs
+
+
+def _resolved(pairs: Sequence[ArgRelPair]) -> bool:
+    """Whether every entity argument resolved to a linked entity."""
+    return all(
+        not isinstance(pair.argument, EntityArg) or pair.argument.entity is not None
+        for pair in pairs
+    )
 
 
 def validate_sequence(
-    store: KbStore,
-    seq: OutputSequence,
-    entities: Sequence = (),
-    wh_lexicon: frozenset[str] = WH_LEXICON,
+    store: KbStore, pairs: Sequence[ArgRelPair], rank: int
 ) -> LinkingResult | None:
-    """First matching candidate graph of one beam, or None."""
-    pairs = _resolved_pairs(seq, entities, wh_lexicon)
-    if pairs is None or not pairs:
+    """First matching candidate graph of one parsed beam, or None."""
+    if not pairs or not _resolved(pairs):
         return None
     for graph in enumerate_graphs(store, pairs):
         if store.match_graph(graph) is not None:
             relations = _unique(relation_uri(p.predicate) for p in graph.patterns)
-            return LinkingResult(relations, True, seq.rank)
+            return LinkingResult(relations, True, rank)
     return None
 
 
-def _best_effort_uri(store: KbStore, label: str) -> Iri | None:
-    routes = _routes(store, label)
-    return relation_uri(routes[0]) if routes else None
-
-
-def fallback_result(
-    store: KbStore,
-    beams: Sequence[OutputSequence],
-    entities: Sequence = (),
-    wh_lexicon: frozenset[str] = WH_LEXICON,
-) -> LinkingResult:
-    """Top parseable beam mapped label-by-label, flagged unvalidated."""
-    for seq in beams:
-        try:
-            pairs = parse_output(seq.text, list(entities), wh_lexicon)
-        except OutputParseError:
-            continue
-        relations = []
-        for pair in pairs:
-            uri = _best_effort_uri(store, pair.relation_label)
-            if uri is not None:
-                relations.append(uri)
-        return LinkingResult(_unique(relations), False, seq.rank)
-    return LinkingResult([], False, 0)
-
-
-def _ask_hit(store: KbStore, pairs: Sequence[ArgRelPair]) -> Iri | None:
-    """A relation URI whose bound triple holds between two same-label args."""
+def _ask_hit(
+    store: KbStore, pairs: Sequence[ArgRelPair], rank: int
+) -> LinkingResult | None:
+    """A true answer when a bound triple holds between two same-label args."""
+    if not _resolved(pairs):
+        return None
     by_label: dict[str, list[Iri]] = {}
     for pair in pairs:
-        if isinstance(pair.argument, EntityArg) and pair.argument.entity is not None:
+        if isinstance(pair.argument, EntityArg):
             by_label.setdefault(pair.relation_label, []).append(pair.argument.entity)
     for label, args in by_label.items():
         if len(args) < 2:
             continue
         for route in _routes(store, label):
-            for i in range(len(args)):
-                for j in range(len(args)):
-                    if i == j:
-                        continue
-                    bound = TriplePattern(args[i], route, args[j])
-                    if store.pattern_satisfiable(bound):
-                        return relation_uri(bound.predicate)
+            for subject, obj in permutations(args, 2):
+                if store.pattern_satisfiable(TriplePattern(subject, route, obj)):
+                    return LinkingResult([relation_uri(route)], True, rank, ask_answer=True)
     return None
+
+
+def _best_effort(
+    store: KbStore, seq: OutputSequence, pairs: Sequence[ArgRelPair]
+) -> LinkingResult:
+    """A parsed beam mapped label-by-label to first routes, flagged unvalidated."""
+    relations = []
+    for pair in pairs:
+        routes = _routes(store, pair.relation_label)
+        if routes:
+            relations.append(relation_uri(routes[0]))
+    return LinkingResult(_unique(relations), False, seq.rank)
+
+
+def fallback_result(
+    store: KbStore, beams: Sequence[OutputSequence], entities: Sequence = ()
+) -> LinkingResult:
+    """Top parseable beam mapped label-by-label, flagged unvalidated."""
+    for seq, pairs in _parsed(beams, entities):
+        return _best_effort(store, seq, pairs)
+    return LinkingResult([], False, 0)
 
 
 def link(
@@ -254,30 +232,28 @@ def link(
     beams.  ASK questions instead look for a fully bound triple between the
     paired entities in the top ``ask_limit`` beams; a hit answers true,
     otherwise the answer is false.  When nothing validates, the top
-    parseable beam is returned with best-effort URI mapping.
+    parseable beam is returned with best-effort URI mapping.  Each beam is
+    parsed at most once.
     """
     config = config or ValidationConfig()
     is_ask = detect_ask(question)
-    if not beams:
-        return LinkingResult([], False, 0, ask_answer=False if is_ask else None)
-
     if is_ask:
-        for seq in beams[: config.ask_limit]:
-            pairs = _resolved_pairs(seq, entities, config.wh_lexicon)
-            if not pairs:
-                continue
-            hit = _ask_hit(store, pairs)
-            if hit is not None:
-                return LinkingResult([hit], True, seq.rank, ask_answer=True)
-        fallback = fallback_result(store, beams, entities, config.wh_lexicon)
-        fallback.ask_answer = False
-        return fallback
-
-    for seq in beams[: config.beam_limit]:
-        result = validate_sequence(store, seq, entities, config.wh_lexicon)
+        limit, check = config.ask_limit, _ask_hit
+    else:
+        limit, check = config.beam_limit, validate_sequence
+    first = None
+    for seq, pairs in _parsed(beams[:limit], entities):
+        result = check(store, pairs, seq.rank)
         if result is not None:
             return result
-    return fallback_result(store, beams, entities, config.wh_lexicon)
+        first = first or (seq, pairs)
+    if first is not None:
+        result = _best_effort(store, *first)
+    else:
+        result = fallback_result(store, beams[limit:], entities)
+    if is_ask:
+        result.ask_answer = False
+    return result
 
 
 def result_record(question_id: str, result: LinkingResult) -> dict:
@@ -289,8 +265,3 @@ def result_record(question_id: str, result: LinkingResult) -> dict:
         "source_rank": result.source_rank,
         "ask_answer": result.ask_answer,
     }
-
-
-def write_results(sink, records: Iterable[dict]) -> None:
-    for record in records:
-        sink.write(json.dumps(record) + "\n")

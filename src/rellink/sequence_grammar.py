@@ -128,7 +128,6 @@ def _split_pair(group: str) -> tuple[str, str]:
 def parse_output(
     text: str,
     question_entities: list[LinkedEntity] | tuple[LinkedEntity, ...] = (),
-    wh_lexicon: frozenset[str] | set[str] = WH_LEXICON,
 ) -> list[ArgRelPair]:
     """Parse decoder text into argument-relation pairs.
 
@@ -154,7 +153,7 @@ def parse_output(
         if not rel_text:
             raise OutputParseError("empty relation label", group)
         argument: Argument
-        if arg_text.casefold() in wh_lexicon:
+        if arg_text.casefold() in WH_LEXICON:
             argument = PlaceholderArg(arg_text)
         else:
             argument = _resolve_mention(arg_text, list(question_entities))

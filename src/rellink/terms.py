@@ -117,7 +117,6 @@ class Profile:
     name: str
     prefixes: dict[str, str] = field(hash=False)
     property_namespaces: tuple[str, ...]
-    preference: tuple[str, ...]
     type_predicate: Iri
     subclass_predicate: Iri
     statement_namespace: str | None = None
@@ -145,7 +144,6 @@ DBPEDIA = Profile(
         **_COMMON_PREFIXES,
     },
     property_namespaces=("dbo", "dbp"),
-    preference=("dbo", "dbp"),
     type_predicate=Iri("rdf:type"),
     subclass_predicate=Iri("rdfs:subClassOf"),
 )
@@ -162,7 +160,6 @@ WIKIDATA = Profile(
         **_COMMON_PREFIXES,
     },
     property_namespaces=("wdt", "p", "ps", "pq"),
-    preference=("wdt", "p", "ps", "pq"),
     type_predicate=Iri("wdt:P31"),
     subclass_predicate=Iri("wdt:P279"),
     statement_namespace="p",

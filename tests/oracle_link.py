@@ -1,5 +1,5 @@
-"""Brute-force reference implementation of beam validation, plus a random
-fixture builder for differential testing.
+"""Brute-force reference implementations of beam validation and of ASK
+answering, plus random fixture builders for differential testing.
 
 Everything here is computed from first principles: the oracle expands every
 namespace/orientation combination for every pair, takes the full cartesian
@@ -137,7 +137,12 @@ def oracle_link(fixture: Fixture) -> tuple[tuple[str, ...], bool, int]:
                 relations = dict.fromkeys(p for _, p, _ in combo)
                 return tuple(relations), True, beam.rank
 
-    for beam in fixture.beams:
+    return _fallback(fixture.beams, predicates)
+
+
+def _fallback(beams, predicates) -> tuple[tuple[str, ...], bool, int]:
+    """The first parseable beam, each label mapped to its preferred variant."""
+    for beam in beams:
         if not beam.parseable:
             continue
         relations = dict.fromkeys(
@@ -147,6 +152,41 @@ def oracle_link(fixture: Fixture) -> tuple[tuple[str, ...], bool, int]:
         )
         return tuple(relations), False, beam.rank
     return (), False, 0
+
+
+ASK_WINDOW = 10
+
+
+def ask_hit(beam: BeamSpec, triples) -> str | None:
+    """The relation of the first triple that holds between two entity args of
+    one label, trying labels in order of appearance, then namespaces by
+    preference, then ordered argument pairs; None for an unparseable beam or
+    one with an unresolved argument."""
+    if not beam.parseable or any(pair.kind == "unresolved" for pair in beam.pairs):
+        return None
+    predicates = {p for _, p, _ in triples}
+    by_label: dict[str, list[str]] = {}
+    for pair in beam.pairs:
+        if pair.kind == "entity":
+            by_label.setdefault(pair.label, []).append(pair.entity)
+    for label, args in by_label.items():
+        for ns in _available(label, predicates):
+            relation = f"{ns}:{label}"
+            for s, o in itertools.permutations(args, 2):
+                if (s, relation, o) in triples:
+                    return relation
+    return None
+
+
+def oracle_ask(fixture: Fixture) -> tuple[tuple[str, ...], bool, int, bool]:
+    """Expected (relations, validated, source_rank, ask_answer) for an ASK
+    fixture: the first of the top ``ASK_WINDOW`` beams with a hit answers
+    true; otherwise the fallback of ``oracle_link`` answers false."""
+    for beam in fixture.beams[:ASK_WINDOW]:
+        relation = ask_hit(beam, fixture.triples)
+        if relation is not None:
+            return (relation,), True, beam.rank, True
+    return (*_fallback(fixture.beams, {p for _, p, _ in fixture.triples}), False)
 
 
 # -- random fixture builder ---------------------------------------------------
@@ -207,6 +247,60 @@ def build_fixture(rng: Random) -> Fixture:
                 wh = rng.choice(["What", "Who", "which"])
                 pairs.append(PairSpec("placeholder", wh, None, label))
             elif arg_roll < 0.25 and roll < 0.5:
+                pairs.append(PairSpec("unresolved", "Zzz Qqq", None, label))
+            else:
+                mention, entity = rng.choice(mentions)
+                text = mention.lower() if rng.random() < 0.1 else mention
+                pairs.append(PairSpec("entity", text, entity, label))
+        text = ", ".join(f"[{p.arg_text} | {p.label}]" for p in pairs)
+        beams.append(BeamSpec(text, score, rank, parseable=True, pairs=pairs))
+    return Fixture(question, mentions, triples, beams)
+
+
+def build_ask_fixture(rng: Random) -> Fixture:
+    """A random yes/no question over two or three entities.
+
+    Edges join the question entities directly (self-loops included), so a
+    beam pairing two entities under one label may hold as a bound triple.
+    Half of the fixtures have 11-14 beams, past the ASK window.
+    """
+    n_entities = rng.randint(2, 3)
+    mentions = [(f"Entity{i}", f"dbr:Entity{i}") for i in range(n_entities)]
+    question = "Is " + " and ".join(m for m, _ in mentions) + " linked?"
+
+    labels = [f"rel{c}" for c in "ABC"[: rng.randint(1, 3)]]
+    availability = {
+        label: rng.choice([(), ("dbo",), ("dbp",), ("dbo", "dbp")]) for label in labels
+    }
+    triples: list[tuple[str, str, str]] = []
+    for label, spaces in availability.items():
+        for ns in spaces:
+            triples.append((f"dbr:Decoy{label}{ns}S", f"{ns}:{label}", f"dbr:Decoy{label}{ns}O"))
+    density = rng.choice([0.05, 0.15, 0.4])
+    for label in labels:
+        for ns in availability[label]:
+            for _, s in mentions:
+                for _, o in mentions:
+                    if rng.random() < (density / 4 if s == o else density):
+                        triples.append((s, f"{ns}:{label}", o))
+    triples = list(dict.fromkeys(triples))
+
+    n_beams = rng.randint(11, 14) if rng.random() < 0.5 else rng.randint(1, 4)
+    beams: list[BeamSpec] = []
+    for i in range(n_beams):
+        rank = i + 1
+        score = round(1.0 - 0.05 * i, 4)
+        if rng.random() < 0.1:
+            beams.append(BeamSpec("broken [ text", score, rank, parseable=False))
+            continue
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            pool = labels + ["unknownRel"] if rng.random() < 0.15 else labels
+            label = rng.choice(pool)
+            roll = rng.random()
+            if roll < 0.1:
+                pairs.append(PairSpec("placeholder", rng.choice(["What", "who"]), None, label))
+            elif roll < 0.16:
                 pairs.append(PairSpec("unresolved", "Zzz Qqq", None, label))
             else:
                 mention, entity = rng.choice(mentions)

@@ -24,7 +24,7 @@ from conftest import (
     entity,
     nt,
 )
-from oracle_link import build_fixture, oracle_link
+from oracle_link import ASK_WINDOW, ask_hit, build_ask_fixture, build_fixture, oracle_ask, oracle_link
 from rellink import (
     ArgRelPair,
     EntityArg,
@@ -118,6 +118,40 @@ def test_criterion_02_validation_oracle_equivalence():
         assert fallbacks >= 100, fallbacks
         assert later_rank >= 25, later_rank
         assert empty >= 5, empty
+
+
+# 2b. ASK questions agree with the brute-force ASK oracle.
+def test_criterion_02_ask_oracle_equivalence():
+    rng = Random(20261018)
+    true_answers = false_answers = past_window = 0
+    with criterion("2b ASK oracle equivalence, 1500 random fixtures", budget_s=30.0):
+        for case in range(1500):
+            fx = build_ask_fixture(rng)
+            store = load_kb(fx.nt_text())
+            entities = [
+                LinkedEntity(m, fx.question.index(m), fx.question.index(m) + len(m), Iri(c))
+                for m, c in fx.mentions
+            ]
+            beams = [OutputSequence(b.text, b.score, b.rank) for b in fx.beams]
+            got = link(store, fx.question, beams, entities)
+            actual = (
+                tuple(r.value for r in got.relations),
+                got.validated,
+                got.source_rank,
+                got.ask_answer,
+            )
+            expected = oracle_ask(fx)
+            assert actual == expected, f"fixture {case}: {actual} != {expected}"
+            if got.ask_answer:
+                true_answers += 1
+            else:
+                false_answers += 1
+                if any(ask_hit(b, fx.triples) for b in fx.beams[ASK_WINDOW:]):
+                    past_window += 1
+        # Both answers, and hits that only a beam past the window holds.
+        assert true_answers >= 300, true_answers
+        assert false_answers >= 700, false_answers
+        assert past_window >= 10, past_window
 
 
 # 3. Dual-namespace pairs expand to 4 patterns; k pairs to 4^k graphs.

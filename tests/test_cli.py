@@ -21,7 +21,7 @@ from conftest import (
     RDFS_SUBCLASS,
     nt,
 )
-from rellink.cli import main
+from rellink.cli import _generator_config, build_parser, main
 
 
 @pytest.fixture()
@@ -250,6 +250,16 @@ class TestLink:
         assert status == 0
         record = json.loads(out.read_text())
         assert record["ask_answer"] is False
+
+    def test_remote_flags_ignore_environment(self, monkeypatch):
+        monkeypatch.setenv("RELLINK_ENDPOINT", "http://env.example/generate")
+        monkeypatch.setenv("RELLINK_TIMEOUT", "99")
+        args = build_parser().parse_args(
+            ["link", "--kb", "kb.nt", "--endpoint", "http://flag.example/generate", "--timeout", "5", "q.jsonl"]
+        )
+        config = _generator_config(args)
+        assert config.endpoint == "http://flag.example/generate"
+        assert config.timeout == 5.0
 
 
 class TestEval:

@@ -349,6 +349,16 @@ class TestMatchGraph:
         pattern = TriplePattern(VY, path, Iri("wd:Q99"))
         assert wikidata_store.match_graph([pattern]) == {"y": Iri("wd:Q42")}
 
+    def test_no_entry_edges_without_statement_namespace(self):
+        # A foreign predicate has no namespace under dbpedia, which has no
+        # statement namespace either; neither may make it an entry edge.
+        store = load_kb(
+            nt(DBR + "A", "http://ex.org/foo", DBR + "S") + "\n" + nt(DBR + "S", DBO + "bar", DBR + "O")
+        )
+        path = PropertyPath(None, Iri("dbo:bar"))
+        assert list(store.match_pattern(TriplePattern(Iri("dbr:A"), path, VX))) == []
+        assert list(store.match_pattern(TriplePattern(VY, path, Iri("dbr:O")))) == []
+
 
 # -- differential check of the matcher against a scan of the raw triples ---
 
@@ -406,7 +416,8 @@ def _scan_solutions(triples, profile, pattern: TriplePattern) -> list[dict]:
         def enters(p):
             if pred.via is not None:
                 return p == pred.via
-            return namespace_of(p, profile) == profile.statement_namespace
+            stmt_ns = profile.statement_namespace
+            return stmt_ns is not None and namespace_of(p, profile) == stmt_ns
 
         pairs = {
             (s, o)
@@ -500,7 +511,7 @@ class TestProfileConfig:
         assert profile.prefixes["ex"] == "http://example.org/"
         assert profile.statement_namespace == WIKIDATA.statement_namespace == "p"
         assert profile.direct_only == WIKIDATA.direct_only
-        assert profile.preference == WIKIDATA.preference
+        assert profile.property_namespaces == WIKIDATA.property_namespaces
 
     def test_missing_base(self):
         with pytest.raises(KbLoadError):

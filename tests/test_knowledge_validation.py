@@ -5,13 +5,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import DBO, DBP, DBR, FORD_QUESTION, OBAMA_QUESTION, nt
-from rellink import load_kb
+from rellink import knowledge_validation, load_kb
 from rellink.knowledge_integration import LinkedEntity
 from rellink.knowledge_validation import (
     ValidationConfig,
     enumerate_graphs,
-    expand_entity_relation,
-    expand_placeholder_relation,
+    expand_pair,
     fallback_result,
     link,
     validate_sequence,
@@ -21,6 +20,7 @@ from rellink.sequence_grammar import (
     EntityArg,
     OutputSequence,
     PlaceholderArg,
+    parse_output,
 )
 from rellink.terms import Iri, PropertyPath, TriplePattern, VAR_X, VAR_Y
 
@@ -41,7 +41,7 @@ def pair(mention_iri: str, label: str) -> ArgRelPair:
 class TestEntityExpansion:
     def test_four_patterns_both_namespaces(self):
         store = load_kb(DUAL_NS_TRIPLES)
-        patterns = expand_entity_relation(store, pair("dbr:A", "owner"))
+        patterns = expand_pair(store, pair("dbr:A", "owner"))
         entity = Iri("dbr:A")
         assert patterns == [
             TriplePattern(entity, Iri("dbo:owner"), VAR_X),
@@ -51,20 +51,20 @@ class TestEntityExpansion:
         ]
 
     def test_two_patterns_single_namespace(self, ford_store):
-        patterns = expand_entity_relation(
+        patterns = expand_pair(
             ford_store, pair("dbr:Kansas_City_Assembly", "owningOrganisation")
         )
         assert len(patterns) == 2
         assert all(p.predicate == Iri("dbo:owningOrganisation") for p in patterns)
 
     def test_unknown_label_empty(self, ford_store):
-        assert expand_entity_relation(ford_store, pair("dbr:A", "noSuchRel")) == []
+        assert expand_pair(ford_store, pair("dbr:A", "noSuchRel")) == []
 
 
 class TestPlaceholderExpansion:
     def test_uses_y_variable(self):
         store = load_kb(DUAL_NS_TRIPLES)
-        patterns = expand_placeholder_relation(
+        patterns = expand_pair(
             store, ArgRelPair(PlaceholderArg("Who"), "owner")
         )
         assert len(patterns) == 4
@@ -73,12 +73,12 @@ class TestPlaceholderExpansion:
 
     def test_unknown_label_empty(self, ford_store):
         pairs = ArgRelPair(PlaceholderArg("Who"), "noSuchRel")
-        assert expand_placeholder_relation(ford_store, pairs) == []
+        assert expand_pair(ford_store, pairs) == []
 
 
 class TestWikidataExpansion:
     def test_reified_routes(self, wikidata_store):
-        patterns = expand_entity_relation(
+        patterns = expand_pair(
             wikidata_store, pair("wd:Q42", "manufacturer")
         )
         # Direct route (labeled but unloaded) plus the statement route.
@@ -87,20 +87,20 @@ class TestWikidataExpansion:
         assert PropertyPath(Iri("p:P176"), Iri("ps:P176")) in preds
 
     def test_qualifier_route_any_entry(self, wikidata_store):
-        patterns = expand_entity_relation(wikidata_store, pair("wd:Q42", "follows"))
+        patterns = expand_pair(wikidata_store, pair("wd:Q42", "follows"))
         assert PropertyPath(None, Iri("pq:P155")) in [p.predicate for p in patterns]
 
     def test_p31_direct_only(self, wikidata_store):
-        patterns = expand_entity_relation(wikidata_store, pair("wd:Q42", "P31"))
+        patterns = expand_pair(wikidata_store, pair("wd:Q42", "P31"))
         assert patterns == [
             TriplePattern(Iri("wd:Q42"), Iri("wdt:P31"), VAR_X),
             TriplePattern(VAR_X, Iri("wdt:P31"), Iri("wd:Q42")),
         ]
 
     def test_reified_pair_validates(self, wikidata_store):
-        seq = OutputSequence("[maker | manufacturer]", -0.1, 1)
         entities = [LinkedEntity("maker", 0, 5, Iri("wd:Q42"))]
-        result = validate_sequence(wikidata_store, seq, entities)
+        pairs = parse_output("[maker | manufacturer]", entities)
+        result = validate_sequence(wikidata_store, pairs, 1)
         assert result is not None and result.validated
         assert result.relations == [Iri("ps:P176")]
 
@@ -141,41 +141,34 @@ class TestEnumerateGraphs:
 
 class TestValidateSequence:
     def test_fig3_first_beam_validates(self, ford_store, ford_entities):
-        seq = OutputSequence(
+        pairs = parse_output(
             "[Ford Kansas City Assembly Plant | owningOrganisation], "
             "[Ford Y-block engine | manufacturer]",
-            -0.05,
-            1,
+            ford_entities,
         )
-        result = validate_sequence(ford_store, seq, ford_entities)
+        result = validate_sequence(ford_store, pairs, 1)
         assert result is not None
         assert result.validated and result.source_rank == 1
         assert result.relations == [Iri("dbo:owningOrganisation"), Iri("dbo:manufacturer")]
 
-    def test_unparseable_none(self, ford_store, ford_entities):
-        seq = OutputSequence("complete garbage", -0.5, 1)
-        assert validate_sequence(ford_store, seq, ford_entities) is None
-
     def test_unresolved_entity_none(self, ford_store, ford_entities):
-        seq = OutputSequence("[An Unknown Thing | owningOrganisation]", -0.5, 1)
-        assert validate_sequence(ford_store, seq, ford_entities) is None
+        pairs = parse_output("[An Unknown Thing | owningOrganisation]", ford_entities)
+        assert validate_sequence(ford_store, pairs, 1) is None
 
     def test_no_join_none(self, ford_store, ford_entities):
         # Both relations exist but share no hub entity in this orientation mix.
-        seq = OutputSequence(
+        pairs = parse_output(
             "[Ford Kansas City Assembly Plant | location], "
             "[Ford Y-block engine | manufacturer]",
-            -0.2,
-            1,
+            ford_entities,
         )
-        assert validate_sequence(ford_store, seq, ford_entities) is None
+        assert validate_sequence(ford_store, pairs, 1) is None
 
     def test_reverse_orientation_found(self):
         # Only (?x, r, e) holds; forward orientation is pruned away.
         store = load_kb(nt(DBR + "V", DBO + "owner", DBR + "A"))
         entities = [LinkedEntity("A thing", 0, 7, Iri("dbr:A"))]
-        seq = OutputSequence("[A thing | owner]", -0.1, 1)
-        result = validate_sequence(store, seq, entities)
+        result = validate_sequence(store, parse_output("[A thing | owner]", entities), 1)
         assert result is not None and result.validated
 
 
@@ -294,3 +287,54 @@ class TestAsk:
         ]
         result = link(ford_store, FORD_QUESTION, beams, ford_entities)
         assert result.ask_answer is None
+
+
+class TestParsesEachBeamOnce:
+    """``link`` hands each beam to ``parse_output`` at most once."""
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        texts: list[str] = []
+        parse = knowledge_validation.parse_output
+
+        def counting(text, *args):
+            texts.append(text)
+            return parse(text, *args)
+
+        monkeypatch.setattr(knowledge_validation, "parse_output", counting)
+        return texts
+
+    def beams(self, *texts):
+        return [OutputSequence(text, -0.1 * rank, rank) for rank, text in enumerate(texts, 1)]
+
+    def test_fallback(self, parsed, ford_store, ford_entities):
+        beams = self.beams(
+            "[Ford Kansas City Assembly Plant | location], [Ford Y-block engine | manufacturer]",
+            "garbage",
+            "[Ford Y-block engine | noSuchRel]",
+        )
+        result = link(ford_store, FORD_QUESTION, beams, ford_entities)
+        assert not result.validated and result.source_rank == 1
+        assert parsed == [b.text for b in beams]
+
+    def test_ask_fallback(self, parsed, obama_store, obama_entities):
+        beams = self.beams(
+            "[Barack Obama | president], [Canada | president]",
+            "[Canada | president]",
+        )
+        result = link(obama_store, OBAMA_QUESTION, beams, obama_entities)
+        assert result.ask_answer is False and result.source_rank == 1
+        assert parsed == [b.text for b in beams]
+
+    def test_fallback_past_limit(self, parsed, ford_store, ford_entities):
+        beams = self.beams(
+            "garbage one",
+            "garbage two",
+            "garbage three",
+            "[Ford Y-block engine | manufacturer]",
+            "[Ford Y-block engine | owner]",
+        )
+        config = ValidationConfig(beam_limit=2)
+        result = link(ford_store, FORD_QUESTION, beams, ford_entities, config)
+        assert not result.validated and result.source_rank == 4
+        assert parsed == [b.text for b in beams[:4]]

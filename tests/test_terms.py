@@ -104,8 +104,8 @@ class TestProfiles:
         assert WIKIDATA.prefixes["pq"] == "http://www.wikidata.org/prop/qualifier/"
 
     def test_preference_orders(self):
-        assert DBPEDIA.preference == ("dbo", "dbp")
-        assert WIKIDATA.preference == ("wdt", "p", "ps", "pq")
+        assert DBPEDIA.property_namespaces == ("dbo", "dbp")
+        assert WIKIDATA.property_namespaces == ("wdt", "p", "ps", "pq")
 
     def test_direct_only_properties(self):
         assert WIKIDATA.direct_only == {"P31", "P279"}
