@@ -24,7 +24,14 @@ from conftest import (
     entity,
     nt,
 )
-from oracle_link import ASK_WINDOW, ask_hit, build_ask_fixture, build_fixture, oracle_ask, oracle_link
+from oracle_link import (
+    ASK_WINDOW,
+    ask_hit,
+    build_ask_fixture,
+    build_fixture,
+    oracle_ask,
+    oracle_link,
+)
 from rellink import (
     ArgRelPair,
     EntityArg,
@@ -88,6 +95,16 @@ def test_criterion_01_metric_oracle():
             assert f1 == expected_f1, (pred, f1, expected_f1)
 
 
+def _link_fixture(fx):
+    store = load_kb(fx.nt_text())
+    entities = [
+        LinkedEntity(m, fx.question.index(m), fx.question.index(m) + len(m), Iri(c))
+        for m, c in fx.mentions
+    ]
+    beams = [OutputSequence(b.text, b.score, b.rank) for b in fx.beams]
+    return link(store, fx.question, beams, entities)
+
+
 # 2. link agrees with an unpruned brute-force oracle on random fixtures.
 def test_criterion_02_validation_oracle_equivalence():
     rng = Random(20260815)
@@ -95,13 +112,7 @@ def test_criterion_02_validation_oracle_equivalence():
     with criterion("2 oracle equivalence, 1000 random fixtures", budget_s=60.0):
         for case in range(1000):
             fx = build_fixture(rng)
-            store = load_kb(fx.nt_text())
-            entities = [
-                LinkedEntity(m, fx.question.index(m), fx.question.index(m) + len(m), Iri(c))
-                for m, c in fx.mentions
-            ]
-            beams = [OutputSequence(b.text, b.score, b.rank) for b in fx.beams]
-            got = link(store, fx.question, beams, entities)
+            got = _link_fixture(fx)
             actual = (tuple(r.value for r in got.relations), got.validated, got.source_rank)
             expected = oracle_link(fx)
             assert actual == expected, f"fixture {case}: {actual} != {expected}"
@@ -127,13 +138,7 @@ def test_criterion_02_ask_oracle_equivalence():
     with criterion("2b ASK oracle equivalence, 1500 random fixtures", budget_s=30.0):
         for case in range(1500):
             fx = build_ask_fixture(rng)
-            store = load_kb(fx.nt_text())
-            entities = [
-                LinkedEntity(m, fx.question.index(m), fx.question.index(m) + len(m), Iri(c))
-                for m, c in fx.mentions
-            ]
-            beams = [OutputSequence(b.text, b.score, b.rank) for b in fx.beams]
-            got = link(store, fx.question, beams, entities)
+            got = _link_fixture(fx)
             actual = (
                 tuple(r.value for r in got.relations),
                 got.validated,
