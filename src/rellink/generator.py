@@ -94,17 +94,22 @@ class FixtureGenerator:
 
 
 class RemoteGenerator:
-    """POSTs the rendered input to a model server and maps the JSON reply."""
+    """POSTs the rendered input to a model server and maps the JSON reply.
+
+    One HTTP session lives as long as the generator, so the questions of a
+    run share a keep-alive connection.
+    """
 
     def __init__(self, endpoint: str, beam_width: int = DEFAULT_BEAM_WIDTH, timeout: float = 30.0):
         self.endpoint = endpoint
         self.beam_width = beam_width
         self.timeout = timeout
+        self._session = requests.Session()
 
     def generate(self, enc: EncoderInput, question_id: str | None = None) -> list[OutputSequence]:
         payload = {"input": enc.rendered, "beams": self.beam_width}
         try:
-            reply = requests.post(self.endpoint, json=payload, timeout=self.timeout)
+            reply = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             reply.raise_for_status()
             body = reply.json()
             raw = [(s["text"], float(s["score"])) for s in body["sequences"]]

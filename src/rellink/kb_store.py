@@ -119,14 +119,17 @@ class KbStore:
             return
         objects[o] = None
         self._size += 1
-        self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
+        by_object = self._pos.get(p)
+        if by_object is None:
+            # First sight of the predicate: its lexicon entries depend on
+            # nothing else, so they are made once.
+            by_object = self._pos[p] = {}
+            if namespace_of(p, self.profile) in self.profile.property_namespaces:
+                self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
+                if self.profile.statement_namespace is not None:
+                    self._property_variants.setdefault(local_name(p), {})[p] = None
+        by_object.setdefault(o, {})[s] = None
         self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
-
-        ns = namespace_of(p, self.profile)
-        if ns in self.profile.property_namespaces:
-            self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
-            if self.profile.statement_namespace is not None:
-                self._property_variants.setdefault(local_name(p), {})[p] = None
         if p == self.profile.type_predicate and isinstance(o, Iri):
             self._instance_counts[o] = self._instance_counts.get(o, 0) + 1
         if p == self.profile.subclass_predicate and isinstance(o, Iri):
@@ -393,17 +396,30 @@ def _parse_nt_term(raw: str, profile: Profile) -> Term:
     return Literal(_unescape(body[:end], echars=True))
 
 
-def parse_nt_line(line: str, profile: Profile) -> Triple | None:
-    """One N-Triples line to a Triple; None for blank and comment lines."""
+def parse_nt_line(
+    line: str, profile: Profile, terms: dict[str, Term] | None = None
+) -> Triple | None:
+    """One N-Triples line to a Triple; None for blank and comment lines.
+
+    ``terms`` maps raw term tokens, delimiters and tags included, to terms
+    already parsed under ``profile``; misses are parsed and added, so each
+    distinct token is decoded and validated once and yields one object.
+    """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
     m = _TRIPLE_RE.match(line)
     if m is None:
         raise ValueError("not a valid triple line")
-    subject = _parse_nt_term(m.group(1), profile)
-    predicate = _parse_nt_term(m.group(2), profile)
-    obj = _parse_nt_term(m.group(3), profile)
+    if terms is None:
+        terms = {}
+    parsed = []
+    for raw in m.groups():
+        term = terms.get(raw)
+        if term is None:
+            term = terms[raw] = _parse_nt_term(raw, profile)
+        parsed.append(term)
+    subject, predicate, obj = parsed
     if isinstance(subject, Literal) or not isinstance(predicate, Iri):
         raise ValueError("subject and predicate must be IRIs")
     return Triple(subject, predicate, obj)
@@ -416,9 +432,15 @@ def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
 
 
 def load_triples(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:
+    """Add every triple of an N-Triples source to ``store``.
+
+    One term table lives for the call, so a term repeated over many lines is
+    parsed once and shared by all three indexes.
+    """
+    terms: dict[str, Term] = {}
     for lineno, line in enumerate(_as_lines(source), start=1):
         try:
-            triple = parse_nt_line(line, store.profile)
+            triple = parse_nt_line(line, store.profile, terms)
         except ValueError as exc:
             raise KbLoadError(f"triples line {lineno}: {exc}: {line.strip()!r}") from None
         if triple is not None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -169,13 +171,13 @@ class TestRemoteGenerator:
     def test_maps_reply(self, monkeypatch):
         sent = {}
 
-        def fake_post(url, json=None, timeout=None):
+        def fake_post(session, url, json=None, timeout=None):
             sent.update(url=url, body=json, timeout=timeout)
             return _FakeResponse(
                 {"sequences": [{"text": "[A | r]", "score": -0.2}]}
             )
 
-        monkeypatch.setattr(generator_module.requests, "post", fake_post)
+        monkeypatch.setattr(generator_module.requests.Session, "post", fake_post)
         gen = RemoteGenerator("http://model/generate", beam_width=5, timeout=3.0)
         beams = gen.generate(enc_input("the question"), "q1")
         assert beams == [OutputSequence("[A | r]", -0.2, 1)]
@@ -184,7 +186,7 @@ class TestRemoteGenerator:
 
     def test_empty_reply(self, monkeypatch):
         monkeypatch.setattr(
-            generator_module.requests,
+            generator_module.requests.Session,
             "post",
             lambda *a, **k: _FakeResponse({"sequences": []}),
         )
@@ -192,7 +194,7 @@ class TestRemoteGenerator:
 
     def test_http_error_becomes_generator_error(self, monkeypatch):
         monkeypatch.setattr(
-            generator_module.requests,
+            generator_module.requests.Session,
             "post",
             lambda *a, **k: _FakeResponse({}, status=500),
         )
@@ -201,7 +203,7 @@ class TestRemoteGenerator:
 
     def test_malformed_reply_becomes_generator_error(self, monkeypatch):
         monkeypatch.setattr(
-            generator_module.requests,
+            generator_module.requests.Session,
             "post",
             lambda *a, **k: _FakeResponse({"unexpected": True}),
         )
@@ -214,9 +216,72 @@ class TestRemoteGenerator:
         def fail(*a, **k):
             raise requests.ConnectionError("no route")
 
-        monkeypatch.setattr(generator_module.requests, "post", fail)
+        monkeypatch.setattr(generator_module.requests.Session, "post", fail)
         with pytest.raises(GeneratorError):
             RemoteGenerator("http://model").generate(enc_input("q"))
+
+
+class _StubModelHandler(BaseHTTPRequestHandler):
+    """A keep-alive model server: ``/ok`` answers, ``/fail`` and ``/garbled``
+    reply with a 503 and with a body that is not JSON."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        status, body = 200, b"{not json"
+        if self.path == "/ok":
+            body = json.dumps({"sequences": [{"text": "[A | r]", "score": -0.5}]}).encode()
+        elif self.path == "/fail":
+            status, body = 503, b"overloaded"
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _CountingServer(ThreadingHTTPServer):
+    daemon_threads = True
+    accepted = 0
+
+    def get_request(self):
+        conn = super().get_request()
+        self.accepted += 1
+        return conn
+
+
+@pytest.fixture
+def model_server(monkeypatch):
+    for var in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+    server = _CountingServer(("127.0.0.1", 0), _StubModelHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestRemoteGeneratorOverHttp:
+    def test_questions_share_one_connection(self, model_server):
+        server, base = model_server
+        gen = RemoteGenerator(base + "/ok", beam_width=5, timeout=5.0)
+        for i in range(8):
+            beams = gen.generate(enc_input(f"question {i}"), f"q{i}")
+            assert beams == [OutputSequence("[A | r]", -0.5, 1)]
+        assert server.accepted == 1
+
+    @pytest.mark.parametrize("path", ["/fail", "/garbled"])
+    def test_bad_reply_becomes_generator_error(self, model_server, path):
+        _, base = model_server
+        with pytest.raises(GeneratorError):
+            RemoteGenerator(base + path, timeout=5.0).generate(enc_input("q"))
 
 
 class TestMakeGenerator:

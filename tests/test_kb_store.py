@@ -16,6 +16,7 @@ from rellink.kb_store import (
     KbStore,
     load_kb,
     load_profile_config,
+    load_triples,
     parse_nt_line,
 )
 from rellink.terms import (
@@ -27,7 +28,9 @@ from rellink.terms import (
     Triple,
     TriplePattern,
     Variable,
+    local_name,
     namespace_of,
+    normalize_label,
 )
 
 VX = Variable("x")
@@ -125,6 +128,156 @@ class TestLoading:
 
     def test_empty_input(self):
         assert len(load_kb("")) == 0
+
+
+class TestLoadErrorLines:
+    @pytest.mark.parametrize(
+        "bad_line",
+        [f'<{DBR}A> <{DBO}r> "bad \\q" .', f"<{DBR}Bad\\u00G9> <{DBO}r> <{DBR}B> ."],
+        ids=["literal", "iri"],
+    )
+    def test_repeated_bad_term_names_first_line(self, bad_line):
+        good = nt(DBR + "A", DBO + "r", DBR + "B")
+        text = "\n".join([good, bad_line, good, good, bad_line])
+        with pytest.raises(KbLoadError, match="triples line 2:"):
+            load_kb(text)
+
+    def test_new_bad_term_after_good_repeats_names_its_line(self):
+        good = [nt(DBR + f"E{i % 5}", DBO + "r", ("lit", "ok")) for i in range(200)]
+        text = "\n".join(good + [f'<{DBR}E1> <{DBO}r> "ok\\q" .'] + good)
+        with pytest.raises(KbLoadError, match="triples line 201:"):
+            load_kb(text)
+
+
+class TestTermSharing:
+    def test_each_term_is_one_object_in_every_index(self):
+        text = "\n".join(
+            [
+                nt(DBR + "A", DBO + "r", DBR + "B"),
+                nt(DBR + "B", DBO + "r", ("lit", "shared")),
+                f'_:b1 <{DBO}r> "shared" .',
+                f"<{DBR}A> <{DBP}s> _:b1 .",
+                f"_:b1 <{DBP}s> <{DBR}A> .",
+                nt(DBR + "C", DBO + "r", ("lit", "shared")),
+                nt(DBR + "C", RDF_TYPE, DBO + "Thing"),
+                nt(DBR + "B", RDF_TYPE, DBO + "Thing"),
+            ]
+        )
+        store = load_kb(text)
+        occurrences = []
+        for index in (store._spo, store._pos, store._osp):
+            for outer, inner in index.items():
+                occurrences.append(outer)
+                for middle, leaves in inner.items():
+                    occurrences.append(middle)
+                    occurrences.extend(leaves)
+        first: dict = {}
+        for term in occurrences:
+            assert first.setdefault(term, term) is term, term
+        assert {Iri("dbr:A"), Iri("_:b1"), Literal("shared"), Iri("dbo:r")} <= set(first)
+
+
+# -- differential check of the term-table load against table-free parsing ----
+
+
+def _random_nt_lines(rng: random.Random, profile) -> list[str]:
+    """N-Triples text over small pools, so that terms, predicates and whole
+    lines repeat; tokens spelled with and without escapes decode alike."""
+    prefixes = profile.prefixes
+
+    def full(iri: Iri) -> str:
+        prefix, local = iri.value.split(":", 1)
+        return f"<{prefixes[prefix]}{local}>"
+
+    entity_ns = prefixes["dbr" if "dbr" in prefixes else "wd"]
+    entities = [f"<{entity_ns}E{i}>" for i in range(4)] + [
+        f"<{entity_ns}Caf\\u00E9>",
+        f"<{entity_ns}Caf\\u00e9>",
+        f"<{entity_ns}Caf\u00e9>",
+        "<http://example.org/thing/X>",
+        "_:b1",
+        "_:b2",
+    ]
+    if profile.statement_namespace is not None:
+        entities += [f"<{prefixes['wds']}S{i}>" for i in range(3)]
+    classes = [f"<{entity_ns}Class{i}>" for i in range(3)]
+    predicates = [
+        f"<{prefixes[ns]}{local}>"
+        for ns in profile.property_namespaces
+        for local in ("P1", "birthPlace")
+    ] + ["<http://example.org/prop/related>"]
+    literals = [
+        '"plain"',
+        '"tab\\tand \\"quote\\""',
+        '"Caf\\u00E9"',
+        '"smile \\U0001F600"',
+        '"back\\\\slash"',
+        '"1"^^<http://www.w3.org/2001/XMLSchema#integer>',
+        '"1"@en',
+        '"plain"@en-GB',
+    ]
+    lines: list[str] = []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if lines and roll < 0.15:
+            lines.append(rng.choice(lines))
+            continue
+        if roll < 0.2:
+            lines.append(rng.choice(["", "# a comment", "   "]))
+            continue
+        if roll < 0.3:
+            triple = (rng.choice(entities), full(profile.type_predicate), rng.choice(classes))
+        elif roll < 0.35:
+            triple = (rng.choice(classes), full(profile.subclass_predicate), rng.choice(classes))
+        else:
+            triple = (
+                rng.choice(entities),
+                rng.choice(predicates),
+                rng.choice(entities + literals),
+            )
+        sep = rng.choice([" ", "\t", "  "])
+        lines.append(sep.join(triple) + " .")
+    return lines
+
+
+def _ordered(index):
+    """A nested index as nested lists of pairs, so equality checks order."""
+    if isinstance(index, dict):
+        return [(key, _ordered(value)) for key, value in index.items()]
+    return index
+
+
+STORE_INDEXES = (
+    "_spo", "_pos", "_osp", "_lexicon", "_property_variants", "_instance_counts", "_parents",
+)
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+def test_term_table_load_matches_per_line_parsing(profile):
+    for seed in range(200):
+        lines = _random_nt_lines(random.Random(seed), profile)
+        loaded = KbStore(profile)
+        load_triples(loaded, "\n".join(lines))
+        # The reference parses every line with no table and rebuilds the
+        # lexicon entries on every triple, not only on a predicate's first.
+        expected = KbStore(profile)
+        lexicon: dict = {}
+        variants: dict = {}
+        for line in lines:
+            triple = parse_nt_line(line, profile)
+            if triple is None:
+                continue
+            expected.add_triple(triple)
+            p = triple.predicate
+            if namespace_of(p, profile) in profile.property_namespaces:
+                lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
+                if profile.statement_namespace is not None:
+                    variants.setdefault(local_name(p), {})[p] = None
+        assert len(loaded) == len(expected), seed
+        for name in STORE_INDEXES:
+            assert _ordered(getattr(loaded, name)) == _ordered(getattr(expected, name)), (seed, name)
+        assert _ordered(loaded._lexicon) == _ordered(lexicon), seed
+        assert _ordered(loaded._property_variants) == _ordered(variants), seed
 
 
 class TestOntology:
