@@ -157,10 +157,12 @@ def relaxed_score(
         choices.append([pattern] if swapped is None else [pattern, swapped])
 
     best = base
-    for combo in product(*choices):
-        if store.match_graph(combo) is None:
+    for index, combo in enumerate(product(*choices)):
+        # The first combination is the gold graph itself: known to be
+        # satisfiable, with the original answers, so it is not queried again.
+        if index and store.match_graph(combo) is None:
             continue
-        if original_answers is not None:
+        if index and original_answers is not None:
             answers = store.answers(combo, answer_var)
             if overlap == "equal":
                 if answers != original_answers:

@@ -140,10 +140,14 @@ class BaselineGenerator:
         choices = [
             [(s.mention, label) for label in s.relations[:k]] for s in structures
         ]
+        # Score each distinct label once; a combination sums its labels' scores.
+        score_of = self.similarity.for_question(enc.question)
+        labels = {label for options in choices for _, label in options}
+        scores = {label: score_of(label) for label in labels}
         raw = []
         for combo in product(*choices):
             pairs = [ArgRelPair(EntityArg(mention), label) for mention, label in combo]
-            score = sum(self.similarity.score(enc.question, label) for _, label in combo)
+            score = sum(scores[label] for _, label in combo)
             raw.append((serialize_target(pairs), score))
         return _ranked(sorted(raw), self.beam_width)
 

@@ -176,9 +176,6 @@ class KbStore:
 
     # -- lookups ----------------------------------------------------------
 
-    def has_triple(self, s: Iri, p: Iri, o: Term) -> bool:
-        return o in self._spo.get(s, {}).get(p, {})
-
     @property
     def lexicon_size(self) -> int:
         return len(self._lexicon)

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator
 from . import brackets
 from .kb_store import KbStore
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import Iri, normalize_iri
+from .terms import DBPEDIA, Iri, Profile, normalize_iri
 
 DEFAULT_BUDGET = 512
 
@@ -71,8 +71,8 @@ def rank_candidate_relations(
     similarity: Similarity | None = None,
 ) -> list[str]:
     """Labels in descending similarity to the question; ties lexicographic."""
-    scorer = similarity or DEFAULT_SIMILARITY
-    return sorted(set(labels), key=lambda lbl: (-scorer.score(question, lbl), lbl))
+    score = (similarity or DEFAULT_SIMILARITY).for_question(question)
+    return sorted(set(labels), key=lambda lbl: (-score(lbl), lbl))
 
 
 def build_entity_structure(
@@ -92,18 +92,29 @@ def build_entity_structure(
     return EntityStructure(entity.mention, type_label, ranked)
 
 
-def render_structure(structure: EntityStructure) -> str:
-    parts = [brackets.escape(structure.mention)]
+def _escaped(structure: EntityStructure) -> tuple[str, list[str]]:
+    """The escaped ``mention | type`` head and escaped relations."""
+    head = [brackets.escape(structure.mention)]
     if structure.type_label is not None:
-        parts.append(brackets.escape(structure.type_label))
-    parts.append(", ".join(brackets.escape(r) for r in structure.relations))
-    return "[" + " | ".join(parts) + "]"
+        head.append(brackets.escape(structure.type_label))
+    return " | ".join(head), [brackets.escape(r) for r in structure.relations]
+
+
+def _group(head: str, relations: list[str]) -> str:
+    return f"[{head} | {', '.join(relations)}]"
+
+
+def _render(question: str, pieces: Iterable[tuple[str, list[str]]]) -> str:
+    """The question, then one bracket group per escaped (head, relations)."""
+    return " ".join([question.strip(), *(_group(h, r) for h, r in pieces)])
+
+
+def render_structure(structure: EntityStructure) -> str:
+    return _group(*_escaped(structure))
 
 
 def render_input(question: str, structures: Iterable[EntityStructure]) -> str:
-    chunks = [question.strip()]
-    chunks.extend(render_structure(s) for s in structures)
-    return " ".join(chunks)
+    return _render(question, (_escaped(s) for s in structures))
 
 
 def parse_structures(text: str) -> list[EntityStructure]:
@@ -153,16 +164,18 @@ def build_encoder_input(
             f"question alone is {token_count(question)} tokens, budget {budget}"
         )
     structures = [build_entity_structure(store, question, e, similarity) for e in ordered]
-    kept = [list(s.relations) for s in structures]
+    pieces = [_escaped(s) for s in structures]
+    # kept[i]: how many of entity i's top-ranked relations are rendered.
+    kept = [len(s.relations) for s in structures]
     cursor = 0
     while True:
-        trial = [
-            EntityStructure(s.mention, s.type_label, kept[i])
-            for i, s in enumerate(structures)
-        ]
-        rendered = render_input(question, trial)
+        rendered = _render(question, ((h, r[:n]) for (h, r), n in zip(pieces, kept)))
         if token_count(rendered) <= budget:
-            return EncoderInput(question, trial, rendered, budget)
+            fitted = [
+                EntityStructure(s.mention, s.type_label, s.relations[:n])
+                for s, n in zip(structures, kept)
+            ]
+            return EncoderInput(question, fitted, rendered, budget)
         if not any(kept):
             raise InputTooLongError(
                 f"minimal rendering is {token_count(rendered)} tokens, budget {budget}"
@@ -170,7 +183,7 @@ def build_encoder_input(
         # Drop the lowest-ranked relation of the next non-empty entity.
         while not kept[cursor % len(kept)]:
             cursor += 1
-        kept[cursor % len(kept)].pop()
+        kept[cursor % len(kept)] -= 1
         cursor += 1
 
 
@@ -182,12 +195,9 @@ class QuestionRecord:
 
 
 def read_question_records(
-    source: IO[str] | Iterable[str], profile=None
+    source: IO[str] | Iterable[str], profile: Profile = DBPEDIA
 ) -> Iterator[QuestionRecord]:
     """Parse linked-question JSON Lines, validating entity spans."""
-    from .terms import DBPEDIA
-
-    prof = profile or DBPEDIA
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
@@ -198,7 +208,7 @@ def read_question_records(
                     mention=e["mention"],
                     start=int(e["start"]),
                     end=int(e["end"]),
-                    entity=normalize_iri(e["iri"], prof),
+                    entity=normalize_iri(e["iri"], profile),
                 )
                 for e in raw.get("entities", [])
             ]

@@ -4,6 +4,10 @@ The default scorer compares character trigrams: each label token is scored by
 its best cosine match against any question token, and the token scores are
 averaged over the label.  An alternative scorer reads a word-vector text file
 and applies the same max-then-average scheme over embeddings.
+
+A scorer is bound to one question with ``for_question``: the question's
+vectors and norms are built once, and each label token's best match is
+remembered for the life of the bound scorer only.
 """
 
 from __future__ import annotations
@@ -11,13 +15,22 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import IO, Iterable, Protocol
+from typing import IO, Callable, Iterable, Protocol
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 class Similarity(Protocol):
+    """Scores relation labels against a question.
+
+    ``for_question(q)`` returns a scorer of labels against ``q`` alone; bind
+    it once and call it for every label of that question.  ``score(q,
+    label)`` is ``for_question(q)(label)``.
+    """
+
+    def for_question(self, question: str) -> Callable[[str], float]: ...
+
     def score(self, question: str, label: str) -> float: ...
 
 
@@ -39,32 +52,53 @@ def _trigrams(token: str) -> Counter[str]:
     return Counter(token[i : i + 3] for i in range(len(token) - 2))
 
 
-def _cosine(a: Counter[str], b: Counter[str]) -> float:
-    if not a or not b:
-        return 0.0
-    dot = sum(count * b[gram] for gram, count in a.items())
-    if dot == 0:
-        return 0.0
-    norm_a = math.sqrt(sum(c * c for c in a.values()))
-    norm_b = math.sqrt(sum(c * c for c in b.values()))
-    return dot / (norm_a * norm_b)
+def _mean_of_best(best: Callable[[str], float]) -> Callable[[str], float]:
+    """A label scorer: the mean over label tokens of ``best(token)``, which
+    is computed once per distinct token."""
+    memo: dict[str, float] = {}
+
+    def score(label: str) -> float:
+        tokens = split_label(label)
+        if not tokens:
+            return 0.0
+        total = 0.0
+        for token in tokens:
+            value = memo.get(token)
+            if value is None:
+                value = memo[token] = best(token)
+            total += value
+        return total / len(tokens)
+
+    return score
 
 
 class TrigramSimilarity:
     """Character-trigram cosine; max over question tokens, mean over label."""
 
+    def for_question(self, question: str) -> Callable[[str], float]:
+        # gram -> [(question token index, count)], and each token's norm.
+        postings: dict[str, list[tuple[int, int]]] = {}
+        norms: list[float] = []
+        for index, token in enumerate(question_tokens(question)):
+            grams = _trigrams(token)
+            for gram, count in grams.items():
+                postings.setdefault(gram, []).append((index, count))
+            norms.append(math.sqrt(sum(c * c for c in grams.values())))
+
+        def best(token: str) -> float:
+            grams = _trigrams(token)
+            dots: dict[int, int] = {}
+            for gram, count in grams.items():
+                for index, q_count in postings.get(gram, ()):
+                    dots[index] = dots.get(index, 0) + count * q_count
+            norm = math.sqrt(sum(c * c for c in grams.values()))
+            # Question tokens sharing no gram have cosine 0.0.
+            return max((dot / (norm * norms[i]) for i, dot in dots.items()), default=0.0)
+
+        return _mean_of_best(best)
+
     def score(self, question: str, label: str) -> float:
-        label_tokens = split_label(label)
-        if not label_tokens:
-            return 0.0
-        q_vectors = [_trigrams(t) for t in question_tokens(question)]
-        if not q_vectors:
-            return 0.0
-        total = 0.0
-        for token in label_tokens:
-            vec = _trigrams(token)
-            total += max(_cosine(vec, qv) for qv in q_vectors)
-        return total / len(label_tokens)
+        return self.for_question(question)(label)
 
 
 class WordVectorSimilarity:
@@ -90,31 +124,37 @@ class WordVectorSimilarity:
             vectors[parts[0].lower()] = [float(x) for x in parts[1:]]
         return cls(vectors)
 
-    def _vector_cosine(self, a: list[float], b: list[float]) -> float:
-        if len(a) != len(b):
-            return 0.0
-        dot = sum(x * y for x, y in zip(a, b))
-        norm_a = math.sqrt(sum(x * x for x in a))
-        norm_b = math.sqrt(sum(x * x for x in b))
-        if norm_a == 0 or norm_b == 0:
-            return 0.0
-        return dot / (norm_a * norm_b)
-
-    def score(self, question: str, label: str) -> float:
-        label_tokens = split_label(label)
-        if not label_tokens:
-            return 0.0
+    def for_question(self, question: str) -> Callable[[str], float]:
         q_vecs = [self.vectors.get(t) for t in question_tokens(question)]
-        q_vecs = [v for v in q_vecs if v is not None]
-        if not q_vecs:
-            return 0.0
-        total = 0.0
-        for token in label_tokens:
+        q_pairs = [(v, _norm(v)) for v in q_vecs if v is not None]
+
+        def best(token: str) -> float:
             vec = self.vectors.get(token)
             if vec is None:
-                continue
-            total += max(self._vector_cosine(vec, qv) for qv in q_vecs)
-        return total / len(label_tokens)
+                return 0.0
+            norm = _norm(vec)
+            return max(
+                (_vector_cosine(vec, norm, qv, q_norm) for qv, q_norm in q_pairs),
+                default=0.0,
+            )
+
+        return _mean_of_best(best)
+
+    def score(self, question: str, label: str) -> float:
+        return self.for_question(question)(label)
+
+
+def _norm(vector: list[float]) -> float:
+    return math.sqrt(sum(x * x for x in vector))
+
+
+def _vector_cosine(a: list[float], norm_a: float, b: list[float], norm_b: float) -> float:
+    if len(a) != len(b):
+        return 0.0
+    dot = sum(x * y for x, y in zip(a, b))
+    if norm_a == 0 or norm_b == 0:
+        return 0.0
+    return dot / (norm_a * norm_b)
 
 
 DEFAULT_SIMILARITY = TrigramSimilarity()

@@ -5,10 +5,11 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, DBO, DBP, DBR, nt
+from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR, nt
 from rellink import load_kb
 from rellink.evaluation import (
     GoldRecord,
@@ -154,6 +155,24 @@ class TestRelaxedScore:
         pred = iris("dbo:almaMater", "dbo:state")
         assert relaxed_score(store, gold, pred)[2] == 0.5
         assert relaxed_score(store, gold, pred, overlap="any")[2] == 1.0
+
+    def test_gold_graph_is_not_queried_twice(self, monkeypatch):
+        store = load_kb(ALMA_TRIPLES)
+        calls = Counter()
+        for name in ("match_graph", "answers"):
+            def counted(*args, _name=name, _method=getattr(store, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(store, name, counted)
+        # The gold relations hold one relation the graph lacks, so only the
+        # gold graph's own relations give a perfect score: it is still scored.
+        gold = self.gold_record(store)
+        gold.relations = GOLD | iris("dbo:extra")
+        assert relaxed_score(store, gold, set(GOLD)) == (1.0, 1.0, 1.0)
+        # Four combinations: the gold graph, one satisfiable swap, two
+        # unsatisfiable ones.  The gold graph is queried once, up front.
+        assert calls == {"match_graph": 4, "answers": 2}
 
     def test_missing_graph_errors(self, alma_store):
         gold = GoldRecord("q4", "q", set(GOLD), None)

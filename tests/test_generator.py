@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -20,6 +21,7 @@ from rellink.generator import (
 )
 from rellink.knowledge_integration import EncoderInput, EntityStructure
 from rellink.sequence_grammar import OutputSequence
+from rellink.similarity import TrigramSimilarity
 
 
 def enc_input(question: str, structures=()) -> EncoderInput:
@@ -144,6 +146,35 @@ class TestBaselineGenerator:
         first = BaselineGenerator(beam_width=5).generate(enc)
         second = BaselineGenerator(beam_width=5).generate(enc)
         assert first == second
+
+    def test_each_label_scored_once(self):
+        binds, scored = [], Counter()
+
+        class Counting(TrigramSimilarity):
+            def for_question(self, question):
+                binds.append(question)
+                bound = super().for_question(question)
+
+                def score(label):
+                    scored[label] += 1
+                    return bound(label)
+
+                return score
+
+        # Width 9 over two entities takes the top 3 labels of each; two
+        # labels appear under both, and every label is in 3 combinations.
+        question = "where was the birth place and the death place"
+        enc = enc_input(
+            question,
+            [
+                EntityStructure("A", None, ["birthPlace", "deathPlace", "spouse", "child"]),
+                EntityStructure("B", None, ["deathPlace", "birthPlace", "parent", "child"]),
+            ],
+        )
+        beams = BaselineGenerator(beam_width=9, similarity=Counting()).generate(enc)
+        assert binds == [question]
+        assert scored == Counter(["birthPlace", "deathPlace", "spouse", "parent"])
+        assert beams == BaselineGenerator(beam_width=9).generate(enc)
 
 
 class _FakeResponse:

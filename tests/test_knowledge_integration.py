@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
-from conftest import DBO, DBR, FORD_QUESTION, entity, nt
-from rellink import load_kb
+from conftest import DBO, DBR, FORD_QUESTION, RDF_TYPE, entity, nt
+from rellink import brackets, load_kb
 from rellink.knowledge_integration import (
+    EncoderInput,
     EntityStructure,
     InputTooLongError,
     LinkedEntity,
@@ -148,3 +150,101 @@ class TestQuestionReader:
     def test_blank_lines_skipped(self):
         records = list(read_question_records(io.StringIO("\n" + self.RECORD + "\n\n")))
         assert len(records) == 1
+
+
+# -- the budget loop against the one it replaced ----------------------------
+#
+# Reference: the earlier shrink loop and renderer, kept verbatim, which
+# re-escaped and re-rendered every relation after each drop.
+
+
+def _ref_render_structure(structure: EntityStructure) -> str:
+    parts = [brackets.escape(structure.mention)]
+    if structure.type_label is not None:
+        parts.append(brackets.escape(structure.type_label))
+    parts.append(", ".join(brackets.escape(r) for r in structure.relations))
+    return "[" + " | ".join(parts) + "]"
+
+
+def _ref_render_input(question, structures) -> str:
+    chunks = [question.strip()]
+    chunks.extend(_ref_render_structure(s) for s in structures)
+    return " ".join(chunks)
+
+
+def _ref_shrink(question, structures, budget) -> EncoderInput:
+    kept = [list(s.relations) for s in structures]
+    cursor = 0
+    while True:
+        trial = [
+            EntityStructure(s.mention, s.type_label, kept[i])
+            for i, s in enumerate(structures)
+        ]
+        rendered = _ref_render_input(question, trial)
+        if token_count(rendered) <= budget:
+            return EncoderInput(question, trial, rendered, budget)
+        if not any(kept):
+            raise InputTooLongError(
+                f"minimal rendering is {token_count(rendered)} tokens, budget {budget}"
+            )
+        # Drop the lowest-ranked relation of the next non-empty entity.
+        while not kept[cursor % len(kept)]:
+            cursor += 1
+        kept[cursor % len(kept)].pop()
+        cursor += 1
+
+
+_PIECES = ["birth", "place", "of", "year", "x", "[", "]", "|", ",", "\\", "a,b", "[c]", "d|e", "f\\"]
+
+
+def _random_text(rng: random.Random, most: int) -> str:
+    words = [rng.choice(_PIECES) for _ in range(rng.randint(1, most))]
+    return rng.choice([" ", "", "_"]).join(words)
+
+
+def _random_case(rng: random.Random):
+    """A store, a question, and 1-3 linked entities whose relation labels,
+    type labels and mentions hold reserved characters; some have no type."""
+    triples, ontology, entities = [], [], []
+    for i in range(rng.randint(1, 3)):
+        subject = f"{DBR}E{i}"
+        for j in range(rng.randint(0, 12)):
+            triples.append(nt(subject, f"{DBO}r{i}_{j}", f"{DBR}V{i}_{j}"))
+            ontology.append(f"label\t{DBO}r{i}_{j}\t{_random_text(rng, 3)}")
+        if rng.random() < 0.6:
+            triples.append(nt(subject, RDF_TYPE, f"{DBO}T{i}"))
+            ontology.append(f"label\t{DBO}T{i}\t{_random_text(rng, 2)}")
+        start = rng.randrange(100)
+        entities.append(LinkedEntity(_random_text(rng, 3), start, start + 1, Iri(f"dbr:E{i}")))
+    store = load_kb("\n".join(triples), "\n".join(ontology))
+    question = " ".join(rng.choice(_PIECES[:5]) for _ in range(rng.randint(1, 8)))
+    return store, question, entities
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InputTooLongError as exc:
+        return str(exc)
+
+
+class TestShrinkMatchesReference:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_inputs(self, seed):
+        rng = random.Random(seed)
+        store, question, entities = _random_case(rng)
+        ordered = sorted(entities, key=lambda e: (e.start, e.end))
+        structures = [build_entity_structure(store, question, e) for e in ordered]
+        floor = token_count(question)
+        full = token_count(_ref_render_input(question, structures))
+        # From "question only" (too small for any bracket group) to generous.
+        budgets = {floor, floor + 1, floor + 3, full - 1, full, full + 10}
+        budgets.update(rng.randint(floor, full + 2) for _ in range(8))
+        for budget in sorted(budgets):
+            expected = _outcome(lambda: _ref_shrink(question, structures, budget))
+            actual = _outcome(lambda: build_encoder_input(store, question, entities, budget))
+            assert actual == expected, budget
+
+    def test_reserved_characters_render_escaped(self):
+        structure = EntityStructure("m [1]", "T|ype", ["a,b", "c\\d", "[e]"])
+        assert render_structure(structure) == _ref_render_structure(structure)

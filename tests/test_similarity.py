@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
+
+import pytest
 
 from rellink.knowledge_integration import rank_candidate_relations
 from rellink.similarity import (
@@ -102,3 +106,162 @@ class TestWordVectorSimilarity:
         sim = WordVectorSimilarity.load(self.VECTORS)
         assert "3" not in sim.vectors
         assert "grave" in sim.vectors
+
+
+# -- bound scorers against the per-call scorers they replaced ---------------
+#
+# Reference: the earlier scorers, kept verbatim, which rebuilt the question's
+# vectors and norms on every call.  Ranking sorts by score, so a bound scorer
+# must give the same bits, not merely close values.
+
+
+def _ref_trigrams(token: str) -> Counter[str]:
+    if len(token) < 3:
+        return Counter([token])
+    return Counter(token[i : i + 3] for i in range(len(token) - 2))
+
+
+def _cosine(a: Counter[str], b: Counter[str]) -> float:
+    if not a or not b:
+        return 0.0
+    dot = sum(count * b[gram] for gram, count in a.items())
+    if dot == 0:
+        return 0.0
+    norm_a = math.sqrt(sum(c * c for c in a.values()))
+    norm_b = math.sqrt(sum(c * c for c in b.values()))
+    return dot / (norm_a * norm_b)
+
+
+class ReferenceTrigramSimilarity:
+    def score(self, question: str, label: str) -> float:
+        label_tokens = split_label(label)
+        if not label_tokens:
+            return 0.0
+        q_vectors = [_ref_trigrams(t) for t in question_tokens(question)]
+        if not q_vectors:
+            return 0.0
+        total = 0.0
+        for token in label_tokens:
+            vec = _ref_trigrams(token)
+            total += max(_cosine(vec, qv) for qv in q_vectors)
+        return total / len(label_tokens)
+
+
+class ReferenceWordVectorSimilarity:
+    def __init__(self, vectors: dict[str, list[float]]):
+        self.vectors = vectors
+
+    def _vector_cosine(self, a: list[float], b: list[float]) -> float:
+        if len(a) != len(b):
+            return 0.0
+        dot = sum(x * y for x, y in zip(a, b))
+        norm_a = math.sqrt(sum(x * x for x in a))
+        norm_b = math.sqrt(sum(x * x for x in b))
+        if norm_a == 0 or norm_b == 0:
+            return 0.0
+        return dot / (norm_a * norm_b)
+
+    def score(self, question: str, label: str) -> float:
+        label_tokens = split_label(label)
+        if not label_tokens:
+            return 0.0
+        q_vecs = [self.vectors.get(t) for t in question_tokens(question)]
+        q_vecs = [v for v in q_vecs if v is not None]
+        if not q_vecs:
+            return 0.0
+        total = 0.0
+        for token in label_tokens:
+            vec = self.vectors.get(token)
+            if vec is None:
+                continue
+            total += max(self._vector_cosine(vec, qv) for qv in q_vecs)
+        return total / len(label_tokens)
+
+
+# Few letters, so random words share trigrams; words of 1-2 letters take the
+# single-gram path.
+_WORDS = ["of", "a", "x", "in", "an", "aba", "abab", "baba", "abc", "cab", "bcab",
+          "abcabc", "place", "lace", "laces", "birth", "berth", "year2", "y2k", "2009"]
+
+
+def _random_question(rng: random.Random) -> str:
+    words = [rng.choice(_WORDS) for _ in range(rng.randint(1, 12))]
+    words += rng.sample(words, min(len(words), rng.randint(0, 3)))  # repeats
+    rng.shuffle(words)
+    return " ".join(w.capitalize() if rng.random() < 0.3 else w for w in words) + "?"
+
+
+def _random_label(rng: random.Random) -> str:
+    words = [rng.choice(_WORDS + ["zzz", "qqq", "oov"]) for _ in range(rng.randint(1, 4))]
+    style = rng.randrange(3)
+    if style == 0:  # camelCase
+        return words[0] + "".join(w[:1].upper() + w[1:] for w in words[1:])
+    if style == 1:  # snake or dash
+        return rng.choice("_-").join(words)
+    return "".join(w.upper() if rng.random() < 0.3 else w for w in words)
+
+
+# Labels and questions with no word token, or nothing at all.
+_EDGE_LABELS = ["", "-", "__", "Of", "OF", "ofOf", "a1B2", "ABCDef", "x"]
+_EDGE_QUESTIONS = ["", "?!", " - ", "of of of", "X", "ABCDef a1B2"]
+
+
+def _cases(rng: random.Random, n: int):
+    questions = _EDGE_QUESTIONS + [_random_question(rng) for _ in range(n)]
+    for question in questions:
+        labels = _EDGE_LABELS + [_random_label(rng) for _ in range(n)]
+        yield question, labels
+
+
+class TestBoundScorersMatchReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trigram_bit_identical(self, seed):
+        rng = random.Random(seed)
+        sim, ref = TrigramSimilarity(), ReferenceTrigramSimilarity()
+        for question, labels in _cases(rng, 25):
+            bound = sim.for_question(question)
+            for label in labels + labels:  # the second round hits the memo
+                expected = ref.score(question, label)
+                assert bound(label) == expected, (question, label)
+                assert sim.score(question, label) == expected, (question, label)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_word_vector_bit_identical(self, seed):
+        rng = random.Random(seed)
+        vectors: dict[str, list[float]] = {}
+        for word in _WORDS:
+            roll = rng.random()
+            if roll < 0.15:
+                continue  # out of vocabulary
+            if roll < 0.25:
+                vectors[word] = [0.0, 0.0, 0.0]  # zero vector
+            elif roll < 0.35:
+                vectors[word] = [rng.uniform(-1, 1) for _ in range(2)]  # length mismatch
+            else:
+                vectors[word] = [rng.uniform(-1, 1) for _ in range(3)]
+        sim, ref = WordVectorSimilarity(vectors), ReferenceWordVectorSimilarity(vectors)
+        for question, labels in _cases(rng, 25):
+            bound = sim.for_question(question)
+            for label in labels + labels:
+                expected = ref.score(question, label)
+                assert bound(label) == expected, (question, label)
+                assert sim.score(question, label) == expected, (question, label)
+
+    def test_question_without_vectors_scores_zero(self):
+        sim = WordVectorSimilarity({"grave": [1.0, 0.0]})
+        bound = sim.for_question("nothing known here")
+        assert bound("grave") == 0.0
+        assert bound("") == 0.0
+
+    def test_rank_binds_once_per_call(self):
+        binds = []
+
+        class Counting(TrigramSimilarity):
+            def for_question(self, question):
+                binds.append(question)
+                return super().for_question(question)
+
+        labels = ["placeOfBurial", "birthPlace", "spouse", "burialPlace"]
+        ranked = rank_candidate_relations("Where is the grave of X?", labels, Counting())
+        assert binds == ["Where is the grave of X?"]
+        assert ranked == rank_candidate_relations("Where is the grave of X?", labels)
