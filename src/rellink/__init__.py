@@ -8,7 +8,6 @@ generator, validate them against the KB, and emit relation URIs.
 from .evaluation import (
     EvalReport,
     GoldRecord,
-    aggregate,
     read_gold,
     relaxed_score,
     render_table,
@@ -116,7 +115,6 @@ __all__ = [
     "WIKIDATA",
     "WordVectorSimilarity",
     "TrigramSimilarity",
-    "aggregate",
     "build_encoder_input",
     "build_entity_structure",
     "detect_ask",

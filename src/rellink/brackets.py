@@ -8,7 +8,15 @@ backslash-escaped on render and honored on parse.
 
 from __future__ import annotations
 
+import re
+
 RESERVED = "\\[]|,"
+_ESCAPES = str.maketrans({ch: "\\" + ch for ch in RESERVED})
+_ESCAPED_RE = re.compile(r"\\([\\\[\]|,])")
+# One top-level group, the whitespace after it and an optional comma.  A
+# backslash escapes the next character, so an escaped ``]`` stays inside.
+_GROUP_RE = re.compile(r"\s*\[([^\]\\]*(?:\\.[^\]\\]*)*)\]\s*,?", re.DOTALL)
+_SPACE_RE = re.compile(r"\s*")
 
 
 class BracketError(ValueError):
@@ -20,47 +28,28 @@ class BracketError(ValueError):
 
 
 def escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in RESERVED:
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
+    return text.translate(_ESCAPES)
 
 
 def unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) and text[i + 1] in RESERVED:
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Drop the backslash of each escaped reserved character; other
+    backslashes are kept."""
+    if "\\" not in text:
+        return text
+    return _ESCAPED_RE.sub(r"\1", text)
 
 
 def split_unescaped(text: str, sep: str) -> list[str]:
     """Split on unescaped occurrences of a single separator character."""
+    if "\\" not in text:
+        return text.split(sep)
     parts: list[str] = []
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            current.append(ch)
-            current.append(text[i + 1])
-            i += 2
-            continue
-        if ch == sep:
-            parts.append("".join(current))
-            current = []
+    for part in text.split(sep):
+        # A separator after an odd run of backslashes is escaped.
+        if parts and (len(parts[-1]) - len(parts[-1].rstrip("\\"))) % 2:
+            parts[-1] += sep + part
         else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
+            parts.append(part)
     return parts
 
 
@@ -73,29 +62,12 @@ def bracket_groups(text: str) -> list[str]:
     """
     groups: list[str] = []
     i = 0
-    n = len(text)
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
+    while match := _GROUP_RE.match(text, i):
+        groups.append(match[1])
+        i = match.end()
+    i = _SPACE_RE.match(text, i).end()
+    if i < len(text):
         if text[i] != "[":
             raise BracketError(f"expected '[' at position {i}", text[i:])
-        start = i + 1
-        j = start
-        while j < n:
-            if text[j] == "\\" and j + 1 < n:
-                j += 2
-                continue
-            if text[j] == "]":
-                break
-            j += 1
-        if j >= n:
-            raise BracketError("unclosed bracket group", text[i:])
-        groups.append(text[start:j])
-        i = j + 1
-        while i < n and text[i].isspace():
-            i += 1
-        if i < n and text[i] == ",":
-            i += 1
+        raise BracketError("unclosed bracket group", text[i:])
     return groups

@@ -92,15 +92,6 @@ def build_report(
     )
 
 
-def aggregate(records: list[tuple[set[Iri], set[Iri]]]) -> EvalReport:
-    """Macro-averaged metrics plus relation-count buckets, as percentages."""
-    if not records:
-        raise ValueError("cannot aggregate an empty record list")
-    scores = [score_sets(gold, pred) for gold, pred in records]
-    sizes = [(len(gold), len(pred)) for gold, pred in records]
-    return build_report(scores, sizes)
-
-
 def _swap_namespace(pattern: TriplePattern) -> TriplePattern | None:
     """The same pattern under the sibling namespace, when one exists."""
     predicate = pattern.predicate

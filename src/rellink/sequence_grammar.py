@@ -143,6 +143,7 @@ def parse_output(
         raise OutputParseError(str(exc), exc.chunk) from None
     if not groups:
         raise OutputParseError("no bracketed pairs found", text)
+    entities = list(question_entities)
     pairs = []
     for group in groups:
         raw_arg, raw_rel = _split_pair(group)
@@ -156,7 +157,7 @@ def parse_output(
         if arg_text.casefold() in WH_LEXICON:
             argument = PlaceholderArg(arg_text)
         else:
-            argument = _resolve_mention(arg_text, list(question_entities))
+            argument = _resolve_mention(arg_text, entities)
         pairs.append(ArgRelPair(argument, rel_text))
     return pairs
 

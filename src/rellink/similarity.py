@@ -7,7 +7,11 @@ and applies the same max-then-average scheme over embeddings.
 
 A scorer is bound to one question with ``for_question``: the question's
 vectors and norms are built once, and each label token's best match is
-remembered for the life of the bound scorer only.
+remembered for the life of the bound scorer only.  A scorer keeps its last
+binding, so the callers that rank and score labels for one question share
+it; the next question replaces it.  Work that depends on a label alone (its
+tokens, and each token's trigrams and norm) is done once per process, in
+bounded caches.
 """
 
 from __future__ import annotations
@@ -15,10 +19,15 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from functools import lru_cache
 from typing import IO, Callable, Iterable, Protocol
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
+_TRIGRAM_RE = re.compile(r"(?=(...))")
+# Entries in each label-side cache.  A KB's relation labels share a small
+# vocabulary; the bound keeps memory flat when they do not.
+_LABEL_CACHE = 1 << 14
 
 
 class Similarity(Protocol):
@@ -40,16 +49,27 @@ def split_label(label: str) -> list[str]:
     return [w.lower() for w in _WORD_RE.findall(spaced)]
 
 
+@lru_cache(maxsize=_LABEL_CACHE)
+def _label_tokens(label: str) -> tuple[str, ...]:
+    return tuple(split_label(label))
+
+
 def question_tokens(question: str) -> list[str]:
     return [w.lower() for w in _WORD_RE.findall(question)]
 
 
-def _trigrams(token: str) -> Counter[str]:
-    # Tokens shorter than 3 chars count as a single gram, so "of" can
-    # still match "of" exactly instead of vanishing.
-    if len(token) < 3:
-        return Counter([token])
-    return Counter(token[i : i + 3] for i in range(len(token) - 2))
+def _grams(token: str) -> list[str]:
+    """A token's trigrams, in order and with repeats.  Tokens shorter than 3
+    chars count as a single gram, so "of" can still match "of" exactly
+    instead of vanishing."""
+    return _TRIGRAM_RE.findall(token) or [token]
+
+
+@lru_cache(maxsize=_LABEL_CACHE)
+def _label_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
+    """A label token's (gram, count) items and the norm of its counts."""
+    counts = Counter(_grams(token))
+    return tuple(counts.items()), _norm(counts.values())
 
 
 def _mean_of_best(best: Callable[[str], float]) -> Callable[[str], float]:
@@ -58,7 +78,7 @@ def _mean_of_best(best: Callable[[str], float]) -> Callable[[str], float]:
     memo: dict[str, float] = {}
 
     def score(label: str) -> float:
-        tokens = split_label(label)
+        tokens = _label_tokens(label)
         if not tokens:
             return 0.0
         total = 0.0
@@ -72,36 +92,58 @@ def _mean_of_best(best: Callable[[str], float]) -> Callable[[str], float]:
     return score
 
 
-class TrigramSimilarity:
-    """Character-trigram cosine; max over question tokens, mean over label."""
+class _OneBinding:
+    """``for_question`` returns its last binding again for the same question."""
+
+    _last: tuple[str, Callable[[str], float]] | None = None
 
     def for_question(self, question: str) -> Callable[[str], float]:
-        # gram -> [(question token index, count)], and each token's norm.
-        postings: dict[str, list[tuple[int, int]]] = {}
-        norms: list[float] = []
-        for index, token in enumerate(question_tokens(question)):
-            grams = _trigrams(token)
-            for gram, count in grams.items():
-                postings.setdefault(gram, []).append((index, count))
-            norms.append(math.sqrt(sum(c * c for c in grams.values())))
-
-        def best(token: str) -> float:
-            grams = _trigrams(token)
-            dots: dict[int, int] = {}
-            for gram, count in grams.items():
-                for index, q_count in postings.get(gram, ()):
-                    dots[index] = dots.get(index, 0) + count * q_count
-            norm = math.sqrt(sum(c * c for c in grams.values()))
-            # Question tokens sharing no gram have cosine 0.0.
-            return max((dot / (norm * norms[i]) for i, dot in dots.items()), default=0.0)
-
-        return _mean_of_best(best)
+        last = self._last
+        if last is None or last[0] != question:
+            last = self._last = (question, _mean_of_best(self._best(question)))
+        return last[1]
 
     def score(self, question: str, label: str) -> float:
         return self.for_question(question)(label)
 
+    def _best(self, question: str) -> Callable[[str], float]:
+        """A function giving a label token's best match in ``question``."""
+        raise NotImplementedError
 
-class WordVectorSimilarity:
+
+class TrigramSimilarity(_OneBinding):
+    """Character-trigram cosine; max over question tokens, mean over label."""
+
+    def _best(self, question: str) -> Callable[[str], float]:
+        # gram -> the index of each distinct question token holding it, once
+        # per occurrence, and each token's norm.  A repeated token has the
+        # same cosine as its first occurrence, so it is left out.
+        postings: dict[str, list[int]] = {}
+        norms: list[float] = []
+        for index, token in enumerate(dict.fromkeys(question_tokens(question))):
+            grams = _grams(token)
+            for gram in grams:
+                postings.setdefault(gram, []).append(index)
+            # A gram occurring once counts 1, so distinct grams need no Counter.
+            distinct = len(set(grams)) == len(grams)
+            norms.append(math.sqrt(len(grams)) if distinct else _norm(Counter(grams).values()))
+
+        def best(token: str) -> float:
+            items, norm = _label_grams(token)
+            # The dot products are exact ints: each posting adds the label's
+            # count once per occurrence of the gram in the question token.
+            dots: dict[int, int] = {}
+            for gram, count in items:
+                for index in postings.get(gram, ()):
+                    dots[index] = dots.get(index, 0) + count
+            if not dots:
+                return 0.0  # no question token shares a gram
+            return max(dot / (norm * norms[i]) for i, dot in dots.items())
+
+        return best
+
+
+class WordVectorSimilarity(_OneBinding):
     """Same scoring scheme over vectors from a word2vec-style text file.
 
     Each line is ``word v1 v2 ...``; a numeric header line is skipped.
@@ -124,7 +166,7 @@ class WordVectorSimilarity:
             vectors[parts[0].lower()] = [float(x) for x in parts[1:]]
         return cls(vectors)
 
-    def for_question(self, question: str) -> Callable[[str], float]:
+    def _best(self, question: str) -> Callable[[str], float]:
         q_vecs = [self.vectors.get(t) for t in question_tokens(question)]
         q_pairs = [(v, _norm(v)) for v in q_vecs if v is not None]
 
@@ -138,13 +180,10 @@ class WordVectorSimilarity:
                 default=0.0,
             )
 
-        return _mean_of_best(best)
-
-    def score(self, question: str, label: str) -> float:
-        return self.for_question(question)(label)
+        return best
 
 
-def _norm(vector: list[float]) -> float:
+def _norm(vector: Iterable[float]) -> float:
     return math.sqrt(sum(x * x for x in vector))
 
 

@@ -13,7 +13,7 @@ from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR
 from rellink import load_kb
 from rellink.evaluation import (
     GoldRecord,
-    aggregate,
+    build_report,
     label_sets,
     read_gold,
     relaxed_score,
@@ -29,6 +29,12 @@ def iris(*values: str) -> set[Iri]:
 
 
 GOLD = iris("dbp:almaMater", "dbo:state")
+
+
+def report_of(records):
+    """The report ``eval`` builds for strict (gold, pred) set pairs."""
+    scores = [score_sets(gold, pred) for gold, pred in records]
+    return build_report(scores, [(len(gold), len(pred)) for gold, pred in records])
 
 
 class TestScoreSets:
@@ -76,11 +82,11 @@ class TestScoreSets:
 
 class TestAggregate:
     def test_macro_average(self):
-        report = aggregate([(GOLD, GOLD), (GOLD, set())])
+        report = report_of([(GOLD, GOLD), (GOLD, set())])
         assert report.f1 == 0.5
 
     def test_equal_bucket_full(self):
-        report = aggregate([(GOLD, iris("dbo:a", "dbo:b")), (GOLD, GOLD)])
+        report = report_of([(GOLD, iris("dbo:a", "dbo:b")), (GOLD, GOLD)])
         assert report.pct_equal == 100.0
 
     def test_bucket_split(self):
@@ -90,16 +96,18 @@ class TestAggregate:
             (GOLD, iris("dbo:a", "dbo:b", "dbo:c")),  # more
             (GOLD, iris("dbo:a")),  # fewer
         ]
-        report = aggregate(records)
+        report = report_of(records)
         assert (report.pct_equal, report.pct_more, report.pct_fewer) == (50.0, 25.0, 25.0)
 
     def test_buckets_partition(self):
-        report = aggregate([(GOLD, set()), (GOLD, GOLD), (set(), GOLD)])
+        report = report_of([(GOLD, set()), (GOLD, GOLD), (set(), GOLD)])
         assert math.isclose(report.pct_equal + report.pct_more + report.pct_fewer, 100.0)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            build_report([], [])
+        with pytest.raises(ValueError):
+            build_report([score_sets(GOLD, GOLD)], [])
 
 
 class TestRelaxedScore:
@@ -227,12 +235,12 @@ class TestReadGold:
 
 class TestReporting:
     def test_table_contains_metrics(self):
-        report = aggregate([(GOLD, GOLD)])
+        report = report_of([(GOLD, GOLD)])
         table = render_table(report)
         assert "1.000" in table and "pred=gold" in table
 
     def test_dict_shape(self):
-        report = aggregate([(GOLD, set())])
+        report = report_of([(GOLD, set())])
         data = report_to_dict(report)
         assert data["f1"] == 0.0
         assert data["count_buckets"]["fewer"] == 100.0

@@ -8,7 +8,10 @@ from collections import Counter
 
 import pytest
 
-from rellink.knowledge_integration import rank_candidate_relations
+from conftest import FORD_TRIPLES, FORD_ONTOLOGY, entity
+from rellink import load_kb, similarity
+from rellink.generator import BaselineGenerator
+from rellink.knowledge_integration import build_encoder_input, rank_candidate_relations
 from rellink.similarity import (
     TrigramSimilarity,
     WordVectorSimilarity,
@@ -265,3 +268,53 @@ class TestBoundScorersMatchReference:
         ranked = rank_candidate_relations("Where is the grave of X?", labels, Counting())
         assert binds == ["Where is the grave of X?"]
         assert ranked == rank_candidate_relations("Where is the grave of X?", labels)
+
+
+# -- one binding per question ------------------------------------------------
+
+SHARED_QUESTION = (
+    "Who founded Ford Motor Company, which owns Kansas City Assembly and "
+    "built the Ford Y-block engine?"
+)
+
+
+class TestOneBindingPerQuestion:
+    @pytest.mark.parametrize("fresh", [True, False], ids=["instance", "default"])
+    def test_question_postings_built_once(self, monkeypatch, fresh):
+        tokenized = []
+        real = similarity.question_tokens
+        monkeypatch.setattr(
+            similarity, "question_tokens", lambda q: tokenized.append(q) or real(q)
+        )
+        store = load_kb(FORD_TRIPLES, FORD_ONTOLOGY, "dbpedia")
+        entities = [
+            entity(SHARED_QUESTION, "Ford Motor Company", "dbr:Ford_Motor_Company"),
+            entity(SHARED_QUESTION, "Kansas City Assembly", "dbr:Kansas_City_Assembly"),
+            entity(SHARED_QUESTION, "Ford Y-block engine", "dbr:Ford_Y-block_engine"),
+        ]
+        sim = TrigramSimilarity() if fresh else None
+        enc = build_encoder_input(store, SHARED_QUESTION, entities, similarity=sim)
+        beams = BaselineGenerator(beam_width=4, similarity=sim).generate(enc)
+        assert [len(s.relations) for s in enc.structures] == [3, 2, 1]
+        assert beams
+        assert tokenized == [SHARED_QUESTION]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interleaved_questions_bit_identical(self, seed):
+        rng = random.Random(seed)
+        cases = list(_cases(rng, 10))
+        shared = TrigramSimilarity()
+        for (q_a, labels_a), (q_b, labels_b) in zip(cases, cases[1:]):
+            for question, labels in ((q_a, labels_a), (q_b, labels_b), (q_a, labels_a)):
+                fresh = TrigramSimilarity().for_question(question)
+                bound = shared.for_question(question)
+                for label in labels:
+                    assert bound(label) == fresh(label), (question, label)
+                    assert shared.score(question, label) == fresh(label), (question, label)
+
+    def test_same_question_returns_same_binding(self):
+        for sim in (TrigramSimilarity(), WordVectorSimilarity({"grave": [1.0, 0.0]})):
+            first = sim.for_question("Where is the grave?")
+            assert sim.for_question("Where is the grave?") is first
+            assert sim.for_question("Another question") is not first
+            assert sim.for_question("Where is the grave?") is not first
