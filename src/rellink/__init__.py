@@ -42,7 +42,6 @@ from .knowledge_integration import (
     token_count,
 )
 from .knowledge_validation import (
-    CandidateGraph,
     LinkingResult,
     ValidationConfig,
     enumerate_graphs,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgRelPair",
     "BaselineGenerator",
-    "CandidateGraph",
     "DBPEDIA",
     "EncoderInput",
     "EntityArg",
@@ -135,4 +133,5 @@ __all__ = [
     "score_sets",
     "serialize_target",
     "token_count",
+    "validate_sequence",
 ]

@@ -24,7 +24,6 @@ from .terms import (
     VAR_Y,
     Variable,
     local_name,
-    namespace_of,
     normalize_iri,
     parse_term,
     relation_uri,

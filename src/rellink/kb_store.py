@@ -4,7 +4,9 @@ The store indexes triples three ways (by subject, by predicate, and by
 object) using insertion-ordered dicts, so every enumeration is deterministic
 for a given load order.  On top of the raw triples it tracks the class
 hierarchy, per-class instance counts, and a label lexicon mapping normalized
-relation labels to the IRIs that carry them.
+relation labels to the IRIs that carry them.  The store alone turns a
+relation label into its routes; no other module builds a route from
+namespace strings.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ from .terms import (
 
 logger = logging.getLogger(__name__)
 
+_LITERAL_BODY = r'(?:[^"\\]|\\.)*'
 _TRIPLE_RE = re.compile(
     r"^\s*"
     r"(<[^<>\s]+>|_:\S+)\s+"
     r"(<[^<>\s]+>)\s+"
-    r'(<[^<>\s]+>|_:\S+|"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[^<>\s]+>)?)'
+    rf'(<[^<>\s]+>|_:\S+|"{_LITERAL_BODY}"(?:@[A-Za-z][A-Za-z0-9\-]*|\^\^<[^<>\s]+>)?)'
     r"\s*\.\s*(?:#.*)?$"
 )
+_LITERAL_RE = re.compile(f'"({_LITERAL_BODY})"')
 
 # N-Triples ECHAR (literals only) and UCHAR (literals and IRIs) escapes.
 _STRING_ESCAPES = {
@@ -93,7 +97,6 @@ class KbStore:
         self._count_overrides: dict[Iri, int] = {}
         self._labels: dict[Iri, str] = {}
         self._lexicon: dict[str, dict[Iri, None]] = {}
-        self._property_variants: dict[str, dict[Iri, None]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KbStore):
@@ -121,13 +124,11 @@ class KbStore:
         self._size += 1
         by_object = self._pos.get(p)
         if by_object is None:
-            # First sight of the predicate: its lexicon entries depend on
-            # nothing else, so they are made once.
+            # First sight of the predicate: its lexicon entry depends on
+            # nothing else, so it is made once.
             by_object = self._pos[p] = {}
             if namespace_of(p, self.profile) in self.profile.property_namespaces:
                 self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
-                if self.profile.statement_namespace is not None:
-                    self._property_variants.setdefault(local_name(p), {})[p] = None
         by_object.setdefault(o, {})[s] = None
         self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
         if p == self.profile.type_predicate and isinstance(o, Iri):
@@ -256,18 +257,42 @@ class KbStore:
         leaves.sort(key=lambda c: (-self.instance_count(c), c.value))
         return leaves[0]
 
-    def lookup_relation_label(self, label: str) -> set[Iri]:
-        """Relation IRIs whose label or local name normalizes like ``label``.
+    def routes(self, label: str) -> list[Predicate]:
+        """Ordered relation routes a label can take in this store.
 
-        Under a reified profile the hit set is closed over property variants:
-        a hit on any route of a property pulls in every loaded route.
+        The routes start from the lexicon hits of ``label`` in the property
+        namespaces.  A flat profile lists those hits by namespace order, then
+        IRI.  A reified profile emits, per property id in sorted order: the
+        direct edge, a statement route through the property's entry
+        predicate, and a qualifier route through any entry predicate, each
+        when its relation IRI is a hit or a loaded predicate.  Type and
+        subclass properties stay direct-only.
         """
-        hits = set(self._lexicon.get(normalize_label(label), ()))
-        if self.profile.statement_namespace is not None:
-            for iri in list(hits):
-                if namespace_of(iri, self.profile) in self.profile.property_namespaces:
-                    hits.update(self._property_variants.get(local_name(iri), ()))
-        return hits
+        profile = self.profile
+        order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
+        hits = {
+            iri: ns
+            for iri in self._lexicon.get(normalize_label(label), ())
+            if (ns := namespace_of(iri, profile)) in order
+        }
+        if profile.statement_namespace is None:
+            return sorted(hits, key=lambda iri: (order[hits[iri]], iri.value))
+
+        def held(relation: Iri) -> bool:
+            return relation in hits or relation in self._pos
+
+        routes: list[Predicate] = []
+        for pid in sorted({iri.value.partition(":")[2] for iri in hits}):
+            direct, statement, qualifier = (Iri(f"{ns}:{pid}") for ns in ("wdt", "ps", "pq"))
+            if held(direct):
+                routes.append(direct)
+            if pid in profile.direct_only:
+                continue
+            if held(statement):
+                routes.append(PropertyPath(Iri(f"{profile.statement_namespace}:{pid}"), statement))
+            if held(qualifier):
+                routes.append(PropertyPath(None, qualifier))
+        return routes
 
     # -- pattern matching -------------------------------------------------
 
@@ -349,23 +374,16 @@ class KbStore:
         for extended in self.match_pattern(patterns[0], binding):
             yield from self._solutions(patterns[1:], extended)
 
-    def match_graph(self, graph) -> dict[str, Term] | None:
+    def match_graph(self, patterns: Sequence[TriplePattern]) -> dict[str, Term] | None:
         """First satisfying assignment for a conjunction of patterns, or None.
 
-        Accepts a candidate graph or a bare sequence of patterns.  The first
-        match is deterministic: indexes iterate in insertion order.
+        The first match is deterministic: indexes iterate in insertion order.
         """
-        patterns = getattr(graph, "patterns", graph)
-        return next(self._solutions(list(patterns), {}), None)
+        return next(self._solutions(patterns, {}), None)
 
-    def answers(self, graph, var: Variable) -> set[Term]:
-        """All values a variable takes over every solution of the graph."""
-        patterns = getattr(graph, "patterns", graph)
-        return {
-            sol[var.name]
-            for sol in self._solutions(list(patterns), {})
-            if var.name in sol
-        }
+    def answers(self, patterns: Sequence[TriplePattern], var: Variable) -> set[Term]:
+        """All values a variable takes over every solution of the patterns."""
+        return {sol[var.name] for sol in self._solutions(patterns, {}) if var.name in sol}
 
 
 # -- loading ---------------------------------------------------------------
@@ -376,21 +394,8 @@ def _parse_nt_term(raw: str, profile: Profile) -> Term:
         return normalize_iri(_unescape(raw[1:-1], echars=False), profile)
     if raw.startswith("_:"):
         return Iri(raw)
-    # Literal: strip the closing quote plus any language or datatype tag.
-    body = raw[1:]
-    end = None
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            i += 2
-            continue
-        if body[i] == '"':
-            end = i
-            break
-        i += 1
-    if end is None:
-        raise ValueError("unterminated literal")
-    return Literal(_unescape(body[:end], echars=True))
+    # Literal: drop the quotes plus any language or datatype tag.
+    return Literal(_unescape(_LITERAL_RE.match(raw).group(1), echars=True))
 
 
 def parse_nt_line(
@@ -453,29 +458,17 @@ def load_ontology(store: KbStore, source: str | IO[str] | Iterable[str]) -> None
         fields = stripped.split("\t")
         kind = fields[0].strip()
         try:
-            if kind == "subclass":
-                if len(fields) != 3:
-                    raise ValueError("subclass rows take 2 fields")
-                store.add_subclass(
-                    normalize_iri(fields[1].strip(), store.profile),
-                    normalize_iri(fields[2].strip(), store.profile),
-                )
-            elif kind == "count":
-                if len(fields) != 3:
-                    raise ValueError("count rows take 2 fields")
-                store.set_instance_count(
-                    normalize_iri(fields[1].strip(), store.profile),
-                    int(fields[2]),
-                )
-            elif kind == "label":
-                if len(fields) != 3:
-                    raise ValueError("label rows take 2 fields")
-                store.set_label(
-                    normalize_iri(fields[1].strip(), store.profile),
-                    fields[2].strip(),
-                )
-            else:
+            if kind not in ("subclass", "count", "label"):
                 raise ValueError(f"unknown record kind {kind!r}")
+            if len(fields) != 3:
+                raise ValueError(f"{kind} rows take 2 fields")
+            iri = normalize_iri(fields[1].strip(), store.profile)
+            if kind == "subclass":
+                store.add_subclass(iri, normalize_iri(fields[2].strip(), store.profile))
+            elif kind == "count":
+                store.set_instance_count(iri, int(fields[2]))
+            else:
+                store.set_label(iri, fields[2].strip())
         except ValueError as exc:
             raise KbLoadError(f"ontology line {lineno}: {exc}") from None
 

@@ -1,13 +1,15 @@
 """Validates decoder sequences against the KB and resolves labels to URIs.
 
-Every argument-relation pair expands into triple patterns covering each
-namespace variant of the relation in both orientations, all sharing the hub
+The store turns each relation label into its ordered routes; this module
+knows no namespace layout.  Every argument-relation pair expands into two
+triple patterns per route, one per orientation, all sharing the hub
 variable ?x (placeholder pairs use ?y for the argument position).
 Individually unsatisfiable patterns are pruned, the remaining choices are
-enumerated as a lazy cartesian product, and the first candidate graph with a
-satisfying join wins.  Beams are scanned in rank order in one pass that
-parses each beam once and keeps the first parseable beam as the fallback;
-ASK questions are checked with fully bound triples instead.
+enumerated as a lazy cartesian product of pattern tuples, and the first
+candidate graph with a satisfying join wins.  Beams are scanned in rank
+order in one pass that parses each beam once and keeps the first parseable
+beam as the fallback; ASK questions are checked with fully bound triples
+instead.
 """
 
 from __future__ import annotations
@@ -26,17 +28,7 @@ from .sequence_grammar import (
     detect_ask,
     parse_output,
 )
-from .terms import (
-    Iri,
-    Predicate,
-    PropertyPath,
-    TriplePattern,
-    VAR_X,
-    VAR_Y,
-    local_name,
-    namespace_of,
-    relation_uri,
-)
+from .terms import Iri, TriplePattern, VAR_X, VAR_Y, relation_uri
 
 DEFAULT_BEAM_LIMIT = 50
 DEFAULT_ASK_LIMIT = 10
@@ -45,14 +37,6 @@ DEFAULT_ASK_LIMIT = 10
 def _unique(iris: Iterable[Iri]) -> list[Iri]:
     """Order-preserving dedup; repeated labels map to one URI entry."""
     return list(dict.fromkeys(iris))
-
-
-@dataclass(frozen=True)
-class CandidateGraph:
-    """One joined pattern choice per pair, with its enumeration provenance."""
-
-    patterns: tuple[TriplePattern, ...]
-    choices: tuple[int, ...] = ()
 
 
 @dataclass
@@ -69,48 +53,6 @@ class ValidationConfig:
     ask_limit: int = DEFAULT_ASK_LIMIT
 
 
-def _routes(store: KbStore, label: str) -> list[Predicate]:
-    """Ordered relation routes a label can take in this store.
-
-    Flat profiles list each namespace variant in the order of the profile's
-    property namespaces.  Reified profiles emit, per property id: the direct
-    edge, a statement route through the property's entry predicate, and a
-    qualifier route through any entry predicate; type/subclass properties
-    stay direct-only.
-    """
-    profile = store.profile
-    variants = [
-        iri
-        for iri in store.lookup_relation_label(label)
-        if namespace_of(iri, profile) in profile.property_namespaces
-    ]
-    if not variants:
-        return []
-    order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
-
-    if profile.statement_namespace is None:
-        variants.sort(key=lambda iri: (order[namespace_of(iri, profile)], iri.value))
-        return list(variants)
-
-    by_property: dict[str, set[str]] = {}
-    for iri in variants:
-        by_property.setdefault(local_name(iri), set()).add(namespace_of(iri, profile))
-    routes: list[Predicate] = []
-    for pid in sorted(by_property):
-        spaces = by_property[pid]
-        if pid in profile.direct_only:
-            if "wdt" in spaces:
-                routes.append(Iri(f"wdt:{pid}"))
-            continue
-        if "wdt" in spaces:
-            routes.append(Iri(f"wdt:{pid}"))
-        if "ps" in spaces:
-            routes.append(PropertyPath(Iri(f"p:{pid}"), Iri(f"ps:{pid}")))
-        if "pq" in spaces:
-            routes.append(PropertyPath(None, Iri(f"pq:{pid}")))
-    return routes
-
-
 def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     """Patterns connecting the pair's argument to ?x over its label.
 
@@ -122,16 +64,19 @@ def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     arg = VAR_Y if isinstance(pair.argument, PlaceholderArg) else pair.argument.entity
     assert arg is not None, "unresolved entity argument"
     patterns: list[TriplePattern] = []
-    for route in _routes(store, pair.relation_label):
+    for route in store.routes(pair.relation_label):
         patterns += [TriplePattern(arg, route, VAR_X), TriplePattern(VAR_X, route, arg)]
     return patterns
 
 
-def enumerate_graphs(store: KbStore, pairs: Sequence[ArgRelPair]) -> Iterator[CandidateGraph]:
-    """Stream candidate graphs in lexicographic order of per-pair choices.
+def enumerate_graphs(
+    store: KbStore, pairs: Sequence[ArgRelPair]
+) -> Iterator[tuple[TriplePattern, ...]]:
+    """Stream candidate graphs: tuples of one pattern per pair.
 
-    Patterns that match nothing on their own are pruned first; a pair left
-    with no patterns empties the whole product.
+    Graphs come in lexicographic order of the per-pair choices.  Patterns
+    that match nothing on their own are pruned first; a pair left with no
+    patterns empties the whole product.
     """
     per_pair: list[list[TriplePattern]] = []
     for pair in pairs:
@@ -139,9 +84,7 @@ def enumerate_graphs(store: KbStore, pairs: Sequence[ArgRelPair]) -> Iterator[Ca
         if not surviving:
             return
         per_pair.append(surviving)
-    for combo in product(*(range(len(options)) for options in per_pair)):
-        patterns = tuple(per_pair[i][c] for i, c in enumerate(combo))
-        yield CandidateGraph(patterns, combo)
+    yield from product(*per_pair)
 
 
 def _parsed(
@@ -173,7 +116,7 @@ def validate_sequence(
         return None
     for graph in enumerate_graphs(store, pairs):
         if store.match_graph(graph) is not None:
-            relations = _unique(relation_uri(p.predicate) for p in graph.patterns)
+            relations = _unique(relation_uri(p.predicate) for p in graph)
             return LinkingResult(relations, True, rank)
     return None
 
@@ -191,7 +134,7 @@ def _ask_hit(
     for label, args in by_label.items():
         if len(args) < 2:
             continue
-        for route in _routes(store, label):
+        for route in store.routes(label):
             for subject, obj in permutations(args, 2):
                 if store.pattern_satisfiable(TriplePattern(subject, route, obj)):
                     return LinkingResult([relation_uri(route)], True, rank, ask_answer=True)
@@ -204,7 +147,7 @@ def _best_effort(
     """A parsed beam mapped label-by-label to first routes, flagged unvalidated."""
     relations = []
     for pair in pairs:
-        routes = _routes(store, pair.relation_label)
+        routes = store.routes(pair.relation_label)
         if routes:
             relations.append(relation_uri(routes[0]))
     return LinkingResult(_unique(relations), False, seq.rank)

@@ -31,6 +31,7 @@ from rellink.terms import (
     local_name,
     namespace_of,
     normalize_label,
+    relation_uri,
 )
 
 VX = Variable("x")
@@ -247,9 +248,7 @@ def _ordered(index):
     return index
 
 
-STORE_INDEXES = (
-    "_spo", "_pos", "_osp", "_lexicon", "_property_variants", "_instance_counts", "_parents",
-)
+STORE_INDEXES = ("_spo", "_pos", "_osp", "_lexicon", "_instance_counts", "_parents")
 
 
 @pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
@@ -262,7 +261,6 @@ def test_term_table_load_matches_per_line_parsing(profile):
         # lexicon entries on every triple, not only on a predicate's first.
         expected = KbStore(profile)
         lexicon: dict = {}
-        variants: dict = {}
         for line in lines:
             triple = parse_nt_line(line, profile)
             if triple is None:
@@ -271,19 +269,23 @@ def test_term_table_load_matches_per_line_parsing(profile):
             p = triple.predicate
             if namespace_of(p, profile) in profile.property_namespaces:
                 lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
-                if profile.statement_namespace is not None:
-                    variants.setdefault(local_name(p), {})[p] = None
         assert len(loaded) == len(expected), seed
         for name in STORE_INDEXES:
             assert _ordered(getattr(loaded, name)) == _ordered(getattr(expected, name)), (seed, name)
         assert _ordered(loaded._lexicon) == _ordered(lexicon), seed
-        assert _ordered(loaded._property_variants) == _ordered(variants), seed
 
 
 class TestOntology:
     def test_bad_row_reports_line(self):
         with pytest.raises(KbLoadError, match="ontology line 1"):
             load_kb("", ontology="subclass\tonly-one-field")
+
+    @pytest.mark.parametrize("kind", ["subclass", "count", "label"])
+    @pytest.mark.parametrize("n_fields", [1, 3])
+    def test_wrong_field_count_names_kind(self, kind, n_fields):
+        row = "\t".join([kind] + [f"{DBO}A"] * n_fields)
+        with pytest.raises(KbLoadError, match=f"^ontology line 2: {kind} rows take 2 fields$"):
+            load_kb("", ontology=f"# header\n{row}")
 
     def test_unknown_kind(self):
         with pytest.raises(KbLoadError, match="unknown record"):
@@ -308,7 +310,7 @@ class TestOntology:
             ontology=f"label\t{DBO}almaMater\talma mater",
         )
         assert store.label_of(Iri("dbo:almaMater")) == "alma mater"
-        assert Iri("dbo:almaMater") in store.lookup_relation_label("alma mater")
+        assert store.routes("alma mater") == [Iri("dbo:almaMater")]
 
     def test_cycle_detection(self):
         ontology = "\n".join(
@@ -406,33 +408,121 @@ class TestMostSpecificType:
         assert store.most_specific_type(Iri("dbr:E")) == Iri("dbo:Alpha")
 
 
-class TestLookupRelationLabel:
+class TestRoutes:
     def test_both_namespaces_found(self):
         triples = "\n".join(
             [
-                nt(DBR + "A", DBO + "almaMater", DBR + "B"),
                 nt(DBR + "C", DBP + "almaMater", DBR + "D"),
+                nt(DBR + "A", DBO + "almaMater", DBR + "B"),
             ]
         )
         store = load_kb(triples)
-        assert store.lookup_relation_label("almaMater") == {
-            Iri("dbo:almaMater"),
-            Iri("dbp:almaMater"),
-        }
+        assert store.routes("almaMater") == [Iri("dbo:almaMater"), Iri("dbp:almaMater")]
 
     def test_lookup_is_normalized(self):
         store = load_kb(nt(DBR + "A", DBO + "owningOrganisation", DBR + "B"))
-        assert store.lookup_relation_label("owning organisation") == {
-            Iri("dbo:owningOrganisation")
-        }
+        assert store.routes("owning organisation") == [Iri("dbo:owningOrganisation")]
 
     def test_unknown_label(self, ford_store):
-        assert ford_store.lookup_relation_label("nonexistent") == set()
+        assert ford_store.routes("nonexistent") == []
 
     def test_wikidata_variants_close_over_property(self, wikidata_store):
-        hits = wikidata_store.lookup_relation_label("manufacturer")
-        assert Iri("p:P176") in hits
-        assert Iri("ps:P176") in hits
+        # The label sits on wdt:P176 alone, which is not loaded; the loaded
+        # p:/ps: pair of the same property still gives the statement route.
+        assert wikidata_store.routes("manufacturer") == [
+            Iri("wdt:P176"),
+            PropertyPath(Iri("p:P176"), Iri("ps:P176")),
+        ]
+
+
+# -- differential check of routes against the lookup they replaced ---------
+
+ROUTE_IDS = ("P1", "P2", "P31", "P279", "birthPlace", "birth_place")
+ROUTE_LABELS = ("birth place", "Birth-Place", "place", "P1", "maker", "instance of")
+ROUTE_ENTITIES = [Iri(f"ex:E{i}") for i in range(3)]
+
+
+def _random_route_store(rng: random.Random, profile) -> KbStore:
+    """Loaded and labelled properties over small pools: labelled but unloaded
+    routes, P31/P279, a qualifier-only property, class labels in dbo:, and
+    local names that normalize alike across namespaces."""
+    namespaces = profile.property_namespaces
+
+    def prop() -> Iri:
+        if "pq" in namespaces and rng.random() < 0.15:
+            return Iri("pq:P9")
+        return Iri(f"{rng.choice(namespaces)}:{rng.choice(ROUTE_IDS)}")
+
+    store = KbStore(profile)
+    for _ in range(rng.randint(0, 12)):
+        store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), prop(), rng.choice(ROUTE_ENTITIES)))
+    for _ in range(rng.randint(0, 6)):
+        iri = rng.choice([prop(), Iri("dbo:Place"), Iri("dbo:Person"), Iri("wd:Q5")])
+        store.set_label(iri, rng.choice(ROUTE_LABELS))
+    return store
+
+
+def _reference_lookup(store: KbStore, label: str) -> set[Iri]:
+    """The label lookup that ``routes`` replaced, with its index of property
+    variants rebuilt from the loaded predicates."""
+    variants: dict = {}
+    for p in store._pos:
+        if namespace_of(p, store.profile) in store.profile.property_namespaces:
+            variants.setdefault(local_name(p), {})[p] = None
+    hits = set(store._lexicon.get(normalize_label(label), ()))
+    if store.profile.statement_namespace is not None:
+        for iri in list(hits):
+            if namespace_of(iri, store.profile) in store.profile.property_namespaces:
+                hits.update(variants.get(local_name(iri), ()))
+    return hits
+
+
+def _reference_routes(store: KbStore, label: str) -> list:
+    """The regrouping of lookup hits by property id that ``routes`` replaced."""
+    profile = store.profile
+    variants = [
+        iri
+        for iri in _reference_lookup(store, label)
+        if namespace_of(iri, profile) in profile.property_namespaces
+    ]
+    if not variants:
+        return []
+    order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
+
+    if profile.statement_namespace is None:
+        variants.sort(key=lambda iri: (order[namespace_of(iri, profile)], iri.value))
+        return list(variants)
+
+    by_property: dict[str, set[str]] = {}
+    for iri in variants:
+        by_property.setdefault(local_name(iri), set()).add(namespace_of(iri, profile))
+    routes: list = []
+    for pid in sorted(by_property):
+        spaces = by_property[pid]
+        if pid in profile.direct_only:
+            if "wdt" in spaces:
+                routes.append(Iri(f"wdt:{pid}"))
+            continue
+        if "wdt" in spaces:
+            routes.append(Iri(f"wdt:{pid}"))
+        if "ps" in spaces:
+            routes.append(PropertyPath(Iri(f"p:{pid}"), Iri(f"ps:{pid}")))
+        if "pq" in spaces:
+            routes.append(PropertyPath(None, Iri(f"pq:{pid}")))
+    return routes
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+def test_routes_match_reference_lookup(profile):
+    labels = ROUTE_LABELS + ROUTE_IDS + ("P9", "unknown")
+    seen = set()
+    for seed in range(300):
+        store = _random_route_store(random.Random(seed), profile)
+        for label in labels:
+            routes = store.routes(label)
+            assert routes == _reference_routes(store, label), (seed, label)
+            seen.update(namespace_of(relation_uri(r), profile) for r in routes)
+    assert seen == set(profile.property_namespaces) - {profile.statement_namespace}
 
 
 class TestMatchGraph:

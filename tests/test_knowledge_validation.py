@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import DBO, DBP, DBR, FORD_QUESTION, OBAMA_QUESTION, nt
+from conftest import DBO, DBP, DBR, FORD_QUESTION, OBAMA_QUESTION, WD, WDT, nt
 from rellink import knowledge_validation, load_kb
 from rellink.knowledge_integration import LinkedEntity
 from rellink.knowledge_validation import (
@@ -97,6 +97,15 @@ class TestWikidataExpansion:
             TriplePattern(VAR_X, Iri("wdt:P31"), Iri("wd:Q42")),
         ]
 
+    def test_property_id_is_the_text_after_the_prefix(self):
+        # The local name of wdt:x/P176 is P176, but the KB holds no wdt:P176:
+        # expansion and best-effort mapping must keep the loaded relation.
+        store = load_kb(nt(WD + "Q1", WDT + "x/P176", WD + "Q2"), profile="wikidata")
+        patterns = expand_pair(store, pair("wd:Q1", "P176"))
+        assert [p.predicate for p in patterns] == [Iri("wdt:x/P176")] * 2
+        result = fallback_result(store, [OutputSequence("[X | P176]", -0.1, 1)])
+        assert result.relations == [Iri("wdt:x/P176")]
+
     def test_reified_pair_validates(self, wikidata_store):
         entities = [LinkedEntity("maker", 0, 5, Iri("wd:Q42"))]
         pairs = parse_output("[maker | manufacturer]", entities)
@@ -110,11 +119,12 @@ class TestEnumerateGraphs:
         store = load_kb(DUAL_NS_TRIPLES)
         pairs = [pair("dbr:A", "owner"), pair("dbr:A", "owner")]
         graphs = list(enumerate_graphs(store, pairs))
+        options = expand_pair(store, pairs[0])
         assert len(graphs) == 16
-        assert graphs[0].choices == (0, 0)
-        assert graphs[1].choices == (0, 1)
-        assert graphs[4].choices == (1, 0)
-        assert graphs[-1].choices == (3, 3)
+        assert graphs[0] == (options[0], options[0])
+        assert graphs[1] == (options[0], options[1])
+        assert graphs[4] == (options[1], options[0])
+        assert graphs[-1] == (options[3], options[3])
 
     def test_pruning_unsatisfiable_patterns(self, ford_store):
         # Only (entity, r, ?x) holds in the Ford fixture; the reverse
@@ -122,7 +132,7 @@ class TestEnumerateGraphs:
         pairs = [pair("dbr:Kansas_City_Assembly", "owningOrganisation")]
         graphs = list(enumerate_graphs(ford_store, pairs))
         assert len(graphs) == 1
-        assert graphs[0].patterns[0].subject == Iri("dbr:Kansas_City_Assembly")
+        assert graphs[0][0].subject == Iri("dbr:Kansas_City_Assembly")
 
     def test_empty_when_pair_dies(self, ford_store):
         pairs = [
@@ -135,7 +145,7 @@ class TestEnumerateGraphs:
         store = load_kb(DUAL_NS_TRIPLES)
         graphs = list(enumerate_graphs(store, [pair("dbr:A", "owner")]))
         for graph in graphs:
-            terms = {graph.patterns[0].subject, graph.patterns[0].object}
+            terms = {graph[0].subject, graph[0].object}
             assert VAR_X in terms
 
 
