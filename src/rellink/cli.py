@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .evaluation import (
-    GoldRecord,
     build_report,
     label_sets,
     read_gold,
@@ -25,7 +24,7 @@ from .evaluation import (
     report_to_dict,
     score_sets,
 )
-from .generator import ENV_PREFIX, GeneratorConfig, GeneratorError, make_generator
+from .generator import GeneratorConfig, GeneratorError, make_generator
 from .kb_store import KbLoadError, KbStore, load_kb, load_profile_config
 from .knowledge_integration import (
     DEFAULT_BUDGET,
@@ -48,6 +47,7 @@ from .terms import PROFILES, Profile, get_profile, normalize_iri
 logger = logging.getLogger(__name__)
 
 EVAL_MODES = ("strict", "relaxed", "label-level")
+ENV_PREFIX = "RELLINK_"
 
 
 def _resolve_profile(value: str) -> Profile:
@@ -186,6 +186,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
 
     store: KbStore | None = None
+    overlap = os.environ.get(ENV_PREFIX + "RELAXED_OVERLAP", "equal")
     if args.eval_mode == "relaxed":
         if not args.kb:
             print("relaxed mode requires --kb", file=sys.stderr)
@@ -200,7 +201,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.eval_mode == "label-level":
             scores.append(score_sets(label_sets(gold.relations), label_sets(pred)))
         elif args.eval_mode == "relaxed":
-            scores.append(_relaxed_or_strict(store, gold, pred))
+            scores.append(relaxed_score(store, gold, pred, overlap))
         else:
             scores.append(score_sets(gold.relations, pred))
         sizes.append((len(gold.relations), len(pred)))
@@ -210,18 +211,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         print(render_table(report))
     return 0
-
-
-def _relaxed_or_strict(store: KbStore, gold: GoldRecord, pred: set) -> tuple:
-    if gold.graph is None:
-        logger.warning("gold %s has no graph; scoring strictly", gold.question_id)
-        return score_sets(gold.relations, pred)
-    return relaxed_score(store, gold, pred, overlap=relaxed_overlap_mode())
-
-
-def relaxed_overlap_mode() -> str:
-    """Relaxed answer-set comparison: strict equality unless overridden."""
-    return os.environ.get(ENV_PREFIX + "RELAXED_OVERLAP", "equal")
 
 
 # -- argument parsing --------------------------------------------------------

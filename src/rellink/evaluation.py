@@ -1,9 +1,10 @@
 """Precision/recall/F1 scoring with namespace-relaxed re-evaluation.
 
 Strict scoring compares URI sets.  Relaxed scoring re-scores against every
-namespace-swapped variant of the gold graph that is satisfiable and yields
-the same answers, keeping the best F1.  Aggregation is macro (per-question
-average) and also buckets questions by predicted-versus-gold relation count.
+variant of the gold graph, swapped among a flat profile's property namespaces,
+that yields the same answers, keeping the best F1.  Aggregation is macro
+(per-question average) and also buckets questions by predicted-versus-gold
+relation count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .kb_store import KbStore
 from .terms import (
     Iri,
     Profile,
-    PropertyPath,
     TriplePattern,
     VAR_X,
     VAR_Y,
@@ -26,13 +26,9 @@ from .terms import (
     local_name,
     normalize_iri,
     parse_term,
-    relation_uri,
 )
 
 logger = logging.getLogger(__name__)
-
-# Namespace pairs treated as interchangeable under relaxed scoring.
-SWAPPABLE = {"dbo": "dbp", "dbp": "dbo"}
 
 
 @dataclass
@@ -91,16 +87,16 @@ def build_report(
     )
 
 
-def _swap_namespace(pattern: TriplePattern) -> TriplePattern | None:
-    """The same pattern under the sibling namespace, when one exists."""
-    predicate = pattern.predicate
-    if isinstance(predicate, PropertyPath):
-        return None
-    ns, sep, local = predicate.value.partition(":")
-    if sep and ns in SWAPPABLE:
-        swapped = Iri(f"{SWAPPABLE[ns]}:{local}")
-        return TriplePattern(pattern.subject, predicate=swapped, object=pattern.object)
-    return None
+def _namespace_options(pattern: TriplePattern, swappable: tuple[str, ...]) -> list[TriplePattern]:
+    """The pattern itself, then its copies under the other swappable namespaces."""
+    ns, _, local = pattern.predicate.value.partition(":")
+    if ns not in swappable:
+        return [pattern]
+    return [pattern] + [
+        TriplePattern(pattern.subject, Iri(f"{other}:{local}"), pattern.object)
+        for other in swappable
+        if other != ns
+    ]
 
 
 def _answer_variable(patterns: Iterable[TriplePattern]) -> Variable | None:
@@ -121,46 +117,45 @@ def relaxed_score(
 ) -> tuple[float, float, float]:
     """Best score over answer-preserving namespace variants of the gold graph.
 
-    ``overlap`` selects how a variant's answers qualify it: ``equal``
-    requires the same answer set as the original graph, ``any`` accepts any
-    shared answer.  An unsatisfiable gold graph falls back to strict scoring.
+    Swaps come from a flat profile's property namespaces.  ``overlap``
+    selects how a variant's answers qualify it: ``equal`` requires the gold
+    graph's answer set, ``any`` one shared answer.  A missing or
+    unsatisfiable gold graph gives the strict score and a warning.
     """
-    if gold.graph is None:
-        raise ValueError(f"gold record {gold.question_id} carries no graph")
     if overlap not in ("equal", "any"):
         raise ValueError(f"unknown overlap mode {overlap!r}")
     base = score_sets(gold.relations, pred)
-    if store.match_graph(gold.graph) is None:
+    if gold.graph is None:
+        logger.warning("gold %s has no graph; scoring strictly", gold.question_id)
+        return base
+    var = _answer_variable(gold.graph)
+
+    def answers(graph: tuple[TriplePattern, ...]) -> set:
+        # A graph with no variable answers {None} when it is satisfiable.
+        if var is None:
+            return set() if store.match_graph(graph) is None else {None}
+        return store.answers(graph, var)
+
+    # Every solution binds ``var``: an unsatisfiable graph has no answers.
+    original = answers(gold.graph)
+    if not original:
         logger.warning(
             "gold graph for %s is unsatisfiable; falling back to strict score",
             gold.question_id,
         )
         return base
-    answer_var = _answer_variable(gold.graph)
-    original_answers = (
-        store.answers(gold.graph, answer_var) if answer_var is not None else None
-    )
 
-    choices: list[list[TriplePattern]] = []
-    for pattern in gold.graph:
-        swapped = _swap_namespace(pattern)
-        choices.append([pattern] if swapped is None else [pattern, swapped])
-
+    profile = store.profile
+    swappable = profile.property_namespaces if profile.statement_namespace is None else ()
     best = base
-    for index, combo in enumerate(product(*choices)):
-        # The first combination is the gold graph itself: known to be
-        # satisfiable, with the original answers, so it is not queried again.
-        if index and store.match_graph(combo) is None:
-            continue
-        if index and original_answers is not None:
-            answers = store.answers(combo, answer_var)
-            if overlap == "equal":
-                if answers != original_answers:
-                    continue
-            elif not (answers & original_answers):
+    options = (_namespace_options(p, swappable) for p in gold.graph)
+    for index, combo in enumerate(product(*options)):
+        # The first combination is the gold graph itself, queried above.
+        if index:
+            found = answers(combo)
+            if not (found == original if overlap == "equal" else found & original):
                 continue
-        variant_relations = {relation_uri(p.predicate) for p in combo}
-        candidate = score_sets(variant_relations, pred)
+        candidate = score_sets({p.predicate for p in combo}, pred)
         if candidate[2] > best[2]:
             best = candidate
     return best

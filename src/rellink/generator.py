@@ -21,12 +21,12 @@ import requests
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import ArgRelPair, EntityArg, OutputSequence, serialize_target
 from .similarity import DEFAULT_SIMILARITY, Similarity
+from .terms import expect_str
 
 logger = logging.getLogger(__name__)
 
 GENERATOR_KINDS = ("fixture", "remote", "baseline")
 DEFAULT_BEAM_WIDTH = 50
-ENV_PREFIX = "RELLINK_"
 
 
 class GeneratorError(Exception):
@@ -61,6 +61,11 @@ def _ranked(raw: Iterable[tuple[str, float]], width: int) -> list[OutputSequence
     return [OutputSequence(text, score, i + 1) for i, (text, score) in enumerate(ordered)]
 
 
+def _beam(raw: dict) -> tuple[str, float]:
+    """One beam object as (text, score)."""
+    return expect_str(raw["text"], "beam text"), float(raw["score"])
+
+
 def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[str, float]]]:
     """Beam fixture JSON Lines: question_id to (text, score) lists."""
     beams: dict[str, list[tuple[str, float]]] = {}
@@ -69,9 +74,7 @@ def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[s
             continue
         try:
             raw = json.loads(line)
-            beams[str(raw["question_id"])] = [
-                (b["text"], float(b["score"])) for b in raw["beams"]
-            ]
+            beams[str(raw["question_id"])] = [_beam(b) for b in raw["beams"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GeneratorError(f"beam fixture line {lineno}: {exc}") from None
     return beams
@@ -112,7 +115,7 @@ class RemoteGenerator:
             reply = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             reply.raise_for_status()
             body = reply.json()
-            raw = [(s["text"], float(s["score"])) for s in body["sequences"]]
+            raw = [_beam(s) for s in body["sequences"]]
         except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
             raise GeneratorError(f"remote generation failed: {exc}") from None
         return _ranked(sorted(raw), self.beam_width)

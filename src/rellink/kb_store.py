@@ -234,6 +234,15 @@ class KbStore:
                     frontier.append(parent)
         return False
 
+    def _is_class(self, iri: Iri) -> bool:
+        """Whether ``iri`` is typed to, in a subclass edge, or counted."""
+        return (
+            iri in self._instance_counts
+            or iri in self._count_overrides
+            or iri in self._parents
+            or any(iri in parents for parents in self._parents.values())
+        )
+
     def most_specific_type(self, entity: Iri) -> Iri | None:
         """The most specific asserted class of an entity.
 
@@ -262,11 +271,13 @@ class KbStore:
 
         The routes start from the lexicon hits of ``label`` in the property
         namespaces.  A flat profile lists those hits by namespace order, then
-        IRI.  A reified profile emits, per property id in sorted order: the
-        direct edge, a statement route through the property's entry
-        predicate, and a qualifier route through any entry predicate, each
-        when its relation IRI is a hit or a loaded predicate.  Type and
-        subclass properties stay direct-only.
+        IRI, leaving out a hit that is not a loaded predicate but a known
+        class (``label dbo:Place place`` names a class, not a relation).  A
+        reified profile emits, per property id in sorted order: the direct
+        edge, a statement route through the property's entry predicate, and a
+        qualifier route through any entry predicate, each when its relation
+        IRI is a hit or a loaded predicate.  Type and subclass properties stay
+        direct-only.
         """
         profile = self.profile
         order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
@@ -276,7 +287,10 @@ class KbStore:
             if (ns := namespace_of(iri, profile)) in order
         }
         if profile.statement_namespace is None:
-            return sorted(hits, key=lambda iri: (order[hits[iri]], iri.value))
+            return sorted(
+                (iri for iri in hits if iri in self._pos or not self._is_class(iri)),
+                key=lambda iri: (order[hits[iri]], iri.value),
+            )
 
         def held(relation: Iri) -> bool:
             return relation in hits or relation in self._pos

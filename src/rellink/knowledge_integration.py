@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator
 from . import brackets
 from .kb_store import KbStore
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import DBPEDIA, Iri, Profile, normalize_iri
+from .terms import DBPEDIA, Iri, Profile, expect_str, normalize_iri
 
 DEFAULT_BUDGET = 512
 
@@ -203,6 +203,8 @@ def read_question_records(
             continue
         try:
             raw = json.loads(line)
+            if not isinstance(raw, dict):
+                raise TypeError("record must be a JSON object")
             entities = [
                 LinkedEntity(
                     mention=e["mention"],
@@ -212,7 +214,8 @@ def read_question_records(
                 )
                 for e in raw.get("entities", [])
             ]
-            record = QuestionRecord(str(raw["question_id"]), raw["question"], entities)
+            question = expect_str(raw["question"], "question")
+            record = QuestionRecord(str(raw["question_id"]), question, entities)
             for entity in record.entities:
                 entity.check_span(record.question)
         except (KeyError, TypeError, ValueError) as exc:

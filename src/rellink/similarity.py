@@ -157,13 +157,23 @@ class WordVectorSimilarity(_OneBinding):
     def load(cls, source: str | IO[str] | Iterable[str]) -> "WordVectorSimilarity":
         lines = source.splitlines() if isinstance(source, str) else source
         vectors: dict[str, list[float]] = {}
-        for line in lines:
+        dimension = None
+        for lineno, line in enumerate(lines, start=1):
             parts = line.split()
             if len(parts) < 2:
                 continue
             if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
                 continue  # word2vec header: vocab size, dimension
-            vectors[parts[0].lower()] = [float(x) for x in parts[1:]]
+            try:
+                vector = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"vectors line {lineno}: {exc}") from None
+            dimension = dimension or len(vector)
+            if len(vector) != dimension:
+                raise ValueError(
+                    f"vectors line {lineno}: {len(vector)} values, expected {dimension}"
+                )
+            vectors[parts[0].lower()] = vector
         return cls(vectors)
 
     def _best(self, question: str) -> Callable[[str], float]:

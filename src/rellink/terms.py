@@ -169,6 +169,13 @@ WIKIDATA = Profile(
 PROFILES = {"dbpedia": DBPEDIA, "wikidata": WIKIDATA}
 
 
+def expect_str(value: object, what: str) -> str:
+    """``value`` itself when it is a string; otherwise a TypeError naming ``what``."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def get_profile(name: str) -> Profile:
     try:
         return PROFILES[name]
@@ -182,6 +189,7 @@ def normalize_iri(value: str, profile: Profile) -> Iri:
     Longest namespace wins, so statement-entity IRIs compact to ``wds:`` and
     not to a truncated ``wd:`` form.  Values already prefixed pass through.
     """
+    expect_str(value, "IRI")
     best: tuple[int, str] | None = None
     for prefix, ns in profile.prefixes.items():
         if value.startswith(ns) and (best is None or len(ns) > best[0]):
@@ -218,7 +226,7 @@ def normalize_label(text: str) -> str:
 
 def parse_term(text: str, profile: Profile) -> PatternTerm:
     """Read a pattern term from its text form: ``?x``, ``"lit"``, or an IRI."""
-    text = text.strip()
+    text = expect_str(text, "term").strip()
     if text.startswith("?"):
         return Variable(text[1:])
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':

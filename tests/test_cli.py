@@ -12,6 +12,7 @@ from conftest import (
     ALMA_QUESTION,
     ALMA_TRIPLES,
     DBO,
+    DBR,
     FORD_BEAM_1,
     FORD_ONTOLOGY,
     FORD_QUESTION,
@@ -336,3 +337,166 @@ class TestEval:
         main(["eval", "--gold", str(gold), "--pred", str(pred), "--json"])
         data = json.loads(capsys.readouterr().out)
         assert data["f1"] == 1.0
+
+    def write_relaxed_files(self, tmp_path, *records):
+        """A KB plus gold and predictions for (gold record, predicted relations) pairs."""
+        kb = tmp_path / "kb.nt"
+        kb.write_text(ALMA_TRIPLES + "\n")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps(g) + "\n" for g, _ in records))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(
+            "".join(
+                json.dumps({"question_id": g["question_id"], "relations": p}) + "\n"
+                for g, p in records
+            )
+        )
+        return ["eval", "--gold", str(gold), "--pred", str(pred), "--kb", str(kb),
+                "--eval-mode", "relaxed", "--json"]
+
+    def test_relaxed_missing_graph_scores_strictly(self, tmp_path, capsys, caplog):
+        gold = {"question_id": "q1", "question": ALMA_QUESTION,
+                "relations": ["dbp:almaMater", "dbo:state"]}
+        argv = self.write_relaxed_files(tmp_path, (gold, ["dbo:almaMater", "dbo:state"]))
+        with caplog.at_level("WARNING"):
+            assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["f1"] == 0.5
+        assert "gold q1 has no graph; scoring strictly" in caplog.text
+
+    @pytest.mark.parametrize("overlap, f1", [(None, 0.5), ("equal", 0.5), ("any", 1.0)])
+    def test_relaxed_overlap_from_environment(self, tmp_path, capsys, monkeypatch, overlap, f1):
+        # The dbo: almaMater variant also reaches a university in another
+        # state: its answers overlap the gold graph's but are not equal.
+        kb = tmp_path / "kb.nt"
+        argv = self.write_relaxed_files(
+            tmp_path,
+            ({"question_id": "q1", "question": "q", "relations": ["dbp:almaMater", "dbo:state"],
+              "graph": ALMA_GOLD_GRAPH}, ["dbo:almaMater", "dbo:state"]),
+        )
+        kb.write_text(
+            ALMA_TRIPLES + "\n"
+            + nt(DBR + "Ben_Ysursa", DBO + "almaMater", DBR + "Other_University") + "\n"
+            + nt(DBR + "Other_University", DBO + "state", DBR + "Idaho") + "\n"
+        )
+        if overlap is None:
+            monkeypatch.delenv("RELLINK_RELAXED_OVERLAP", raising=False)
+        else:
+            monkeypatch.setenv("RELLINK_RELAXED_OVERLAP", overlap)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["f1"] == f1
+
+    def test_unknown_overlap_mode_exits_1(self, tmp_path, capsys, monkeypatch):
+        argv = self.write_relaxed_files(
+            tmp_path,
+            ({"question_id": "q1", "question": "q", "relations": ["dbo:state"]}, ["dbo:state"]),
+        )
+        monkeypatch.setenv("RELLINK_RELAXED_OVERLAP", "some")
+        assert main(argv) == 1
+        assert "unknown overlap mode 'some'" in capsys.readouterr().err
+
+    def test_malformed_predictions_line(self, tmp_path, capsys):
+        gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])
+        pred.write_text(pred.read_text() + "{not json\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err.startswith("error: predictions line 2: ")
+
+
+class TestProfileFlag:
+    def test_profile_config_file(self, tmp_path, capsys):
+        # The config's extra prefix compacts the KB's ex: IRIs, so the
+        # prefixed gold and predictions match them.
+        config = tmp_path / "profile.cfg"
+        config.write_text("profile = dbpedia\nprefix.ex = http://example.org/\n")
+        kb = tmp_path / "kb.nt"
+        kb.write_text(nt("http://example.org/a", "http://example.org/rel", "http://example.org/b") + "\n")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"question_id": "q1", "question": "q",
+                                    "relations": ["http://example.org/rel"],
+                                    "graph": [["ex:a", "ex:rel", "?x"]]}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"question_id": "q1", "relations": ["ex:rel"]}) + "\n")
+        status = main(["eval", "--gold", str(gold), "--pred", str(pred), "--kb", str(kb),
+                       "--profile", str(config), "--eval-mode", "relaxed", "--json"])
+        assert status == 0
+        assert json.loads(capsys.readouterr().out)["f1"] == 1.0
+
+    def test_unknown_profile_exits_1(self, tmp_path, capsys):
+        kb = tmp_path / "kb.nt"
+        kb.write_text("")
+        missing = tmp_path / "missing.cfg"
+        assert main(["ingest", "--kb", str(kb), "--profile", str(missing)]) == 1
+        assert "is neither a known name nor a config file" in capsys.readouterr().err
+
+
+class TestVectors:
+    def test_link_with_vectors(self, ford_files):
+        tmp, kb, ontology, questions, _ = ford_files
+        vectors = tmp / "vectors.txt"
+        vectors.write_text("2 2\nowning 1.0 0.0\nmanufacturer 0.0 1.0\n")
+        out = tmp / "results.jsonl"
+        status = main(["link", "--kb", str(kb), "--ontology", str(ontology), "--vectors",
+                       str(vectors), "-o", str(out), str(questions)])
+        assert status == 0
+        record = json.loads(out.read_text())
+        assert record["relations"] == ["dbo:owningOrganisation", "dbo:manufacturer"]
+        assert record["validated"] is True
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\nowning 1.0 0.0\nmanufacturer 1 x\n",
+             "vectors line 3: could not convert string to float: 'x'"),
+            ("owning 1.0 0.0\nmanufacturer 1.0 0.0 0.5\n",
+             "vectors line 2: 3 values, expected 2"),
+        ],
+        ids=["not-a-number", "dimension"],
+    )
+    def test_bad_vectors_line_is_located(self, ford_files, capsys, text, message):
+        tmp, kb, ontology, questions, _ = ford_files
+        vectors = tmp / "vectors.txt"
+        vectors.write_text(text)
+        status = main(["link", "--kb", str(kb), "--vectors", str(vectors), str(questions)])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Each record is valid JSON of the wrong shape for the file it sits in.
+MALFORMED_RECORDS = {
+    "question-not-object": ("questions", [1]),
+    "entity-iri-not-string": (
+        "questions",
+        {"question_id": "q1", "question": "Ford?",
+         "entities": [{"mention": "Ford", "start": 0, "end": 4, "iri": 5}]},
+    ),
+    "question-not-string": ("questions", {"question_id": "q1", "question": 5}),
+    "gold-relation-not-string": (
+        "gold", {"question_id": "q1", "question": "q", "relations": [5]}
+    ),
+    "gold-graph-term-not-string": (
+        "gold",
+        {"question_id": "q1", "question": "q", "relations": ["dbo:state"],
+         "graph": [["dbr:A", "dbo:state", 5]]},
+    ),
+    "prediction-not-string": ("predictions", {"question_id": "q1", "relations": [5]}),
+    "beam-text-not-string": (
+        "beam fixture", {"question_id": "q1", "beams": [{"text": 5, "score": -0.1}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECORDS)
+def test_wrongly_shaped_record_is_located(ford_files, capsys, case):
+    tmp, kb, ontology, questions, beams = ford_files
+    reader, record = MALFORMED_RECORDS[case]
+    gold = tmp / "gold.jsonl"
+    gold.write_text(json.dumps({"question_id": "q1", "question": "q", "relations": []}) + "\n")
+    pred = tmp / "pred.jsonl"
+    pred.write_text(json.dumps({"question_id": "q1", "relations": []}) + "\n")
+    target = {"questions": questions, "beam fixture": beams, "gold": gold, "predictions": pred}
+    target[reader].write_text(json.dumps(record) + "\n")
+    if reader in ("gold", "predictions"):
+        status = main(["eval", "--gold", str(gold), "--pred", str(pred)])
+    else:
+        status, _ = run_link(tmp, kb, ontology, questions, beams)
+    assert status == 1
+    assert capsys.readouterr().err.startswith(f"error: {reader} line 1: ")

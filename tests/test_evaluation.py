@@ -5,14 +5,17 @@ from __future__ import annotations
 import io
 import json
 import math
+import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR, nt
+from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR, PS, WD, WDT, nt
 from rellink import load_kb
 from rellink.evaluation import (
     GoldRecord,
+    _answer_variable,
     build_report,
     label_sets,
     read_gold,
@@ -21,7 +24,19 @@ from rellink.evaluation import (
     report_to_dict,
     score_sets,
 )
-from rellink.terms import DBPEDIA, Iri, TriplePattern, Variable, parse_term
+from rellink.kb_store import KbStore
+from rellink.terms import (
+    DBPEDIA,
+    WIKIDATA,
+    Iri,
+    Literal,
+    PropertyPath,
+    Triple,
+    TriplePattern,
+    Variable,
+    parse_term,
+    relation_uri,
+)
 
 
 def iris(*values: str) -> set[Iri]:
@@ -179,13 +194,36 @@ class TestRelaxedScore:
         gold.relations = GOLD | iris("dbo:extra")
         assert relaxed_score(store, gold, set(GOLD)) == (1.0, 1.0, 1.0)
         # Four combinations: the gold graph, one satisfiable swap, two
-        # unsatisfiable ones.  The gold graph is queried once, up front.
-        assert calls == {"match_graph": 4, "answers": 2}
+        # unsatisfiable ones.  Each is queried once, the gold graph up front,
+        # and a graph with an answer variable only through ``answers``.
+        assert calls == {"answers": 4}
 
-    def test_missing_graph_errors(self, alma_store):
+    def test_constant_graph_is_queried_once_per_combination(self, monkeypatch):
+        store = load_kb(ALMA_TRIPLES)
+        calls = Counter()
+        for name in ("match_graph", "answers"):
+            def counted(*args, _name=name, _method=getattr(store, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(store, name, counted)
+        graph = tuple(
+            TriplePattern(Iri("dbr:Ben_Ysursa"), Iri(p), Iri("dbr:Gonzaga_University"))
+            for p in ("dbp:almaMater", "dbo:almaMater")
+        )
+        gold = GoldRecord("q5", "q", iris("dbp:almaMater", "dbo:almaMater"), graph)
+        assert relaxed_score(store, gold, iris("dbo:almaMater")) == (1.0, 1.0, 1.0)
+        # A graph with no variable is only matched, once for each of the four
+        # combinations, the gold graph included.
+        assert calls == {"match_graph": 4}
+
+    def test_missing_graph_errors(self, alma_store, caplog):
         gold = GoldRecord("q4", "q", set(GOLD), None)
-        with pytest.raises(ValueError):
-            relaxed_score(alma_store, gold, set(GOLD))
+        pred = iris("dbo:almaMater", "dbo:state")
+        with caplog.at_level("WARNING"):
+            result = relaxed_score(alma_store, gold, pred)
+        assert result == score_sets(gold.relations, pred)
+        assert "gold q4 has no graph; scoring strictly" in caplog.text
 
     def test_relaxed_never_below_strict(self, alma_store):
         gold = self.gold_record(alma_store)
@@ -199,6 +237,141 @@ class TestRelaxedScore:
             strict = score_sets(gold.relations, pred)[2]
             relaxed = relaxed_score(alma_store, gold, pred)[2]
             assert relaxed >= strict
+
+
+# -- relaxed scoring against the implementation it replaced -----------------
+#
+# A verbatim copy of relaxed_score, _swap_namespace and SWAPPABLE as they
+# stood before the swaps came from the profile and each candidate graph was
+# queried once.
+
+SWAPPABLE = {"dbo": "dbp", "dbp": "dbo"}
+
+
+def _swap_namespace(pattern: TriplePattern) -> TriplePattern | None:
+    """The same pattern under the sibling namespace, when one exists."""
+    predicate = pattern.predicate
+    if isinstance(predicate, PropertyPath):
+        return None
+    ns, sep, local = predicate.value.partition(":")
+    if sep and ns in SWAPPABLE:
+        swapped = Iri(f"{SWAPPABLE[ns]}:{local}")
+        return TriplePattern(pattern.subject, predicate=swapped, object=pattern.object)
+    return None
+
+
+def reference_relaxed_score(
+    store: KbStore,
+    gold: GoldRecord,
+    pred: set[Iri],
+    overlap: str = "equal",
+) -> tuple[float, float, float]:
+    if gold.graph is None:
+        raise ValueError(f"gold record {gold.question_id} carries no graph")
+    if overlap not in ("equal", "any"):
+        raise ValueError(f"unknown overlap mode {overlap!r}")
+    base = score_sets(gold.relations, pred)
+    if store.match_graph(gold.graph) is None:
+        return base
+    answer_var = _answer_variable(gold.graph)
+    original_answers = (
+        store.answers(gold.graph, answer_var) if answer_var is not None else None
+    )
+
+    choices: list[list[TriplePattern]] = []
+    for pattern in gold.graph:
+        swapped = _swap_namespace(pattern)
+        choices.append([pattern] if swapped is None else [pattern, swapped])
+
+    best = base
+    for index, combo in enumerate(product(*choices)):
+        if index and store.match_graph(combo) is None:
+            continue
+        if index and original_answers is not None:
+            answers = store.answers(combo, answer_var)
+            if overlap == "equal":
+                if answers != original_answers:
+                    continue
+            elif not (answers & original_answers):
+                continue
+        variant_relations = {relation_uri(p.predicate) for p in combo}
+        candidate = score_sets(variant_relations, pred)
+        if candidate[2] > best[2]:
+            best = candidate
+    return best
+
+
+RELAXED_ENTITIES = [Iri(f"dbr:E{i}") for i in range(4)]
+RELAXED_LOCALS = ("r0", "r1", "r2")
+RELAXED_PREDICATES = [Iri(f"{ns}:{local}") for ns in ("dbo", "dbp") for local in RELAXED_LOCALS]
+RELAXED_OTHER = Iri("rdf:type")  # in no property namespace: never swapped
+
+
+def _random_relaxed_case(rng: random.Random):
+    """A small dbpedia store whose dbo:/dbp: twins often share triples, a
+    graph of 1-3 patterns over ?x, ?y and constants, and gold and predicted
+    relation sets."""
+    store = KbStore(DBPEDIA)
+    for _ in range(rng.randint(0, 14)):
+        s, o = rng.choice(RELAXED_ENTITIES), rng.choice(RELAXED_ENTITIES + [Literal("v")])
+        local = rng.choice(RELAXED_LOCALS)
+        spaces = rng.choice([("dbo",), ("dbp",), ("dbo", "dbp")])
+        predicates = [Iri(f"{ns}:{local}") for ns in spaces]
+        if rng.random() < 0.1:
+            predicates = [RELAXED_OTHER]
+        for predicate in predicates:
+            store.add_triple(Triple(s, predicate, o))
+    constant_only = rng.random() < 0.2
+
+    def term():
+        if not constant_only and rng.random() < 0.6:
+            return rng.choice([Variable("x"), Variable("y")])
+        return rng.choice(RELAXED_ENTITIES)
+
+    graph = tuple(
+        TriplePattern(term(), rng.choice(RELAXED_PREDICATES + [RELAXED_OTHER]), term())
+        for _ in range(rng.randint(1, 3))
+    )
+    gold_relations = {p.predicate for p in graph if rng.random() < 0.8}
+    if rng.random() < 0.3:
+        gold_relations.add(rng.choice(RELAXED_PREDICATES))
+    pred = set(rng.sample(RELAXED_PREDICATES, rng.randint(0, 3)))
+    return store, GoldRecord("q", "q", gold_relations, graph), pred
+
+
+def test_relaxed_score_matches_reference():
+    seen = Counter()
+    for seed in range(1500):
+        store, gold, pred = _random_relaxed_case(random.Random(seed))
+        for overlap in ("equal", "any"):
+            expected = reference_relaxed_score(store, gold, pred, overlap)
+            assert relaxed_score(store, gold, pred, overlap) == expected, (seed, overlap)
+        satisfiable = store.match_graph(gold.graph) is not None
+        variable = _answer_variable(gold.graph) is not None
+        seen["satisfiable" if satisfiable else "unsatisfiable", variable] += 1
+        strict = score_sets(gold.relations, pred)
+        if reference_relaxed_score(store, gold, pred, "equal") != strict:
+            seen["relaxed above strict", variable] += 1
+        if reference_relaxed_score(store, gold, pred, "any") != reference_relaxed_score(
+            store, gold, pred, "equal"
+        ):
+            seen["any above equal"] += 1
+    # Every branch was reached, with and without an answer variable.
+    for key in [(a, v) for a in ("satisfiable", "unsatisfiable", "relaxed above strict")
+                for v in (True, False)] + ["any above equal"]:
+        assert seen[key] > 0, (key, seen)
+
+
+def test_reified_profile_swaps_nothing():
+    # ps:P1 holds the same answers as wdt:P1, but a reified profile's
+    # namespaces are routes of one property, not interchangeable twins.
+    triples = "\n".join(
+        nt(WD + "Q1", ns + "P1", WD + "Q2") for ns in (WDT, PS)
+    )
+    store = load_kb(triples, profile=WIKIDATA)
+    graph = (TriplePattern(Iri("wd:Q1"), Iri("wdt:P1"), Variable("x")),)
+    gold = GoldRecord("q", "q", {Iri("wdt:P1")}, graph)
+    assert relaxed_score(store, gold, {Iri("ps:P1")}) == (0.0, 0.0, 0.0)
 
 
 class TestLabelSets:

@@ -19,6 +19,8 @@ from rellink.kb_store import (
     load_triples,
     parse_nt_line,
 )
+from rellink.knowledge_validation import fallback_result
+from rellink.sequence_grammar import OutputSequence
 from rellink.terms import (
     DBPEDIA,
     WIKIDATA,
@@ -426,6 +428,34 @@ class TestRoutes:
     def test_unknown_label(self, ford_store):
         assert ford_store.routes("nonexistent") == []
 
+    def test_class_labels_are_not_routes(self):
+        triples = "\n".join(
+            [
+                nt(DBR + "A", RDF_TYPE, DBO + "Place"),
+                nt(DBR + "A", DBO + "location", DBR + "B"),
+            ]
+        )
+        ontology = "\n".join(
+            [
+                f"label\t{DBO}Place\tplace",
+                f"subclass\t{DBO}Town\t{DBO}Settlement",
+                f"label\t{DBO}Settlement\tsettlement",
+                f"count\t{DBO}City\t10",
+                f"label\t{DBO}City\tcity",
+                f"label\t{DBO}hometown\thome town",
+                f"label\t{DBO}location\tsettlement",
+            ]
+        )
+        store = load_kb(triples, ontology)
+        # Typed to, a superclass only, or counted: a class, not a route.
+        assert store.routes("place") == []
+        assert store.routes("city") == []
+        # A loaded predicate stays, and so does a labelled unloaded one.
+        assert store.routes("settlement") == [Iri("dbo:location")]
+        assert store.routes("home town") == [Iri("dbo:hometown")]
+        beam = OutputSequence("[A | place], [A | home town]", -0.1, 1)
+        assert fallback_result(store, [beam]).relations == [Iri("dbo:hometown")]
+
     def test_wikidata_variants_close_over_property(self, wikidata_store):
         # The label sits on wdt:P176 alone, which is not loaded; the loaded
         # p:/ps: pair of the same property still gives the statement route.
@@ -440,12 +470,15 @@ class TestRoutes:
 ROUTE_IDS = ("P1", "P2", "P31", "P279", "birthPlace", "birth_place")
 ROUTE_LABELS = ("birth place", "Birth-Place", "place", "P1", "maker", "instance of")
 ROUTE_ENTITIES = [Iri(f"ex:E{i}") for i in range(3)]
+ROUTE_CLASSES = [Iri("dbo:Place"), Iri("dbo:Person"), Iri("dbo:Settlement"), Iri("wd:Q5")]
 
 
 def _random_route_store(rng: random.Random, profile) -> KbStore:
     """Loaded and labelled properties over small pools: labelled but unloaded
-    routes, P31/P279, a qualifier-only property, class labels in dbo:, and
-    local names that normalize alike across namespaces."""
+    routes, P31/P279, a qualifier-only property, class labels in dbo:, classes
+    the store knows (typed to, either end of a subclass edge, counted, or also
+    loaded as a predicate), and local names that normalize alike across
+    namespaces."""
     namespaces = profile.property_namespaces
 
     def prop() -> Iri:
@@ -457,9 +490,33 @@ def _random_route_store(rng: random.Random, profile) -> KbStore:
     for _ in range(rng.randint(0, 12)):
         store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), prop(), rng.choice(ROUTE_ENTITIES)))
     for _ in range(rng.randint(0, 6)):
-        iri = rng.choice([prop(), Iri("dbo:Place"), Iri("dbo:Person"), Iri("wd:Q5")])
+        iri = rng.choice([prop(), *ROUTE_CLASSES])
         store.set_label(iri, rng.choice(ROUTE_LABELS))
+    for _ in range(rng.randint(0, 2)):
+        cls, other = rng.sample(ROUTE_CLASSES, 2)
+        kind = rng.randrange(5)
+        if kind == 0:
+            store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), profile.type_predicate, cls))
+        elif kind == 1:
+            store.add_subclass(cls, other)
+        elif kind == 2:
+            store.add_subclass(other, cls)
+        elif kind == 3:
+            store.set_instance_count(cls, 3)
+        else:  # a class that is also a loaded predicate stays a route
+            store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), cls, rng.choice(ROUTE_ENTITIES)))
     return store
+
+
+def _reference_classes(store: KbStore) -> set[Iri]:
+    """Every IRI a type triple points at, in a subclass edge, or counted."""
+    classes = set(store._count_overrides)
+    for child, parents in store._parents.items():
+        classes.add(child)
+        classes.update(parents)
+    for predicates in store._spo.values():
+        classes.update(o for o in predicates.get(store.profile.type_predicate, ()) if isinstance(o, Iri))
+    return classes
 
 
 def _reference_lookup(store: KbStore, label: str) -> set[Iri]:
@@ -490,8 +547,10 @@ def _reference_routes(store: KbStore, label: str) -> list:
     order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
 
     if profile.statement_namespace is None:
+        classes = _reference_classes(store)
+        variants = [iri for iri in variants if iri in store._pos or iri not in classes]
         variants.sort(key=lambda iri: (order[namespace_of(iri, profile)], iri.value))
-        return list(variants)
+        return variants
 
     by_property: dict[str, set[str]] = {}
     for iri in variants:
