@@ -161,9 +161,10 @@ def _read_predictions(path: str, profile: Profile) -> dict[str, set]:
                 continue
             try:
                 raw = json.loads(line)
-                predictions[str(raw["question_id"])] = {
-                    normalize_iri(r, profile) for r in raw["relations"]
-                }
+                qid = str(raw["question_id"])
+                if qid in predictions:
+                    raise ValueError(f"duplicate question_id {qid!r}")
+                predictions[qid] = {normalize_iri(r, profile) for r in raw["relations"]}
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"predictions line {lineno}: {exc}") from None
     return predictions

@@ -174,8 +174,9 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
     """Gold JSON Lines: id, question, relation URIs, optional pattern graph.
 
     Graph patterns are triple arrays of term strings (``?x``, quoted
-    literals, or IRIs).
+    literals, or IRIs).  A question id may appear once per source.
     """
+    seen: set[str] = set()
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
@@ -191,7 +192,11 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
                         raise ValueError("graph predicate must be an IRI")
                     patterns.append(TriplePattern(s, p, o))
                 graph = tuple(patterns)
-            yield GoldRecord(str(raw["question_id"]), raw["question"], relations, graph)
+            qid = str(raw["question_id"])
+            if qid in seen:
+                raise ValueError(f"duplicate question_id {qid!r}")
+            seen.add(qid)
+            yield GoldRecord(qid, raw["question"], relations, graph)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"gold line {lineno}: {exc}") from None
 

@@ -74,7 +74,10 @@ def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[s
             continue
         try:
             raw = json.loads(line)
-            beams[str(raw["question_id"])] = [_beam(b) for b in raw["beams"]]
+            qid = str(raw["question_id"])
+            if qid in beams:
+                raise ValueError(f"duplicate question_id {qid!r}")
+            beams[qid] = [_beam(b) for b in raw["beams"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GeneratorError(f"beam fixture line {lineno}: {exc}") from None
     return beams

@@ -1,9 +1,10 @@
 """In-memory triple store with ontology metadata and conjunctive matching.
 
-The store indexes triples three ways (by subject, by predicate, and by
-object) using insertion-ordered dicts, so every enumeration is deterministic
-for a given load order.  On top of the raw triples it tracks the class
-hierarchy, per-class instance counts, and a label lexicon mapping normalized
+The store keeps each triple once, by subject (``_spo``) and by predicate
+(``_pos``), and lists the predicates reaching each object (``_op``), all in
+insertion-ordered dicts, so every enumeration is deterministic for a given
+load order.  It also tracks the class hierarchy, reads per-class instance
+counts from the type index, and keeps a label lexicon mapping normalized
 relation labels to the IRIs that carry them.  The store alone turns a
 relation label into its routes; no other module builds a route from
 namespace strings.
@@ -91,9 +92,9 @@ class KbStore:
         # subject -> predicate -> {object}; dicts double as ordered sets.
         self._spo: dict[Iri, dict[Iri, dict[Term, None]]] = {}
         self._pos: dict[Iri, dict[Term, dict[Iri, None]]] = {}
-        self._osp: dict[Term, dict[Iri, dict[Iri, None]]] = {}
+        # object -> {predicate}: the predicates that reach each object.
+        self._op: dict[Term, dict[Iri, None]] = {}
         self._parents: dict[Iri, dict[Iri, None]] = {}
-        self._instance_counts: dict[Iri, int] = {}
         self._count_overrides: dict[Iri, int] = {}
         self._labels: dict[Iri, str] = {}
         self._lexicon: dict[str, dict[Iri, None]] = {}
@@ -130,9 +131,7 @@ class KbStore:
             if namespace_of(p, self.profile) in self.profile.property_namespaces:
                 self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
         by_object.setdefault(o, {})[s] = None
-        self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
-        if p == self.profile.type_predicate and isinstance(o, Iri):
-            self._instance_counts[o] = self._instance_counts.get(o, 0) + 1
+        self._op.setdefault(o, {})[p] = None
         if p == self.profile.subclass_predicate and isinstance(o, Iri):
             self._parents.setdefault(s, {})[o] = None
 
@@ -182,14 +181,15 @@ class KbStore:
         return len(self._lexicon)
 
     def instance_counts(self) -> dict[Iri, int]:
-        merged = dict(self._instance_counts)
+        typed = self._pos.get(self.profile.type_predicate, {})
+        merged = {cls: len(subjects) for cls, subjects in typed.items() if isinstance(cls, Iri)}
         merged.update(self._count_overrides)
         return merged
 
     def instance_count(self, cls: Iri) -> int:
         if cls in self._count_overrides:
             return self._count_overrides[cls]
-        return self._instance_counts.get(cls, 0)
+        return len(self._pos.get(self.profile.type_predicate, {}).get(cls, ()))
 
     def label_of(self, iri: Iri) -> str:
         return self._labels.get(iri, local_name(iri))
@@ -201,23 +201,16 @@ class KbStore:
         than reported: the statement's outgoing statement/qualifier
         predicates stand in for the entry edge itself.
         """
-        stmt_ns = self.profile.statement_namespace
         found: set[Iri] = set()
         for p, objects in self._spo.get(entity, {}).items():
-            if stmt_ns is not None and namespace_of(p, self.profile) == stmt_ns:
-                for stmt in objects:
-                    if not isinstance(stmt, Iri):
-                        continue
-                    for sp in self._spo.get(stmt, {}):
-                        if namespace_of(sp, self.profile) in ("ps", "pq"):
-                            found.add(sp)
-                continue
-            found.add(p)
-        for preds in self._osp.get(entity, {}).values():
-            for p in preds:
-                if stmt_ns is not None and namespace_of(p, self.profile) == stmt_ns:
-                    continue
+            if not self._enters(None, p):
                 found.add(p)
+                continue
+            for stmt in objects:
+                for sp in self._spo.get(stmt, {}):
+                    if namespace_of(sp, self.profile) in ("ps", "pq"):
+                        found.add(sp)
+        found.update(p for p in self._op.get(entity, ()) if not self._enters(None, p))
         return found
 
     def is_ancestor(self, ancestor: Iri, cls: Iri) -> bool:
@@ -237,7 +230,7 @@ class KbStore:
     def _is_class(self, iri: Iri) -> bool:
         """Whether ``iri`` is typed to, in a subclass edge, or counted."""
         return (
-            iri in self._instance_counts
+            iri in self._pos.get(self.profile.type_predicate, {})
             or iri in self._count_overrides
             or iri in self._parents
             or any(iri in parents for parents in self._parents.values())
@@ -326,8 +319,8 @@ class KbStore:
         filtered: a flat predicate reads ``_spo[s][pred]``, else
         ``_pos[pred][o]``, else all of ``_pos[pred]``.  A path with a bound
         subject follows its entry edges out of ``_spo[s]``; one with an
-        unbound subject walks back from its edge step through ``_osp`` of
-        each statement node.
+        unbound subject walks back from its edge step: the entry predicates
+        in ``_op`` of each statement node, then their subjects in ``_pos``.
         """
         if isinstance(pred, PropertyPath):
             if s is not None:
@@ -338,9 +331,10 @@ class KbStore:
                                 yield s, obj
                 return
             for stmt, obj in self._pairs(pred.edge, None, o):
-                for subj, entries in self._osp.get(stmt, {}).items():
-                    if any(self._enters(pred.via, p) for p in entries):
-                        yield subj, obj
+                for p in self._op.get(stmt, ()):
+                    if self._enters(pred.via, p):
+                        for subj in self._pos[p][stmt]:
+                            yield subj, obj
             return
         if s is not None:
             objects = self._spo.get(s, {}).get(pred, {})
@@ -481,6 +475,8 @@ def load_ontology(store: KbStore, source: str | IO[str] | Iterable[str]) -> None
                 store.add_subclass(iri, normalize_iri(fields[2].strip(), store.profile))
             elif kind == "count":
                 store.set_instance_count(iri, int(fields[2]))
+            elif not fields[2].strip():
+                raise ValueError("label rows take a non-empty label")
             else:
                 store.set_label(iri, fields[2].strip())
         except ValueError as exc:

@@ -88,6 +88,8 @@ def build_entity_structure(
     labels = {
         store.label_of(r) for r in store.relations_of(entity.entity) if r not in skip
     }
+    # A blank local name (``<http://example.org/rel/>``) labels nothing.
+    labels.discard("")
     ranked = rank_candidate_relations(question, labels, similarity)
     return EntityStructure(entity.mention, type_label, ranked)
 

@@ -52,6 +52,12 @@ class ValidationConfig:
     beam_limit: int = DEFAULT_BEAM_LIMIT
     ask_limit: int = DEFAULT_ASK_LIMIT
 
+    def __post_init__(self):
+        # A negative slice bound would drop beams from the end.
+        for name, value in (("beam_limit", self.beam_limit), ("ask_limit", self.ask_limit)):
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+
 
 def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     """Patterns connecting the pair's argument to ?x over its label.

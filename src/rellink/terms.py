@@ -122,12 +122,6 @@ class Profile:
     statement_namespace: str | None = None
     direct_only: frozenset[str] = frozenset()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Profile) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 _COMMON_PREFIXES = {
     "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",

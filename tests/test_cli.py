@@ -252,6 +252,69 @@ class TestLink:
         record = json.loads(out.read_text())
         assert record["ask_answer"] is False
 
+    def test_ask_beams_limit(self, tmp_path, capsys):
+        # Only the second beam holds in the KB.
+        kb = tmp_path / "kb.nt"
+        held = nt(DBR + "Barack_Obama", DBO + "president", DBR + "Canada")
+        kb.write_text(OBAMA_TRIPLES + "\n" + held + "\n")
+        entities = [
+            {"mention": mention, "start": OBAMA_QUESTION.index(mention),
+             "end": OBAMA_QUESTION.index(mention) + len(mention), "iri": DBR + iri}
+            for mention, iri in (("Barack Obama", "Barack_Obama"), ("Canada", "Canada"))
+        ]
+        questions = tmp_path / "q.jsonl"
+        questions.write_text(json.dumps(
+            {"question_id": "ask1", "question": OBAMA_QUESTION, "entities": entities}) + "\n")
+        beams = tmp_path / "beams.jsonl"
+        beams.write_text(json.dumps({"question_id": "ask1", "beams": [
+            {"text": "[Barack Obama | birth place], [Canada | birth place]", "score": -0.1},
+            {"text": "[Barack Obama | president], [Canada | president]", "score": -0.2},
+        ]}) + "\n")
+        out = tmp_path / "results.jsonl"
+        argv = ["link", "--kb", str(kb), "--generator", "fixture", "--fixtures", str(beams),
+                "-o", str(out), str(questions), "--ask-beams"]
+        for limit, answer in (("10", True), ("1", False)):
+            assert main(argv + [limit]) == 0
+            assert json.loads(out.read_text())["ask_answer"] is answer
+        out.unlink()
+        assert main(argv + ["-1"]) == 1
+        assert capsys.readouterr().err == "error: ask_limit must not be negative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "other, ontology",
+        [
+            (nt(DBR + "A", "http://example.org/rel/", DBR + "C"), ""),
+            (nt(DBR + "A", DBO + "child", DBR + "C"), f"label\t{DBO}child\t "),
+        ],
+        ids=["blank-local-name", "blank-ontology-label"],
+    )
+    def test_empty_relation_label(self, tmp_path, capsys, other, ontology):
+        kb = tmp_path / "kb.nt"
+        kb.write_text(nt(DBR + "A", DBO + "spouse", DBR + "B") + "\n" + other + "\n")
+        onto = tmp_path / "onto.tsv"
+        onto.write_text(ontology + "\n")
+        question = "Who is the spouse of A?"
+        entities = [{"mention": "A", "start": 21, "end": 22, "iri": DBR + "A"}]
+        questions = tmp_path / "q.jsonl"
+        questions.write_text("".join(
+            json.dumps({"question_id": qid, "question": question, "entities": entities}) + "\n"
+            for qid in ("q1", "q2")
+        ))
+        out = tmp_path / "results.jsonl"
+        status = main(
+            ["link", "--kb", str(kb), "--ontology", str(onto), "-o", str(out), str(questions)]
+        )
+        if ontology:
+            # A blank label row is a load error that names its line.
+            assert status == 1
+            assert capsys.readouterr().err == "error: ontology line 1: label rows take a non-empty label\n"
+            return
+        assert status == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["question_id"] for r in records] == ["q1", "q2"]
+        assert all(r["relations"] == ["dbo:spouse"] and r["validated"] for r in records)
+
     def test_remote_flags_ignore_environment(self, monkeypatch):
         monkeypatch.setenv("RELLINK_ENDPOINT", "http://env.example/generate")
         monkeypatch.setenv("RELLINK_TIMEOUT", "99")
@@ -393,6 +456,18 @@ class TestEval:
         monkeypatch.setenv("RELLINK_RELAXED_OVERLAP", "some")
         assert main(argv) == 1
         assert "unknown overlap mode 'some'" in capsys.readouterr().err
+
+    def test_duplicate_prediction_id(self, tmp_path, capsys):
+        gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])
+        pred.write_text(pred.read_text() * 2)
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == "error: predictions line 2: duplicate question_id 'q1'\n"
+
+    def test_duplicate_gold_id(self, tmp_path, capsys):
+        gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])
+        gold.write_text(gold.read_text() * 2)
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == "error: gold line 2: duplicate question_id 'q1'\n"
 
     def test_malformed_predictions_line(self, tmp_path, capsys):
         gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])

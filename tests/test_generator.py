@@ -75,6 +75,15 @@ class TestFixtureGenerator:
         beams = FixtureGenerator(path, beam_width=2).generate(enc_input("q"), "q1")
         assert len(beams) == 2
 
+    def test_duplicate_question_id(self, tmp_path):
+        path = tmp_path / "beams.jsonl"
+        path.write_text(
+            '{"question_id": "q1", "beams": []}\n'
+            '{"question_id": "q1", "beams": [{"text": "[A | r]", "score": 0}]}\n'
+        )
+        with pytest.raises(GeneratorError, match="^beam fixture line 2: duplicate question_id 'q1'$"):
+            read_beam_fixture(path.open())
+
     def test_malformed_fixture(self, tmp_path):
         path = tmp_path / "beams.jsonl"
         path.write_text('{"question_id": "q1"}\n')

@@ -168,12 +168,15 @@ class TestTermSharing:
         )
         store = load_kb(text)
         occurrences = []
-        for index in (store._spo, store._pos, store._osp):
+        for index in (store._spo, store._pos):
             for outer, inner in index.items():
                 occurrences.append(outer)
                 for middle, leaves in inner.items():
                     occurrences.append(middle)
                     occurrences.extend(leaves)
+        for obj, preds in store._op.items():
+            occurrences.append(obj)
+            occurrences.extend(preds)
         first: dict = {}
         for term in occurrences:
             assert first.setdefault(term, term) is term, term
@@ -250,7 +253,7 @@ def _ordered(index):
     return index
 
 
-STORE_INDEXES = ("_spo", "_pos", "_osp", "_lexicon", "_instance_counts", "_parents")
+STORE_INDEXES = ("_spo", "_pos", "_op", "_lexicon", "_parents")
 
 
 @pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
@@ -274,6 +277,7 @@ def test_term_table_load_matches_per_line_parsing(profile):
         assert len(loaded) == len(expected), seed
         for name in STORE_INDEXES:
             assert _ordered(getattr(loaded, name)) == _ordered(getattr(expected, name)), (seed, name)
+        assert _ordered(loaded.instance_counts()) == _ordered(expected.instance_counts()), seed
         assert _ordered(loaded._lexicon) == _ordered(lexicon), seed
 
 
@@ -305,6 +309,11 @@ class TestOntology:
             nt(DBR + f"E{i}", RDF_TYPE, DBO + "City") for i in range(3)
         )
         assert load_kb(triples).instance_count(Iri("dbo:City")) == 3
+
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_label_is_located(self, label):
+        with pytest.raises(KbLoadError, match="^ontology line 2: label rows take a non-empty label$"):
+            load_kb("", ontology=f"# header\nlabel\t{DBO}foo\t{label}")
 
     def test_label_row_overrides_local_name(self):
         store = load_kb(
@@ -794,10 +803,72 @@ class TestMatcherDifferential:
                     }, (seed, [str(p) for p in graph])
 
 
+CLASSES = [Iri(f"dbo:C{i}") for i in range(3)] + ENTITIES[:1]
+
+
+def _random_typed_store(rng: random.Random, profile) -> tuple[list[tuple], dict, KbStore]:
+    """A ``_random_store`` plus type triples (repeated ones, literal objects
+    and classes that are also entities among them) and count overrides."""
+    triples, store = _random_store(rng, profile)
+    type_p = profile.type_predicate
+    for _ in range(rng.randint(0, 10)):
+        if triples and rng.random() < 0.2:
+            triple = rng.choice(triples)
+        else:
+            triple = (rng.choice(ENTITIES + STATEMENTS), type_p, rng.choice(CLASSES + LITERALS))
+        triples.append(triple)
+        store.add_triple(Triple(*triple))
+    overrides: dict = {}
+    for _ in range(rng.randint(0, 3)):
+        cls = rng.choice(CLASSES)
+        overrides[cls] = rng.randint(0, 9)
+        store.set_instance_count(cls, overrides[cls])
+    return triples, overrides, store
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+class TestDerivedViewsDifferential:
+    """Relations and instance counts against a scan of the raw triples."""
+
+    def test_relations_of(self, profile):
+        def entry(p):
+            stmt_ns = profile.statement_namespace
+            return stmt_ns is not None and namespace_of(p, profile) == stmt_ns
+
+        for seed in range(300):
+            triples, _, store = _random_typed_store(random.Random(seed), profile)
+            for e in ENTITIES + STATEMENTS + CLASSES:
+                entered = {o for s, p, o in triples if s == e and entry(p)}
+                expected = {p for s, p, o in triples if e in (s, o) and not entry(p)} | {
+                    p for s, p, _ in triples if s in entered and namespace_of(p, profile) in ("ps", "pq")
+                }
+                assert store.relations_of(e) == expected, (seed, e)
+
+    def test_instance_counts(self, profile):
+        for seed in range(300):
+            triples, overrides, store = _random_typed_store(random.Random(seed), profile)
+            typed: dict = {}
+            for s, p, o in triples:
+                if p == profile.type_predicate and isinstance(o, Iri):
+                    typed.setdefault(o, set()).add(s)
+            expected = {cls: len(subjects) for cls, subjects in typed.items()}
+            expected.update(overrides)
+            assert list(store.instance_counts().items()) == list(expected.items()), seed
+            for cls in CLASSES + ENTITIES:
+                assert store.instance_count(cls) == expected.get(cls, 0), (seed, cls)
+
+
 class TestProfileConfig:
     def test_base_profile_only(self):
         profile = load_profile_config("profile = wikidata\n")
         assert profile.name == "wikidata"
+
+    def test_extra_prefix_makes_a_different_profile(self):
+        extended = load_profile_config("profile = dbpedia\nprefix.ex = http://example.org/\n")
+        assert extended != DBPEDIA
+        assert KbStore(extended) != KbStore(DBPEDIA)
+        assert load_profile_config("profile = dbpedia\n") == DBPEDIA
+        assert hash(extended) == hash(DBPEDIA)
 
     def test_extra_prefix(self):
         profile = load_profile_config(

@@ -32,6 +32,16 @@ class TestBuildEntityStructure:
         assert structure.relations[0] == "owningOrganisation"
         assert "type" not in structure.relations
 
+    def test_blank_local_name_is_not_a_candidate(self):
+        store = load_kb(
+            nt(DBR + "A", DBO + "spouse", DBR + "B")
+            + "\n"
+            + nt(DBR + "A", "http://example.org/rel/", DBR + "C")
+        )
+        a = LinkedEntity("A", 7, 8, Iri("dbr:A"))
+        structure = build_entity_structure(store, "Who is A?", a)
+        assert structure.relations == ["spouse"]
+
     def test_unknown_entity_mention_only(self, ford_store):
         unknown = LinkedEntity("Ghost", 0, 5, Iri("dbr:Ghost"))
         structure = build_entity_structure(ford_store, "Ghost question", unknown)
