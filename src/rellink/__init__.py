@@ -35,7 +35,6 @@ from .knowledge_integration import (
     LinkedEntity,
     build_encoder_input,
     build_entity_structure,
-    parse_structures,
     rank_candidate_relations,
     read_question_records,
     render_input,
@@ -123,7 +122,6 @@ __all__ = [
     "load_profile_config",
     "make_generator",
     "parse_output",
-    "parse_structures",
     "rank_candidate_relations",
     "read_gold",
     "read_question_records",

@@ -8,6 +8,14 @@ counts from the type index, and keeps a label lexicon mapping normalized
 relation labels to the IRIs that carry them.  The store alone turns a
 relation label into its routes; no other module builds a route from
 namespace strings.
+
+Validation asks the store the same two questions for every beam, so both
+are answered from store-level state.  ``routes`` memoizes each lexicon
+label's routes until the next mutator call.  ``pattern_satisfiable``
+answers a pattern with one bound end by index membership, making no
+binding: an entity's predicate keys in ``_spo`` are its characteristic set
+(Neumann & Moerkotte, ICDE 2011), and the statement-entry predicates are
+kept as a set when first loaded.
 """
 
 from __future__ import annotations
@@ -98,6 +106,11 @@ class KbStore:
         self._count_overrides: dict[Iri, int] = {}
         self._labels: dict[Iri, str] = {}
         self._lexicon: dict[str, dict[Iri, None]] = {}
+        # Predicates in the statement namespace: the entry edges of a path.
+        self._entries: dict[Iri, None] = {}
+        # normalized label -> its routes, for lexicon keys only; every
+        # mutator clears it, so it never outlives the state it was built from.
+        self._route_memo: dict[str, tuple[Predicate, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KbStore):
@@ -125,25 +138,32 @@ class KbStore:
         self._size += 1
         by_object = self._pos.get(p)
         if by_object is None:
-            # First sight of the predicate: its lexicon entry depends on
-            # nothing else, so it is made once.
+            # First sight of the predicate: its lexicon entry and whether it
+            # enters statements depend on nothing else, so both are made once.
             by_object = self._pos[p] = {}
-            if namespace_of(p, self.profile) in self.profile.property_namespaces:
+            ns = namespace_of(p, self.profile)
+            if ns in self.profile.property_namespaces:
                 self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
+            if ns is not None and ns == self.profile.statement_namespace:
+                self._entries[p] = None
         by_object.setdefault(o, {})[s] = None
         self._op.setdefault(o, {})[p] = None
         if p == self.profile.subclass_predicate and isinstance(o, Iri):
             self._parents.setdefault(s, {})[o] = None
+        self._route_memo.clear()
 
     def set_label(self, iri: Iri, label: str) -> None:
         self._labels[iri] = label
         self._lexicon.setdefault(normalize_label(label), {})[iri] = None
+        self._route_memo.clear()
 
     def set_instance_count(self, cls: Iri, count: int) -> None:
         self._count_overrides[cls] = count
+        self._route_memo.clear()
 
     def add_subclass(self, child: Iri, parent: Iri) -> None:
         self._parents.setdefault(child, {})[parent] = None
+        self._route_memo.clear()
 
     def check_hierarchy(self) -> None:
         """Raise :class:`HierarchyCycleError` if subclass edges form a cycle.
@@ -271,14 +291,24 @@ class KbStore:
         qualifier route through any entry predicate, each when its relation
         IRI is a hit or a loaded predicate.  Type and subclass properties stay
         direct-only.
+
+        Each lexicon label's routes are compiled once and kept until the next
+        mutator call; a label outside the lexicon has none and is not kept.
         """
+        key = normalize_label(label)
+        compiled = self._route_memo.get(key)
+        if compiled is None:
+            lexicon_hits = self._lexicon.get(key)
+            if lexicon_hits is None:
+                return []
+            compiled = self._route_memo[key] = tuple(self._compile_routes(lexicon_hits))
+        return list(compiled)
+
+    def _compile_routes(self, lexicon_hits: Iterable[Iri]) -> list[Predicate]:
+        """The routes of one lexicon entry, in the order ``routes`` documents."""
         profile = self.profile
         order = {ns: i for i, ns in enumerate(profile.property_namespaces)}
-        hits = {
-            iri: ns
-            for iri in self._lexicon.get(normalize_label(label), ())
-            if (ns := namespace_of(iri, profile)) in order
-        }
+        hits = {iri: ns for iri in lexicon_hits if (ns := namespace_of(iri, profile)) in order}
         if profile.statement_namespace is None:
             return sorted(
                 (iri for iri in hits if iri in self._pos or not self._is_class(iri)),
@@ -305,10 +335,17 @@ class KbStore:
 
     def _enters(self, via: Iri | None, p: Iri) -> bool:
         """Whether ``p`` is an entry edge of a path through ``via``."""
+        return p == via if via is not None else p in self._entries
+
+    def _statements_entered(self, s: Term, via: Iri | None) -> Iterator[Term]:
+        """Statement nodes ``s`` enters through ``via``, in index order."""
+        out = self._spo.get(s, {})
         if via is not None:
-            return p == via
-        stmt_ns = self.profile.statement_namespace
-        return stmt_ns is not None and namespace_of(p, self.profile) == stmt_ns
+            yield from out.get(via, ())
+            return
+        for p, stmts in out.items():
+            if p in self._entries:
+                yield from stmts
 
     def _pairs(
         self, pred: Predicate, s: Term | None, o: Term | None
@@ -324,11 +361,9 @@ class KbStore:
         """
         if isinstance(pred, PropertyPath):
             if s is not None:
-                for p, stmts in self._spo.get(s, {}).items():
-                    if self._enters(pred.via, p):
-                        for stmt in stmts:
-                            for _, obj in self._pairs(pred.edge, stmt, o):
-                                yield s, obj
+                for stmt in self._statements_entered(s, pred.via):
+                    for _, obj in self._pairs(pred.edge, stmt, o):
+                        yield s, obj
                 return
             for stmt, obj in self._pairs(pred.edge, None, o):
                 for p in self._op.get(stmt, ()):
@@ -371,6 +406,35 @@ class KbStore:
             yield out
 
     def pattern_satisfiable(self, pattern: TriplePattern) -> bool:
+        """Whether one pattern holds under some binding.
+
+        A pattern with exactly one bound end, or with two distinct
+        variables and a flat predicate, is answered by index membership and
+        makes no binding.  A path with a bound subject needs an entered
+        statement that has the edge; one with a bound object needs a
+        statement reaching it by the edge that some entry predicate enters.
+        Every other shape takes the first match of :meth:`match_pattern`.
+        """
+        subj, pred, obj = pattern.subject, pattern.predicate, pattern.object
+        s_free, o_free = isinstance(subj, Variable), isinstance(obj, Variable)
+        if isinstance(pred, PropertyPath):
+            if not s_free and o_free:
+                return any(
+                    pred.edge in self._spo.get(stmt, ())
+                    for stmt in self._statements_entered(subj, pred.via)
+                )
+            if s_free and not o_free:
+                return any(
+                    self._enters(pred.via, p)
+                    for stmt in self._pos.get(pred.edge, {}).get(obj, ())
+                    for p in self._op.get(stmt, ())
+                )
+        elif not s_free and o_free:
+            return pred in self._spo.get(subj, ())
+        elif s_free and not o_free:
+            return pred in self._op.get(obj, ())
+        elif s_free and subj != obj:
+            return pred in self._pos
         return next(self.match_pattern(pattern), None) is not None
 
     def _solutions(
@@ -474,7 +538,10 @@ def load_ontology(store: KbStore, source: str | IO[str] | Iterable[str]) -> None
             if kind == "subclass":
                 store.add_subclass(iri, normalize_iri(fields[2].strip(), store.profile))
             elif kind == "count":
-                store.set_instance_count(iri, int(fields[2]))
+                count = int(fields[2])
+                if count < 0:
+                    raise ValueError(f"count rows take a non-negative count, got {count}")
+                store.set_instance_count(iri, count)
             elif not fields[2].strip():
                 raise ValueError("label rows take a non-empty label")
             else:

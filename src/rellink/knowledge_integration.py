@@ -119,34 +119,6 @@ def render_input(question: str, structures: Iterable[EntityStructure]) -> str:
     return _render(question, (_escaped(s) for s in structures))
 
 
-def parse_structures(text: str) -> list[EntityStructure]:
-    """Recover entity structures from their rendered bracket groups.
-
-    The field count disambiguates: three fields are mention/type/relations,
-    two are mention/relations (type omitted), one is a bare mention.
-    """
-    out = []
-    for group in brackets.bracket_groups(text):
-        fields = [f.strip() for f in brackets.split_unescaped(group, "|")]
-        if len(fields) > 3:
-            raise brackets.BracketError("too many '|' fields", group)
-        mention = brackets.unescape(fields[0])
-        type_label: str | None = None
-        rel_field = ""
-        if len(fields) == 3:
-            type_label = brackets.unescape(fields[1]) or None
-            rel_field = fields[2]
-        elif len(fields) == 2:
-            rel_field = fields[1]
-        relations = [
-            brackets.unescape(r.strip())
-            for r in brackets.split_unescaped(rel_field, ",")
-            if r.strip()
-        ]
-        out.append(EntityStructure(mention, type_label, relations))
-    return out
-
-
 def build_encoder_input(
     store: KbStore,
     question: str,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from rellink import load_kb
-from rellink.knowledge_integration import LinkedEntity
+from rellink import brackets, load_kb
+from rellink.knowledge_integration import EntityStructure, LinkedEntity
 from rellink.terms import Iri
 
 DBO = "http://dbpedia.org/ontology/"
@@ -34,6 +34,35 @@ def nt(subject: str, predicate: str, obj) -> str:
 def entity(question: str, mention: str, iri: str) -> LinkedEntity:
     start = question.index(mention)
     return LinkedEntity(mention, start, start + len(mention), Iri(iri))
+
+
+def parse_structures(text: str) -> list[EntityStructure]:
+    """Recover entity structures from their rendered bracket groups.
+
+    The inverse of rendering, for round-trip tests.  The field count
+    disambiguates: three fields are mention/type/relations, two are
+    mention/relations (type omitted), one is a bare mention.
+    """
+    out = []
+    for group in brackets.bracket_groups(text):
+        fields = [f.strip() for f in brackets.split_unescaped(group, "|")]
+        if len(fields) > 3:
+            raise brackets.BracketError("too many '|' fields", group)
+        mention = brackets.unescape(fields[0])
+        type_label: str | None = None
+        rel_field = ""
+        if len(fields) == 3:
+            type_label = brackets.unescape(fields[1]) or None
+            rel_field = fields[2]
+        elif len(fields) == 2:
+            rel_field = fields[1]
+        relations = [
+            brackets.unescape(r.strip())
+            for r in brackets.split_unescaped(rel_field, ",")
+            if r.strip()
+        ]
+        out.append(EntityStructure(mention, type_label, relations))
+    return out
 
 
 FORD_QUESTION = (

@@ -23,6 +23,7 @@ from conftest import (
     OBAMA_QUESTION,
     entity,
     nt,
+    parse_structures,
 )
 from oracle_link import (
     ASK_WINDOW,
@@ -51,7 +52,6 @@ from rellink import (
     link,
     load_kb,
     parse_output,
-    parse_structures,
     relaxed_score,
     render_input,
     score_sets,

@@ -19,8 +19,8 @@ from rellink.kb_store import (
     load_triples,
     parse_nt_line,
 )
-from rellink.knowledge_validation import fallback_result
-from rellink.sequence_grammar import OutputSequence
+from rellink.knowledge_validation import enumerate_graphs, expand_pair, fallback_result
+from rellink.sequence_grammar import ArgRelPair, EntityArg, OutputSequence, PlaceholderArg
 from rellink.terms import (
     DBPEDIA,
     WIKIDATA,
@@ -303,6 +303,16 @@ class TestOntology:
         )
         store = load_kb(triples, ontology=f"count\t{DBO}City\t9000")
         assert store.instance_count(Iri("dbo:City")) == 9000
+
+    def test_negative_count_is_located(self):
+        with pytest.raises(
+            KbLoadError, match="^ontology line 2: count rows take a non-negative count, got -5$"
+        ):
+            load_kb("", ontology=f"# header\ncount\t{DBO}City\t-5")
+
+    def test_zero_count_is_kept(self):
+        store = load_kb(nt(DBR + "E", RDF_TYPE, DBO + "City"), ontology=f"count\t{DBO}City\t0")
+        assert store.instance_count(Iri("dbo:City")) == 0
 
     def test_derived_counts(self):
         triples = "\n".join(
@@ -591,6 +601,86 @@ def test_routes_match_reference_lookup(profile):
             assert routes == _reference_routes(store, label), (seed, label)
             seen.update(namespace_of(relation_uri(r), profile) for r in routes)
     assert seen == set(profile.property_namespaces) - {profile.statement_namespace}
+
+
+MEMO_LABELS = ROUTE_LABELS + ("birth place", "city", "town", "P31", "unknown")
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+class TestRouteMemo:
+    """``routes`` memoizes per label; every mutator must drop what it cached."""
+
+    def test_each_mutator_clears_the_memo(self, profile):
+        first, last = profile.property_namespaces[0], profile.property_namespaces[-1]
+        e0, e1 = ROUTE_ENTITIES[:2]
+        store = KbStore(profile)
+        store.add_triple(Triple(e0, Iri(f"{first}:birthPlace"), e1))
+        for name, label in (("Place", "place"), ("City", "city"), ("Town", "town")):
+            store.set_label(Iri(f"{first}:{name}"), label)
+        flat = profile.statement_namespace is None
+        steps = [
+            # (mutator, whether it changes some label's routes under this profile)
+            (lambda: store.add_triple(Triple(e1, Iri(f"{last}:birthPlace"), e0)), True),
+            # A type triple turns the labelled dbo:Place into a class; under
+            # wikidata its predicate, wdt:P31, is new and gains a route.
+            (lambda: store.add_triple(Triple(e0, profile.type_predicate, Iri(f"{first}:Place"))), True),
+            (lambda: store.set_label(Iri(f"{first}:bornIn"), "birth place"), True),
+            (lambda: store.set_instance_count(Iri(f"{first}:City"), 5), flat),
+            (lambda: store.add_subclass(Iri(f"{first}:Town"), Iri("ex:Settlement")), flat),
+        ]
+        before = {label: store.routes(label) for label in MEMO_LABELS}
+        for i, (mutate, changes) in enumerate(steps):
+            mutate()
+            after = {label: store.routes(label) for label in MEMO_LABELS}
+            for label in MEMO_LABELS:
+                assert after[label] == _reference_routes(store, label), (i, label)
+            assert (after != before) == changes, i
+            before = after
+
+    def test_routes_hand_out_copies(self, profile):
+        store = KbStore(profile)
+        pred = Iri(f"{profile.property_namespaces[0]}:birthPlace")
+        store.add_triple(Triple(ROUTE_ENTITIES[0], pred, ROUTE_ENTITIES[1]))
+        store.routes("birth place").append(Iri("ex:junk"))
+        assert store.routes("birth place") == [pred]
+
+    def test_memo_holds_lexicon_labels_only(self, profile):
+        for seed in range(20):
+            store = _random_route_store(random.Random(seed), profile)
+            for label in MEMO_LABELS + tuple(store._lexicon):
+                store.routes(label)
+            for i in range(1000):
+                assert store.routes(f"no such label {i}") == []
+            assert len(store._route_memo) <= store.lexicon_size, seed
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+def test_pruning_matches_first_match_filter(profile):
+    """``enumerate_graphs`` prunes patterns exactly as a first-match test
+    would, for entity and placeholder arguments over every route kind."""
+    arguments = [EntityArg("m", e) for e in ENTITIES] + [PlaceholderArg("what")]
+    kinds = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        _, store = _random_store(rng, profile)
+        for _ in range(10):
+            pairs = [
+                ArgRelPair(rng.choice(arguments), rng.choice(PROPS))
+                for _ in range(rng.randint(1, 2))
+            ]
+            surviving = [
+                [p for p in expand_pair(store, pair) if next(store.match_pattern(p), None) is not None]
+                for pair in pairs
+            ]
+            expected = list(itertools.product(*surviving))
+            assert list(enumerate_graphs(store, pairs)) == expected, (seed, pairs)
+            for pair, patterns in zip(pairs, surviving):
+                kinds.update(
+                    (type(pair.argument).__name__, namespace_of(relation_uri(p.predicate), profile))
+                    for p in patterns
+                )
+    routed = set(profile.property_namespaces) - {profile.statement_namespace}
+    assert kinds == {(arg, ns) for arg in ("EntityArg", "PlaceholderArg") for ns in routed}
 
 
 class TestMatchGraph:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import DBO, DBR, FORD_QUESTION, RDF_TYPE, entity, nt
+from conftest import DBO, DBR, FORD_QUESTION, RDF_TYPE, entity, nt, parse_structures
 from rellink import brackets, load_kb
 from rellink.knowledge_integration import (
     EncoderInput,
@@ -16,7 +16,6 @@ from rellink.knowledge_integration import (
     LinkedEntity,
     build_encoder_input,
     build_entity_structure,
-    parse_structures,
     read_question_records,
     render_structure,
     token_count,
