@@ -69,7 +69,6 @@ from .terms import (
     Literal,
     Profile,
     PropertyPath,
-    Triple,
     TriplePattern,
     Variable,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "Profile",
     "PropertyPath",
     "RemoteGenerator",
-    "Triple",
     "TriplePattern",
     "VAR_X",
     "VAR_Y",

@@ -165,7 +165,7 @@ def _read_predictions(path: str, profile: Profile) -> dict[str, set]:
                 if qid in predictions:
                     raise ValueError(f"duplicate question_id {qid!r}")
                 predictions[qid] = {normalize_iri(r, profile) for r in raw["relations"]}
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"predictions line {lineno}: {exc}") from None
     return predictions
 

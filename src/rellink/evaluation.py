@@ -197,7 +197,7 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
                 raise ValueError(f"duplicate question_id {qid!r}")
             seen.add(qid)
             yield GoldRecord(qid, raw["question"], relations, graph)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"gold line {lineno}: {exc}") from None
 
 

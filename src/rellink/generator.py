@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -62,8 +63,12 @@ def _ranked(raw: Iterable[tuple[str, float]], width: int) -> list[OutputSequence
 
 
 def _beam(raw: dict) -> tuple[str, float]:
-    """One beam object as (text, score)."""
-    return expect_str(raw["text"], "beam text"), float(raw["score"])
+    """One beam object as (text, score).  A NaN score has no place in the
+    ranking and is rejected; ``-Infinity`` is a log-probability and is kept."""
+    score = float(raw["score"])
+    if math.isnan(score):
+        raise ValueError("beam score is NaN")
+    return expect_str(raw["text"], "beam text"), score
 
 
 def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[str, float]]]:
@@ -78,7 +83,7 @@ def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[s
             if qid in beams:
                 raise ValueError(f"duplicate question_id {qid!r}")
             beams[qid] = [_beam(b) for b in raw["beams"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise GeneratorError(f"beam fixture line {lineno}: {exc}") from None
     return beams
 
@@ -119,7 +124,7 @@ class RemoteGenerator:
             reply.raise_for_status()
             body = reply.json()
             raw = [_beam(s) for s in body["sequences"]]
-        except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
+        except (requests.RequestException, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise GeneratorError(f"remote generation failed: {exc}") from None
         return _ranked(sorted(raw), self.beam_width)
 

@@ -12,10 +12,12 @@ namespace strings.
 Validation asks the store the same two questions for every beam, so both
 are answered from store-level state.  ``routes`` memoizes each lexicon
 label's routes until the next mutator call.  ``pattern_satisfiable``
-answers a pattern with one bound end by index membership, making no
-binding: an entity's predicate keys in ``_spo`` are its characteristic set
-(Neumann & Moerkotte, ICDE 2011), and the statement-entry predicates are
-kept as a set when first loaded.
+answers a flat pattern with one bound end by index membership: an entity's
+predicate keys in ``_spo`` are its characteristic set (Neumann & Moerkotte,
+ICDE 2011), and ``_op`` lists the predicates reaching each object.  Every
+other shape takes the first pair of ``_pairs``, the one walk over the
+indexes that matching also takes.  The statement-entry predicates are kept
+as a set when first loaded.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .terms import (
     Profile,
     PropertyPath,
     Term,
-    Triple,
     TriplePattern,
     Variable,
     get_profile,
@@ -129,8 +130,7 @@ class KbStore:
 
     # -- construction -----------------------------------------------------
 
-    def add_triple(self, triple: Triple) -> None:
-        s, p, o = triple.subject, triple.predicate, triple.object
+    def add_triple(self, s: Iri, p: Iri, o: Term) -> None:
         objects = self._spo.setdefault(s, {}).setdefault(p, {})
         if o in objects:
             return
@@ -221,16 +221,14 @@ class KbStore:
         than reported: the statement's outgoing statement/qualifier
         predicates stand in for the entry edge itself.
         """
-        found: set[Iri] = set()
-        for p, objects in self._spo.get(entity, {}).items():
-            if not self._enters(None, p):
-                found.add(p)
-                continue
-            for stmt in objects:
-                for sp in self._spo.get(stmt, {}):
-                    if namespace_of(sp, self.profile) in ("ps", "pq"):
-                        found.add(sp)
-        found.update(p for p in self._op.get(entity, ()) if not self._enters(None, p))
+        # Set operations on the index dicts reuse their stored hashes, where a
+        # Python loop would hash every Iri again.
+        linked = set(self._spo.get(entity, ())).union(self._op.get(entity, ()))
+        found = linked.difference(self._entries)
+        for stmt in self._statements_entered(entity, None):
+            for sp in self._spo.get(stmt, ()):
+                if namespace_of(sp, self.profile) in ("ps", "pq"):
+                    found.add(sp)
         return found
 
     def is_ancestor(self, ancestor: Iri, cls: Iri) -> bool:
@@ -289,8 +287,8 @@ class KbStore:
         reified profile emits, per property id in sorted order: the direct
         edge, a statement route through the property's entry predicate, and a
         qualifier route through any entry predicate, each when its relation
-        IRI is a hit or a loaded predicate.  Type and subclass properties stay
-        direct-only.
+        IRI is a hit or a loaded predicate.  The property ids of the type and
+        subclass predicates stay direct-only.
 
         Each lexicon label's routes are compiled once and kept until the next
         mutator call; a label outside the lexicon has none and is not kept.
@@ -318,12 +316,14 @@ class KbStore:
         def held(relation: Iri) -> bool:
             return relation in hits or relation in self._pos
 
+        typing = (profile.type_predicate, profile.subclass_predicate)
+        direct_only = {iri.value.partition(":")[2] for iri in typing}
         routes: list[Predicate] = []
         for pid in sorted({iri.value.partition(":")[2] for iri in hits}):
             direct, statement, qualifier = (Iri(f"{ns}:{pid}") for ns in ("wdt", "ps", "pq"))
             if held(direct):
                 routes.append(direct)
-            if pid in profile.direct_only:
+            if pid in direct_only:
                 continue
             if held(statement):
                 routes.append(PropertyPath(Iri(f"{profile.statement_namespace}:{pid}"), statement))
@@ -333,19 +333,15 @@ class KbStore:
 
     # -- pattern matching -------------------------------------------------
 
-    def _enters(self, via: Iri | None, p: Iri) -> bool:
-        """Whether ``p`` is an entry edge of a path through ``via``."""
-        return p == via if via is not None else p in self._entries
-
     def _statements_entered(self, s: Term, via: Iri | None) -> Iterator[Term]:
         """Statement nodes ``s`` enters through ``via``, in index order."""
         out = self._spo.get(s, {})
         if via is not None:
             yield from out.get(via, ())
-            return
-        for p, stmts in out.items():
-            if p in self._entries:
-                yield from stmts
+        elif self._entries:  # a flat store enters no statements: skip the scan
+            for p, stmts in out.items():
+                if p in self._entries:
+                    yield from stmts
 
     def _pairs(
         self, pred: Predicate, s: Term | None, o: Term | None
@@ -365,9 +361,10 @@ class KbStore:
                     for _, obj in self._pairs(pred.edge, stmt, o):
                         yield s, obj
                 return
+            entries = self._entries if pred.via is None else (pred.via,)
             for stmt, obj in self._pairs(pred.edge, None, o):
                 for p in self._op.get(stmt, ()):
-                    if self._enters(pred.via, p):
+                    if p in entries:
                         for subj in self._pos[p][stmt]:
                             yield subj, obj
             return
@@ -406,36 +403,24 @@ class KbStore:
             yield out
 
     def pattern_satisfiable(self, pattern: TriplePattern) -> bool:
-        """Whether one pattern holds under some binding.
+        """Whether one pattern holds under some binding; makes no binding.
 
-        A pattern with exactly one bound end, or with two distinct
-        variables and a flat predicate, is answered by index membership and
-        makes no binding.  A path with a bound subject needs an entered
-        statement that has the edge; one with a bound object needs a
-        statement reaching it by the edge that some entry predicate enters.
-        Every other shape takes the first match of :meth:`match_pattern`.
+        A flat pattern with one bound end is answered by index membership:
+        ``(e p ?)`` is ``p`` in ``_spo[e]``, ``(? p e)`` is ``p`` in
+        ``_op[e]``.  Every other shape takes the first pair of
+        :meth:`_pairs`, one with equal ends for ``?x p ?x``.
         """
         subj, pred, obj = pattern.subject, pattern.predicate, pattern.object
-        s_free, o_free = isinstance(subj, Variable), isinstance(obj, Variable)
-        if isinstance(pred, PropertyPath):
-            if not s_free and o_free:
-                return any(
-                    pred.edge in self._spo.get(stmt, ())
-                    for stmt in self._statements_entered(subj, pred.via)
-                )
-            if s_free and not o_free:
-                return any(
-                    self._enters(pred.via, p)
-                    for stmt in self._pos.get(pred.edge, {}).get(obj, ())
-                    for p in self._op.get(stmt, ())
-                )
-        elif not s_free and o_free:
-            return pred in self._spo.get(subj, ())
-        elif s_free and not o_free:
-            return pred in self._op.get(obj, ())
-        elif s_free and subj != obj:
-            return pred in self._pos
-        return next(self.match_pattern(pattern), None) is not None
+        s = None if isinstance(subj, Variable) else subj
+        o = None if isinstance(obj, Variable) else obj
+        if not isinstance(pred, PropertyPath):
+            if o is None and s is not None:
+                return pred in self._spo.get(s, ())
+            if s is None and o is not None:
+                return pred in self._op.get(o, ())
+        if s is None and subj == obj:  # ?x p ?x
+            return any(ps == po for ps, po in self._pairs(pred, None, None))
+        return next(self._pairs(pred, s, o), None) is not None
 
     def _solutions(
         self, patterns: Sequence[TriplePattern], binding: dict[str, Term]
@@ -472,8 +457,9 @@ def _parse_nt_term(raw: str, profile: Profile) -> Term:
 
 def parse_nt_line(
     line: str, profile: Profile, terms: dict[str, Term] | None = None
-) -> Triple | None:
-    """One N-Triples line to a Triple; None for blank and comment lines.
+) -> tuple[Iri, Iri, Term] | None:
+    """One N-Triples line to a ``(subject, predicate, object)`` tuple; None
+    for blank and comment lines.
 
     ``terms`` maps raw term tokens, delimiters and tags included, to terms
     already parsed under ``profile``; misses are parsed and added, so each
@@ -496,7 +482,7 @@ def parse_nt_line(
     subject, predicate, obj = parsed
     if isinstance(subject, Literal) or not isinstance(predicate, Iri):
         raise ValueError("subject and predicate must be IRIs")
-    return Triple(subject, predicate, obj)
+    return subject, predicate, obj
 
 
 def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
@@ -518,7 +504,7 @@ def load_triples(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:
         except ValueError as exc:
             raise KbLoadError(f"triples line {lineno}: {exc}: {line.strip()!r}") from None
         if triple is not None:
-            store.add_triple(triple)
+            store.add_triple(*triple)
 
 
 def load_ontology(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:

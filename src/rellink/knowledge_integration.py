@@ -192,6 +192,6 @@ def read_question_records(
             record = QuestionRecord(str(raw["question_id"]), question, entities)
             for entity in record.entities:
                 entity.check_span(record.question)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"questions line {lineno}: {exc}") from None
         yield record

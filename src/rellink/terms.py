@@ -82,13 +82,6 @@ Predicate = Iri | PropertyPath
 
 
 @dataclass(frozen=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: Term
-
-
-@dataclass(frozen=True)
 class TriplePattern:
     """One subject-predicate-object pattern; constants or ?x / ?y variables."""
 
@@ -120,7 +113,6 @@ class Profile:
     type_predicate: Iri
     subclass_predicate: Iri
     statement_namespace: str | None = None
-    direct_only: frozenset[str] = frozenset()
 
 
 _COMMON_PREFIXES = {
@@ -157,7 +149,6 @@ WIKIDATA = Profile(
     type_predicate=Iri("wdt:P31"),
     subclass_predicate=Iri("wdt:P279"),
     statement_namespace="p",
-    direct_only=frozenset({"P31", "P279"}),
 )
 
 PROFILES = {"dbpedia": DBPEDIA, "wikidata": WIKIDATA}

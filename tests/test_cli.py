@@ -559,19 +559,30 @@ MALFORMED_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_RECORDS)
-def test_wrongly_shaped_record_is_located(ford_files, capsys, case):
+def _status_with_line(ford_files, reader, line):
+    """Exit status of the command reading ``reader`` when its one line is ``line``."""
     tmp, kb, ontology, questions, beams = ford_files
-    reader, record = MALFORMED_RECORDS[case]
     gold = tmp / "gold.jsonl"
     gold.write_text(json.dumps({"question_id": "q1", "question": "q", "relations": []}) + "\n")
     pred = tmp / "pred.jsonl"
     pred.write_text(json.dumps({"question_id": "q1", "relations": []}) + "\n")
     target = {"questions": questions, "beam fixture": beams, "gold": gold, "predictions": pred}
-    target[reader].write_text(json.dumps(record) + "\n")
+    target[reader].write_text(line + "\n")
     if reader in ("gold", "predictions"):
-        status = main(["eval", "--gold", str(gold), "--pred", str(pred)])
-    else:
-        status, _ = run_link(tmp, kb, ontology, questions, beams)
-    assert status == 1
+        return main(["eval", "--gold", str(gold), "--pred", str(pred)])
+    status, _ = run_link(tmp, kb, ontology, questions, beams)
+    return status
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECORDS)
+def test_wrongly_shaped_record_is_located(ford_files, capsys, case):
+    reader, record = MALFORMED_RECORDS[case]
+    assert _status_with_line(ford_files, reader, json.dumps(record)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {reader} line 1: ")
+
+
+@pytest.mark.parametrize("reader", ["questions", "beam fixture", "gold", "predictions"])
+def test_deeply_nested_record_is_located(ford_files, capsys, reader):
+    # json.loads raises RecursionError, not ValueError, on nesting this deep.
+    assert _status_with_line(ford_files, reader, "[" * 100_000) == 1
     assert capsys.readouterr().err.startswith(f"error: {reader} line 1: ")

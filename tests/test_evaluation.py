@@ -31,7 +31,6 @@ from rellink.terms import (
     Iri,
     Literal,
     PropertyPath,
-    Triple,
     TriplePattern,
     Variable,
     parse_term,
@@ -320,7 +319,7 @@ def _random_relaxed_case(rng: random.Random):
         if rng.random() < 0.1:
             predicates = [RELAXED_OTHER]
         for predicate in predicates:
-            store.add_triple(Triple(s, predicate, o))
+            store.add_triple(s, predicate, o)
     constant_only = rng.random() < 0.2
 
     def term():

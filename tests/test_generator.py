@@ -10,6 +10,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import rellink.generator as generator_module
+from conftest import DBO, DBR, nt
+from rellink.cli import main
 from rellink.generator import (
     BaselineGenerator,
     FixtureGenerator,
@@ -81,14 +83,38 @@ class TestFixtureGenerator:
             '{"question_id": "q1", "beams": []}\n'
             '{"question_id": "q1", "beams": [{"text": "[A | r]", "score": 0}]}\n'
         )
-        with pytest.raises(GeneratorError, match="^beam fixture line 2: duplicate question_id 'q1'$"):
-            read_beam_fixture(path.open())
+        with path.open() as handle, pytest.raises(
+            GeneratorError, match="^beam fixture line 2: duplicate question_id 'q1'$"
+        ):
+            read_beam_fixture(handle)
 
     def test_malformed_fixture(self, tmp_path):
         path = tmp_path / "beams.jsonl"
         path.write_text('{"question_id": "q1"}\n')
-        with pytest.raises(GeneratorError, match="line 1"):
-            read_beam_fixture(path.open())
+        with path.open() as handle, pytest.raises(GeneratorError, match="line 1"):
+            read_beam_fixture(handle)
+
+    def test_nan_score_is_located(self, tmp_path):
+        # json reads a bare NaN; one NaN beam would break the descending sort.
+        path = tmp_path / "beams.jsonl"
+        path.write_text(
+            '{"question_id": "q1", "beams": [{"text": "[a | low]", "score": 1.0}]}\n'
+            '{"question_id": "q2", "beams": [{"text": "[a | low]", "score": 1.0},'
+            ' {"text": "[a | bad]", "score": NaN}, {"text": "[a | high]", "score": 2.0}]}\n'
+        )
+        with pytest.raises(GeneratorError, match="^beam fixture line 2: beam score is NaN$"):
+            FixtureGenerator(path)
+
+    def test_negative_infinity_score_ranks_last(self, tmp_path):
+        path = self.write_fixture(
+            tmp_path,
+            [{"text": "[A | never]", "score": float("-inf")}, {"text": "[A | r]", "score": -9.0}],
+        )
+        beams = FixtureGenerator(path).generate(enc_input("q"), "q1")
+        assert beams == [
+            OutputSequence("[A | r]", -9.0, 1),
+            OutputSequence("[A | never]", float("-inf"), 2),
+        ]
 
 
 class TestBaselineGenerator:
@@ -263,7 +289,8 @@ class TestRemoteGenerator:
 
 class _StubModelHandler(BaseHTTPRequestHandler):
     """A keep-alive model server: ``/ok`` answers, ``/fail`` and ``/garbled``
-    reply with a 503 and with a body that is not JSON."""
+    reply with a 503 and with a body that is not JSON, ``/nan`` with a NaN
+    score, and ``/deep`` with JSON nested past the parser's recursion limit."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -275,6 +302,10 @@ class _StubModelHandler(BaseHTTPRequestHandler):
             body = json.dumps({"sequences": [{"text": "[A | r]", "score": -0.5}]}).encode()
         elif self.path == "/fail":
             status, body = 503, b"overloaded"
+        elif self.path == "/nan":
+            body = b'{"sequences": [{"text": "[A | r]", "score": NaN}]}'
+        elif self.path == "/deep":
+            body = b"[" * 100_000
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -317,11 +348,25 @@ class TestRemoteGeneratorOverHttp:
             assert beams == [OutputSequence("[A | r]", -0.5, 1)]
         assert server.accepted == 1
 
-    @pytest.mark.parametrize("path", ["/fail", "/garbled"])
+    @pytest.mark.parametrize("path", ["/fail", "/garbled", "/nan", "/deep"])
     def test_bad_reply_becomes_generator_error(self, model_server, path):
         _, base = model_server
-        with pytest.raises(GeneratorError):
+        with pytest.raises(GeneratorError, match="^remote generation failed: "):
             RemoteGenerator(base + path, timeout=5.0).generate(enc_input("q"))
+
+    @pytest.mark.parametrize("path", ["/nan", "/deep"])
+    def test_bad_reply_is_a_per_question_error(self, model_server, tmp_path, path):
+        _, base = model_server
+        kb = tmp_path / "kb.nt"
+        kb.write_text(nt(DBR + "A", DBO + "r", DBR + "B") + "\n")
+        questions = tmp_path / "q.jsonl"
+        questions.write_text(json.dumps({"question_id": "q1", "question": "q"}) + "\n")
+        out = tmp_path / "results.jsonl"
+        argv = ["link", "--kb", str(kb), "--generator", "remote", "--endpoint", base + path]
+        assert main(argv + ["--timeout", "5", "-o", str(out), str(questions)]) == 0
+        record = json.loads(out.read_text())
+        assert record["error"].startswith("remote generation failed: ")
+        assert record["relations"] == []
 
 
 class TestMakeGenerator:

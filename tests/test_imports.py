@@ -1,4 +1,5 @@
-"""Every name a rellink module imports is used, and the package exports what it imports."""
+"""Every name a rellink module imports is used, the package exports what it
+imports, and every private definition is used in its own module."""
 
 from __future__ import annotations
 
@@ -42,3 +43,38 @@ def test_every_import_is_used(path):
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported(tree) if name not in loaded | _exported(tree)]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, bool]]:
+    """``(name, is_method)`` for each module-level private function, class or
+    constant, and each private method; dunder names are not private."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, False))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, False) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.name, True)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [(n, m) for n, m in found if n.startswith("_") and not n.endswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = [
+        name
+        for name, is_method in _private_definitions(tree)
+        if name not in (attributes if is_method else loaded)
+    ]
+    assert unused == [], f"{path.name} defines private names it never uses: {unused}"

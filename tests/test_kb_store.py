@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import random
@@ -27,7 +28,6 @@ from rellink.terms import (
     Iri,
     Literal,
     PropertyPath,
-    Triple,
     TriplePattern,
     Variable,
     local_name,
@@ -43,33 +43,31 @@ VY = Variable("y")
 class TestNtParsing:
     def test_basic_line(self):
         triple = parse_nt_line(nt(DBR + "A", DBO + "r", DBR + "B"), DBPEDIA)
-        assert triple.subject == Iri("dbr:A")
-        assert triple.predicate == Iri("dbo:r")
-        assert triple.object == Iri("dbr:B")
+        assert triple == (Iri("dbr:A"), Iri("dbo:r"), Iri("dbr:B"))
 
     def test_literal_object_with_datatype(self):
         line = f'<{DBR}A> <{DBO}r> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .'
-        triple = parse_nt_line(line, DBPEDIA)
-        assert triple.object == Literal("42")
+        _, _, obj = parse_nt_line(line, DBPEDIA)
+        assert obj == Literal("42")
 
     def test_literal_with_language_tag(self):
         line = f'<{DBR}A> <{DBO}r> "hello"@en .'
-        assert parse_nt_line(line, DBPEDIA).object == Literal("hello")
+        assert parse_nt_line(line, DBPEDIA)[2] == Literal("hello")
         typed = f'<{DBR}A> <{DBO}r> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .'
         tagged = f'<{DBR}A> <{DBO}r> "1"@en .'
         assert len(load_kb(typed + "\n" + tagged)) == 1
 
     def test_escaped_quote_in_literal(self):
         line = f'<{DBR}A> <{DBO}r> "say \\"hi\\"" .'
-        assert parse_nt_line(line, DBPEDIA).object == Literal('say "hi"')
+        assert parse_nt_line(line, DBPEDIA)[2] == Literal('say "hi"')
 
     def test_comment_and_blank_lines(self):
         assert parse_nt_line("# comment", DBPEDIA) is None
         assert parse_nt_line("   ", DBPEDIA) is None
 
     def test_blank_node_subject(self):
-        triple = parse_nt_line(f"_:b1 <{DBO}r> <{DBR}B> .", DBPEDIA)
-        assert triple.subject == Iri("_:b1")
+        subject, _, _ = parse_nt_line(f"_:b1 <{DBO}r> <{DBR}B> .", DBPEDIA)
+        assert subject == Iri("_:b1")
 
     def test_error_carries_line_number(self):
         bad = nt(DBR + "A", DBO + "r", DBR + "B") + "\nnot a triple\n"
@@ -83,7 +81,7 @@ class TestNtParsing:
 
 class TestNtEscapes:
     def literal(self, body: str) -> Literal:
-        return parse_nt_line(f'<{DBR}A> <{DBO}r> "{body}" .', DBPEDIA).object
+        return parse_nt_line(f'<{DBR}A> <{DBO}r> "{body}" .', DBPEDIA)[2]
 
     def test_uchar_in_literal(self):
         assert self.literal("Caf\\u00E9") == Literal("Caf\u00e9")
@@ -94,8 +92,8 @@ class TestNtEscapes:
         assert self.literal("\\'q\\' \\\\u0041") == Literal("'q' \\u0041")
 
     def test_uchar_in_iri(self):
-        triple = parse_nt_line(f"<{DBR}Caf\\u00E9> <{DBO}r> <{DBR}B> .", DBPEDIA)
-        assert triple.subject == Iri("dbr:Caf\u00e9")
+        subject, _, _ = parse_nt_line(f"<{DBR}Caf\\u00E9> <{DBO}r> <{DBR}B> .", DBPEDIA)
+        assert subject == Iri("dbr:Caf\u00e9")
 
     @pytest.mark.parametrize(
         "body", ["bad \\u00G9", "short \\u12", "unknown \\q", "surrogate \\uD800"]
@@ -270,8 +268,8 @@ def test_term_table_load_matches_per_line_parsing(profile):
             triple = parse_nt_line(line, profile)
             if triple is None:
                 continue
-            expected.add_triple(triple)
-            p = triple.predicate
+            expected.add_triple(*triple)
+            _, p, _ = triple
             if namespace_of(p, profile) in profile.property_namespaces:
                 lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
         assert len(loaded) == len(expected), seed
@@ -507,7 +505,7 @@ def _random_route_store(rng: random.Random, profile) -> KbStore:
 
     store = KbStore(profile)
     for _ in range(rng.randint(0, 12)):
-        store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), prop(), rng.choice(ROUTE_ENTITIES)))
+        store.add_triple(rng.choice(ROUTE_ENTITIES), prop(), rng.choice(ROUTE_ENTITIES))
     for _ in range(rng.randint(0, 6)):
         iri = rng.choice([prop(), *ROUTE_CLASSES])
         store.set_label(iri, rng.choice(ROUTE_LABELS))
@@ -515,7 +513,7 @@ def _random_route_store(rng: random.Random, profile) -> KbStore:
         cls, other = rng.sample(ROUTE_CLASSES, 2)
         kind = rng.randrange(5)
         if kind == 0:
-            store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), profile.type_predicate, cls))
+            store.add_triple(rng.choice(ROUTE_ENTITIES), profile.type_predicate, cls)
         elif kind == 1:
             store.add_subclass(cls, other)
         elif kind == 2:
@@ -523,7 +521,7 @@ def _random_route_store(rng: random.Random, profile) -> KbStore:
         elif kind == 3:
             store.set_instance_count(cls, 3)
         else:  # a class that is also a loaded predicate stays a route
-            store.add_triple(Triple(rng.choice(ROUTE_ENTITIES), cls, rng.choice(ROUTE_ENTITIES)))
+            store.add_triple(rng.choice(ROUTE_ENTITIES), cls, rng.choice(ROUTE_ENTITIES))
     return store
 
 
@@ -577,7 +575,7 @@ def _reference_routes(store: KbStore, label: str) -> list:
     routes: list = []
     for pid in sorted(by_property):
         spaces = by_property[pid]
-        if pid in profile.direct_only:
+        if pid in ("P31", "P279"):
             if "wdt" in spaces:
                 routes.append(Iri(f"wdt:{pid}"))
             continue
@@ -603,6 +601,41 @@ def test_routes_match_reference_lookup(profile):
     assert seen == set(profile.property_namespaces) - {profile.statement_namespace}
 
 
+def _every_route_kind_store(profile, pids) -> KbStore:
+    """Each property id loaded as a direct edge, a statement and a qualifier."""
+    store = KbStore(profile)
+    for pid in pids:
+        stmt = Iri(f"wds:S{pid}")
+        store.add_triple(Iri("wd:Q1"), Iri(f"wdt:{pid}"), Iri("wd:Q2"))
+        store.add_triple(Iri("wd:Q1"), Iri(f"p:{pid}"), stmt)
+        store.add_triple(stmt, Iri(f"ps:{pid}"), Iri("wd:Q2"))
+        store.add_triple(stmt, Iri(f"pq:{pid}"), Iri("wd:Q3"))
+    return store
+
+
+def _all_routes(pid: str) -> list:
+    return [
+        Iri(f"wdt:{pid}"),
+        PropertyPath(Iri(f"p:{pid}"), Iri(f"ps:{pid}")),
+        PropertyPath(None, Iri(f"pq:{pid}")),
+    ]
+
+
+def test_direct_only_ids_follow_the_typing_predicates():
+    """Direct-only property ids are those of ``type_predicate`` and
+    ``subclass_predicate``, not a fixed list."""
+    pids = ("P9", "P31", "P279")
+    store = _every_route_kind_store(WIKIDATA, pids)
+    assert {pid: store.routes(pid) for pid in pids} == {
+        "P9": _all_routes("P9"), "P31": [Iri("wdt:P31")], "P279": [Iri("wdt:P279")],
+    }
+    profile = dataclasses.replace(WIKIDATA, type_predicate=Iri("wdt:P9"))
+    store = _every_route_kind_store(profile, pids)
+    assert {pid: store.routes(pid) for pid in pids} == {
+        "P9": [Iri("wdt:P9")], "P31": _all_routes("P31"), "P279": [Iri("wdt:P279")],
+    }
+
+
 MEMO_LABELS = ROUTE_LABELS + ("birth place", "city", "town", "P31", "unknown")
 
 
@@ -614,16 +647,16 @@ class TestRouteMemo:
         first, last = profile.property_namespaces[0], profile.property_namespaces[-1]
         e0, e1 = ROUTE_ENTITIES[:2]
         store = KbStore(profile)
-        store.add_triple(Triple(e0, Iri(f"{first}:birthPlace"), e1))
+        store.add_triple(e0, Iri(f"{first}:birthPlace"), e1)
         for name, label in (("Place", "place"), ("City", "city"), ("Town", "town")):
             store.set_label(Iri(f"{first}:{name}"), label)
         flat = profile.statement_namespace is None
         steps = [
             # (mutator, whether it changes some label's routes under this profile)
-            (lambda: store.add_triple(Triple(e1, Iri(f"{last}:birthPlace"), e0)), True),
+            (lambda: store.add_triple(e1, Iri(f"{last}:birthPlace"), e0), True),
             # A type triple turns the labelled dbo:Place into a class; under
             # wikidata its predicate, wdt:P31, is new and gains a route.
-            (lambda: store.add_triple(Triple(e0, profile.type_predicate, Iri(f"{first}:Place"))), True),
+            (lambda: store.add_triple(e0, profile.type_predicate, Iri(f"{first}:Place")), True),
             (lambda: store.set_label(Iri(f"{first}:bornIn"), "birth place"), True),
             (lambda: store.set_instance_count(Iri(f"{first}:City"), 5), flat),
             (lambda: store.add_subclass(Iri(f"{first}:Town"), Iri("ex:Settlement")), flat),
@@ -640,7 +673,7 @@ class TestRouteMemo:
     def test_routes_hand_out_copies(self, profile):
         store = KbStore(profile)
         pred = Iri(f"{profile.property_namespaces[0]}:birthPlace")
-        store.add_triple(Triple(ROUTE_ENTITIES[0], pred, ROUTE_ENTITIES[1]))
+        store.add_triple(ROUTE_ENTITIES[0], pred, ROUTE_ENTITIES[1])
         store.routes("birth place").append(Iri("ex:junk"))
         assert store.routes("birth place") == [pred]
 
@@ -789,7 +822,7 @@ def _random_store(rng: random.Random, profile) -> tuple[list[tuple], KbStore]:
     rng.shuffle(triples)
     store = KbStore(profile)
     for s, p, o in triples:
-        store.add_triple(Triple(s, p, o))
+        store.add_triple(s, p, o)
     return triples, store
 
 
@@ -907,7 +940,7 @@ def _random_typed_store(rng: random.Random, profile) -> tuple[list[tuple], dict,
         else:
             triple = (rng.choice(ENTITIES + STATEMENTS), type_p, rng.choice(CLASSES + LITERALS))
         triples.append(triple)
-        store.add_triple(Triple(*triple))
+        store.add_triple(*triple)
     overrides: dict = {}
     for _ in range(rng.randint(0, 3)):
         cls = rng.choice(CLASSES)
@@ -973,7 +1006,6 @@ class TestProfileConfig:
         )
         assert profile.prefixes["ex"] == "http://example.org/"
         assert profile.statement_namespace == WIKIDATA.statement_namespace == "p"
-        assert profile.direct_only == WIKIDATA.direct_only
         assert profile.property_namespaces == WIKIDATA.property_namespaces
 
     def test_missing_base(self):

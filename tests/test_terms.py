@@ -107,9 +107,6 @@ class TestProfiles:
         assert DBPEDIA.property_namespaces == ("dbo", "dbp")
         assert WIKIDATA.property_namespaces == ("wdt", "p", "ps", "pq")
 
-    def test_direct_only_properties(self):
-        assert WIKIDATA.direct_only == {"P31", "P279"}
-
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             get_profile("freebase")
