@@ -19,8 +19,8 @@ _GROUP_RE = re.compile(r"\s*\[([^\]\\]*(?:\\.[^\]\\]*)*)\]\s*,?", re.DOTALL)
 _SPACE_RE = re.compile(r"\s*")
 
 
-class BracketError(ValueError):
-    """Malformed bracketed text; carries the offending chunk."""
+class OutputParseError(ValueError):
+    """Bracketed text or decoder output that does not fit the grammar; carries the chunk."""
 
     def __init__(self, message: str, chunk: str = ""):
         super().__init__(message)
@@ -57,7 +57,7 @@ def bracket_groups(text: str) -> list[str]:
     """Extract the inner text of each top-level ``[...]`` group.
 
     Groups may be separated by whitespace, a comma, or both.  Anything else
-    between groups, or an unclosed bracket, raises :class:`BracketError`.
+    between groups, or an unclosed bracket, raises :class:`OutputParseError`.
     Escaped brackets inside a group do not open or close it.
     """
     groups: list[str] = []
@@ -68,6 +68,6 @@ def bracket_groups(text: str) -> list[str]:
     i = _SPACE_RE.match(text, i).end()
     if i < len(text):
         if text[i] != "[":
-            raise BracketError(f"expected '[' at position {i}", text[i:])
-        raise BracketError("unclosed bracket group", text[i:])
+            raise OutputParseError(f"expected '[' at position {i}", text[i:])
+        raise OutputParseError("unclosed bracket group", text[i:])
     return groups

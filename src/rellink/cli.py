@@ -24,7 +24,7 @@ from .evaluation import (
     report_to_dict,
     score_sets,
 )
-from .generator import GeneratorConfig, GeneratorError, make_generator
+from .generator import GENERATOR_KINDS, GeneratorConfig, GeneratorError, make_generator
 from .kb_store import KbLoadError, KbStore, load_kb, load_profile_config
 from .knowledge_integration import (
     DEFAULT_BUDGET,
@@ -42,7 +42,7 @@ from .knowledge_validation import (
     result_record,
 )
 from .similarity import WordVectorSimilarity
-from .terms import PROFILES, Profile, get_profile, normalize_iri
+from .terms import PROFILES, Profile, get_profile, json_record, normalize_iri, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -155,18 +155,14 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 def _read_predictions(path: str, profile: Profile) -> dict[str, set]:
     predictions: dict[str, set] = {}
+
+    def parse(line: str) -> tuple[str, set]:
+        qid, raw = json_record(line, predictions)
+        return qid, {normalize_iri(r, profile) for r in raw["relations"]}
+
     with _open_in(path) as source:
-        for lineno, line in enumerate(source, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                qid = str(raw["question_id"])
-                if qid in predictions:
-                    raise ValueError(f"duplicate question_id {qid!r}")
-                predictions[qid] = {normalize_iri(r, profile) for r in raw["relations"]}
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise ValueError(f"predictions line {lineno}: {exc}") from None
+        for qid, relations in read_lines(source, "predictions", parse):
+            predictions[qid] = relations
     return predictions
 
 
@@ -242,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_kb_flags(p_link, kb_required=True)
     p_link.add_argument("questions", help="questions JSONL ('-' for stdin)")
     p_link.add_argument("-o", "--out", default="-", help="results JSONL ('-' for stdout)")
-    p_link.add_argument(
-        "--generator", choices=("fixture", "remote", "baseline"), default="baseline"
-    )
+    p_link.add_argument("--generator", choices=GENERATOR_KINDS, default="baseline")
     p_link.add_argument("--fixtures", help="beam fixture JSONL (fixture generator)")
     p_link.add_argument("--endpoint", help="remote generator URL")
     p_link.add_argument("--timeout", type=float, default=30.0, help="remote timeout (s)")

@@ -9,7 +9,6 @@ relation count.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from itertools import product
@@ -23,9 +22,11 @@ from .terms import (
     VAR_X,
     VAR_Y,
     Variable,
+    json_record,
     local_name,
     normalize_iri,
     parse_term,
+    read_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -177,28 +178,23 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
     literals, or IRIs).  A question id may appear once per source.
     """
     seen: set[str] = set()
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            relations = {normalize_iri(r, profile) for r in raw["relations"]}
-            graph = None
-            if raw.get("graph"):
-                patterns = []
-                for spo in raw["graph"]:
-                    s, p, o = (parse_term(t, profile) for t in spo)
-                    if not isinstance(p, Iri):
-                        raise ValueError("graph predicate must be an IRI")
-                    patterns.append(TriplePattern(s, p, o))
-                graph = tuple(patterns)
-            qid = str(raw["question_id"])
-            if qid in seen:
-                raise ValueError(f"duplicate question_id {qid!r}")
-            seen.add(qid)
-            yield GoldRecord(qid, raw["question"], relations, graph)
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"gold line {lineno}: {exc}") from None
+
+    def parse(line: str) -> GoldRecord:
+        qid, raw = json_record(line, seen)
+        relations = {normalize_iri(r, profile) for r in raw["relations"]}
+        graph = None
+        if raw.get("graph"):
+            patterns = []
+            for spo in raw["graph"]:
+                s, p, o = (parse_term(t, profile) for t in spo)
+                if not isinstance(p, Iri):
+                    raise ValueError("graph predicate must be an IRI")
+                patterns.append(TriplePattern(s, p, o))
+            graph = tuple(patterns)
+        seen.add(qid)
+        return GoldRecord(qid, raw["question"], relations, graph)
+
+    return read_lines(source, "gold", parse)
 
 
 def render_table(report: EvalReport) -> str:

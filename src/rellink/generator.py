@@ -8,7 +8,6 @@ in a total order: descending score, ties broken by text.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -22,7 +21,7 @@ import requests
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import ArgRelPair, EntityArg, OutputSequence, serialize_target
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import expect_str
+from .terms import RECORD_ERRORS, expect_str, json_record, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -74,17 +73,13 @@ def _beam(raw: dict) -> tuple[str, float]:
 def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[str, float]]]:
     """Beam fixture JSON Lines: question_id to (text, score) lists."""
     beams: dict[str, list[tuple[str, float]]] = {}
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            qid = str(raw["question_id"])
-            if qid in beams:
-                raise ValueError(f"duplicate question_id {qid!r}")
-            beams[qid] = [_beam(b) for b in raw["beams"]]
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise GeneratorError(f"beam fixture line {lineno}: {exc}") from None
+
+    def parse(line: str) -> tuple[str, list[tuple[str, float]]]:
+        qid, raw = json_record(line, beams)
+        return qid, [_beam(b) for b in raw["beams"]]
+
+    for qid, ranked in read_lines(source, "beam fixture", parse, GeneratorError):
+        beams[qid] = ranked
     return beams
 
 
@@ -124,7 +119,7 @@ class RemoteGenerator:
             reply.raise_for_status()
             body = reply.json()
             raw = [_beam(s) for s in body["sequences"]]
-        except (requests.RequestException, KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (requests.RequestException, *RECORD_ERRORS) as exc:
             raise GeneratorError(f"remote generation failed: {exc}") from None
         return _ranked(sorted(raw), self.beam_width)
 

@@ -23,9 +23,10 @@ as a set when first loaded.
 from __future__ import annotations
 
 import dataclasses
+import graphlib
 import logging
 import re
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .terms import (
     Iri,
@@ -41,6 +42,7 @@ from .terms import (
     namespace_of,
     normalize_iri,
     normalize_label,
+    read_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -166,33 +168,13 @@ class KbStore:
         self._route_memo.clear()
 
     def check_hierarchy(self) -> None:
-        """Raise :class:`HierarchyCycleError` if subclass edges form a cycle.
-
-        Depth-first over parents with an explicit stack, so hierarchies of
-        any depth are checked without recursion.
-        """
-        state: dict[Iri, int] = {}  # 1 = on the trail, 2 = done
-        for root in list(self._parents):
-            if root in state:
-                continue
-            state[root] = 1
-            trail = [root]
-            pending = [iter(self._parents.get(root, {}))]
-            while pending:
-                parent = next(pending[-1], None)
-                if parent is None:
-                    state[trail.pop()] = 2
-                    pending.pop()
-                    continue
-                mark = state.get(parent)
-                if mark == 1:
-                    cycle = trail[trail.index(parent):] + [parent]
-                    path = " -> ".join(t.value for t in cycle)
-                    raise HierarchyCycleError(f"class hierarchy cycle: {path}")
-                if mark is None:
-                    state[parent] = 1
-                    trail.append(parent)
-                    pending.append(iter(self._parents.get(parent, {})))
+        """Raise :class:`HierarchyCycleError` if subclass edges form a cycle."""
+        try:
+            graphlib.TopologicalSorter(self._parents).prepare()
+        except graphlib.CycleError as exc:
+            # The cycle runs from parent to child; report it child to parent.
+            path = " -> ".join(t.value for t in reversed(exc.args[1]))
+            raise HierarchyCycleError(f"class hierarchy cycle: {path}") from None
 
     # -- lookups ----------------------------------------------------------
 
@@ -459,7 +441,7 @@ def parse_nt_line(
     line: str, profile: Profile, terms: dict[str, Term] | None = None
 ) -> tuple[Iri, Iri, Term] | None:
     """One N-Triples line to a ``(subject, predicate, object)`` tuple; None
-    for blank and comment lines.
+    for blank and comment lines.  Errors quote the line.
 
     ``terms`` maps raw term tokens, delimiters and tags included, to terms
     already parsed under ``profile``; misses are parsed and added, so each
@@ -470,25 +452,22 @@ def parse_nt_line(
         return None
     m = _TRIPLE_RE.match(line)
     if m is None:
-        raise ValueError("not a valid triple line")
+        raise ValueError(f"not a valid triple line: {stripped!r}")
     if terms is None:
         terms = {}
     parsed = []
     for raw in m.groups():
         term = terms.get(raw)
         if term is None:
-            term = terms[raw] = _parse_nt_term(raw, profile)
+            try:
+                term = terms[raw] = _parse_nt_term(raw, profile)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {stripped!r}") from None
         parsed.append(term)
     subject, predicate, obj = parsed
     if isinstance(subject, Literal) or not isinstance(predicate, Iri):
-        raise ValueError("subject and predicate must be IRIs")
+        raise ValueError(f"subject and predicate must be IRIs: {stripped!r}")
     return subject, predicate, obj
-
-
-def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return source
 
 
 def load_triples(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:
@@ -498,42 +477,38 @@ def load_triples(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:
     parsed once and shared by all three indexes.
     """
     terms: dict[str, Term] = {}
-    for lineno, line in enumerate(_as_lines(source), start=1):
-        try:
-            triple = parse_nt_line(line, store.profile, terms)
-        except ValueError as exc:
-            raise KbLoadError(f"triples line {lineno}: {exc}: {line.strip()!r}") from None
-        if triple is not None:
-            store.add_triple(*triple)
+    for triple in read_lines(
+        source, "triples", lambda line: parse_nt_line(line, store.profile, terms), KbLoadError
+    ):
+        store.add_triple(*triple)
 
 
 def load_ontology(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:
     """Tab-separated ontology records: subclass, count, and label rows."""
-    for lineno, line in enumerate(_as_lines(source), start=1):
-        stripped = line.strip("\n")
-        if not stripped.strip() or stripped.lstrip().startswith("#"):
-            continue
-        fields = stripped.split("\t")
+
+    def parse(line: str) -> tuple[Callable, Iri, Iri | int | str] | None:
+        if line.lstrip().startswith("#"):
+            return None
+        fields = line.strip("\n").split("\t")
         kind = fields[0].strip()
-        try:
-            if kind not in ("subclass", "count", "label"):
-                raise ValueError(f"unknown record kind {kind!r}")
-            if len(fields) != 3:
-                raise ValueError(f"{kind} rows take 2 fields")
-            iri = normalize_iri(fields[1].strip(), store.profile)
-            if kind == "subclass":
-                store.add_subclass(iri, normalize_iri(fields[2].strip(), store.profile))
-            elif kind == "count":
-                count = int(fields[2])
-                if count < 0:
-                    raise ValueError(f"count rows take a non-negative count, got {count}")
-                store.set_instance_count(iri, count)
-            elif not fields[2].strip():
-                raise ValueError("label rows take a non-empty label")
-            else:
-                store.set_label(iri, fields[2].strip())
-        except ValueError as exc:
-            raise KbLoadError(f"ontology line {lineno}: {exc}") from None
+        if kind not in ("subclass", "count", "label"):
+            raise ValueError(f"unknown record kind {kind!r}")
+        if len(fields) != 3:
+            raise ValueError(f"{kind} rows take 2 fields")
+        iri = normalize_iri(fields[1].strip(), store.profile)
+        if kind == "subclass":
+            return store.add_subclass, iri, normalize_iri(fields[2].strip(), store.profile)
+        if kind == "count":
+            count = int(fields[2])
+            if count < 0:
+                raise ValueError(f"count rows take a non-negative count, got {count}")
+            return store.set_instance_count, iri, count
+        if not fields[2].strip():
+            raise ValueError("label rows take a non-empty label")
+        return store.set_label, iri, fields[2].strip()
+
+    for setter, iri, value in read_lines(source, "ontology", parse, KbLoadError):
+        setter(iri, value)
 
 
 def load_kb(
@@ -561,24 +536,20 @@ def load_profile_config(source: str | IO[str] | Iterable[str]) -> Profile:
     Lines are ``key = value``; ``profile`` names the base and ``prefix.<p>``
     adds or overrides a namespace.  Unknown keys are errors.
     """
-    base: Profile | None = None
-    extra: dict[str, str] = {}
-    for lineno, line in enumerate(_as_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
+
+    def parse(line: str) -> tuple[str, str | Profile] | None:
+        if line.lstrip().startswith("#"):
+            return None
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise KbLoadError(f"profile line {lineno}: expected 'key = value'")
-        key, value = key.strip(), value.strip()
-        if key == "profile":
-            base = get_profile(value)
-        elif key.startswith("prefix."):
-            extra[key[len("prefix."):]] = value
-        else:
-            raise KbLoadError(f"profile line {lineno}: unknown key {key!r}")
+            raise ValueError("expected 'key = value'")
+        if key != "profile" and not key.startswith("prefix."):
+            raise ValueError(f"unknown key {key!r}")
+        return key, get_profile(value) if key == "profile" else value
+
+    settings = dict(read_lines(source, "profile", parse, KbLoadError))
+    base = settings.pop("profile", None)
     if base is None:
         raise KbLoadError("profile config names no base profile")
-    if not extra:
-        return base
+    extra = {key[len("prefix."):]: value for key, value in settings.items()}
     return dataclasses.replace(base, prefixes={**base.prefixes, **extra})

@@ -9,14 +9,13 @@ entities; the question itself is never truncated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from . import brackets
 from .kb_store import KbStore
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import DBPEDIA, Iri, Profile, expect_str, normalize_iri
+from .terms import DBPEDIA, Iri, Profile, expect_str, json_record, normalize_iri, read_lines
 
 DEFAULT_BUDGET = 512
 
@@ -172,26 +171,21 @@ def read_question_records(
     source: IO[str] | Iterable[str], profile: Profile = DBPEDIA
 ) -> Iterator[QuestionRecord]:
     """Parse linked-question JSON Lines, validating entity spans."""
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            if not isinstance(raw, dict):
-                raise TypeError("record must be a JSON object")
-            entities = [
-                LinkedEntity(
-                    mention=e["mention"],
-                    start=int(e["start"]),
-                    end=int(e["end"]),
-                    entity=normalize_iri(e["iri"], profile),
-                )
-                for e in raw.get("entities", [])
-            ]
-            question = expect_str(raw["question"], "question")
-            record = QuestionRecord(str(raw["question_id"]), question, entities)
-            for entity in record.entities:
-                entity.check_span(record.question)
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"questions line {lineno}: {exc}") from None
-        yield record
+
+    def parse(line: str) -> QuestionRecord:
+        qid, raw = json_record(line)
+        entities = [
+            LinkedEntity(
+                mention=e["mention"],
+                start=int(e["start"]),
+                end=int(e["end"]),
+                entity=normalize_iri(e["iri"], profile),
+            )
+            for e in raw.get("entities", [])
+        ]
+        question = expect_str(raw["question"], "question")
+        for entity in entities:
+            entity.check_span(question)
+        return QuestionRecord(qid, question, entities)
+
+    return read_lines(source, "questions", parse)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import brackets
+from .brackets import OutputParseError
 from .knowledge_integration import LinkedEntity
 from .terms import Iri
 
@@ -23,14 +24,6 @@ ASK_LEAD_TOKENS = frozenset(
 )
 
 FUZZY_OVERLAP_THRESHOLD = 0.5
-
-
-class OutputParseError(ValueError):
-    """Generator output that does not fit the grammar; carries the chunk."""
-
-    def __init__(self, message: str, chunk: str = ""):
-        super().__init__(message)
-        self.chunk = chunk
 
 
 @dataclass(frozen=True)
@@ -137,10 +130,7 @@ def parse_output(
     then by best token overlap at or above 50% (marked fuzzy); unmatched
     arguments keep ``entity=None`` for the caller to reject.
     """
-    try:
-        groups = brackets.bracket_groups(text)
-    except brackets.BracketError as exc:
-        raise OutputParseError(str(exc), exc.chunk) from None
+    groups = brackets.bracket_groups(text)
     if not groups:
         raise OutputParseError("no bracketed pairs found", text)
     entities = list(question_entities)

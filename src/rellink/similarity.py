@@ -22,6 +22,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import IO, Callable, Iterable, Protocol
 
+from .terms import read_lines
+
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 _TRIGRAM_RE = re.compile(r"(?=(...))")
@@ -146,7 +148,7 @@ class TrigramSimilarity(_OneBinding):
 class WordVectorSimilarity(_OneBinding):
     """Same scoring scheme over vectors from a word2vec-style text file.
 
-    Each line is ``word v1 v2 ...``; a numeric header line is skipped.
+    Each line is ``word v1 v2 ...`` of finite values; a numeric header line is skipped.
     Out-of-vocabulary tokens contribute zero.
     """
 
@@ -155,25 +157,22 @@ class WordVectorSimilarity(_OneBinding):
 
     @classmethod
     def load(cls, source: str | IO[str] | Iterable[str]) -> "WordVectorSimilarity":
-        lines = source.splitlines() if isinstance(source, str) else source
         vectors: dict[str, list[float]] = {}
-        dimension = None
-        for lineno, line in enumerate(lines, start=1):
+
+        def parse(line: str) -> tuple[str, list[float]] | None:
             parts = line.split()
-            if len(parts) < 2:
-                continue
-            if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-                continue  # word2vec header: vocab size, dimension
-            try:
-                vector = [float(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"vectors line {lineno}: {exc}") from None
-            dimension = dimension or len(vector)
+            if len(parts) < 2 or len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+                return None  # a lone word, or the word2vec header: vocab size, dimension
+            vector = [float(x) for x in parts[1:]]
+            if not all(map(math.isfinite, vector)):
+                raise ValueError(f"{parts[0]!r} has a value that is not a finite number")
+            dimension = len(next(iter(vectors.values()), vector))
             if len(vector) != dimension:
-                raise ValueError(
-                    f"vectors line {lineno}: {len(vector)} values, expected {dimension}"
-                )
-            vectors[parts[0].lower()] = vector
+                raise ValueError(f"{len(vector)} values, expected {dimension}")
+            return parts[0].lower(), vector
+
+        for word, vector in read_lines(source, "vectors", parse):
+            vectors[word] = vector
         return cls(vectors)
 
     def _best(self, question: str) -> Callable[[str], float]:

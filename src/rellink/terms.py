@@ -1,4 +1,4 @@
-"""Core graph terms, triple patterns, and knowledge-base profiles.
+"""Core graph terms, triple patterns, knowledge-base profiles, and input lines.
 
 IRIs inside a profile's known namespaces are kept in compact prefixed form
 (``dbo:spouse``, ``wdt:P31``) so that equality, namespace tests, and local
@@ -8,8 +8,10 @@ ingestion boundary via :func:`normalize_iri`.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
+from typing import IO, Any, Callable, Container, Iterable, Iterator
 
 _IRI_RE = re.compile(r"^(?:[A-Za-z][A-Za-z0-9+.\-]*:\S+|_:\S+)$")
 
@@ -159,6 +161,36 @@ def expect_str(value: object, what: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, got {value!r}")
     return value
+
+
+# Huge or infinite numbers raise OverflowError, JSON nested too deep RecursionError.
+RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable[[str], Any],
+               error: type[Exception] = ValueError) -> Iterator[Any]:
+    """``parse(line)`` for each line of ``source``, lazily, skipping blank lines
+    and None results; a record error becomes ``error("<kind> line N: ...")``."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                record = parse(line)
+            except RECORD_ERRORS as exc:
+                raise error(f"{kind} line {lineno}: {exc}") from None
+            if record is not None:
+                yield record
+
+
+def json_record(line: str, seen: Container[str] = ()) -> tuple[str, dict]:
+    """A JSON Lines object record and its question id as text, which ``seen`` must not hold."""
+    raw = json.loads(line)
+    if not isinstance(raw, dict):
+        raise TypeError("record must be a JSON object")
+    qid = str(raw["question_id"])
+    if qid in seen:
+        raise ValueError(f"duplicate question_id {qid!r}")
+    return qid, raw
 
 
 def get_profile(name: str) -> Profile:

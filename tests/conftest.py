@@ -47,7 +47,7 @@ def parse_structures(text: str) -> list[EntityStructure]:
     for group in brackets.bracket_groups(text):
         fields = [f.strip() for f in brackets.split_unescaped(group, "|")]
         if len(fields) > 3:
-            raise brackets.BracketError("too many '|' fields", group)
+            raise brackets.OutputParseError("too many '|' fields", group)
         mention = brackets.unescape(fields[0])
         type_label: str | None = None
         rel_field = ""

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from rellink.brackets import (
-    BracketError,
+    OutputParseError,
     bracket_groups,
     escape,
     split_unescaped,
@@ -56,11 +56,11 @@ class TestBracketGroups:
         assert bracket_groups("[a \\] b]") == ["a \\] b"]
 
     def test_unclosed_raises(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(OutputParseError):
             bracket_groups("[a | b")
 
     def test_leading_garbage_raises(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(OutputParseError):
             bracket_groups("noise [a | b]")
 
     def test_empty_text(self):
@@ -130,7 +130,7 @@ def _ref_bracket_groups(text: str) -> list[str]:
         if i >= n:
             break
         if text[i] != "[":
-            raise BracketError(f"expected '[' at position {i}", text[i:])
+            raise OutputParseError(f"expected '[' at position {i}", text[i:])
         start = i + 1
         j = start
         while j < n:
@@ -141,7 +141,7 @@ def _ref_bracket_groups(text: str) -> list[str]:
                 break
             j += 1
         if j >= n:
-            raise BracketError("unclosed bracket group", text[i:])
+            raise OutputParseError("unclosed bracket group", text[i:])
         groups.append(text[start:j])
         i = j + 1
         while i < n and text[i].isspace():
@@ -183,7 +183,7 @@ def _random_groups(rng: random.Random) -> str:
 def _outcome(fn, *args):
     try:
         return ("ok", fn(*args))
-    except BracketError as exc:
+    except OutputParseError as exc:
         return ("error", str(exc), exc.chunk)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import pytest
@@ -560,17 +561,20 @@ MALFORMED_RECORDS = {
 
 
 def _status_with_line(ford_files, reader, line):
-    """Exit status of the command reading ``reader`` when its one line is ``line``."""
+    """Exit status of the command reading ``reader`` when its text is ``line``."""
     tmp, kb, ontology, questions, beams = ford_files
     gold = tmp / "gold.jsonl"
     gold.write_text(json.dumps({"question_id": "q1", "question": "q", "relations": []}) + "\n")
     pred = tmp / "pred.jsonl"
     pred.write_text(json.dumps({"question_id": "q1", "relations": []}) + "\n")
-    target = {"questions": questions, "beam fixture": beams, "gold": gold, "predictions": pred}
+    vectors, profile = tmp / "vectors.txt", tmp / "profile.cfg"
+    target = {"questions": questions, "beam fixture": beams, "gold": gold, "predictions": pred,
+              "triples": kb, "ontology": ontology, "vectors": vectors, "profile": profile}
     target[reader].write_text(line + "\n")
     if reader in ("gold", "predictions"):
         return main(["eval", "--gold", str(gold), "--pred", str(pred)])
-    status, _ = run_link(tmp, kb, ontology, questions, beams)
+    extra = {"vectors": ["--vectors", str(vectors)], "profile": ["--profile", str(profile)]}
+    status, _ = run_link(tmp, kb, ontology, questions, beams, *extra.get(reader, ()))
     return status
 
 
@@ -586,3 +590,37 @@ def test_deeply_nested_record_is_located(ford_files, capsys, reader):
     # json.loads raises RecursionError, not ValueError, on nesting this deep.
     assert _status_with_line(ford_files, reader, "[" * 100_000) == 1
     assert capsys.readouterr().err.startswith(f"error: {reader} line 1: ")
+
+
+HUGE = 10**400  # an integer too large for a float; json writes and reads it
+
+# (reader, line number of the fault, file text): numbers that json or float()
+# read but that overflow or are not finite, records that are not objects, and
+# one bad line for each reader of a plain-text format.
+MALFORMED_LINES = {
+    "question-end-infinity": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Ford?",
+         "entities": [{"mention": "Ford", "start": 0, "end": math.inf, "iri": "dbr:Ford"}]}
+    )),
+    "fixture-score-huge-int": ("beam fixture", 1, json.dumps(
+        {"question_id": "q1", "beams": [{"text": "[A | r]", "score": HUGE}]}
+    )),
+    "fixture-not-object": ("beam fixture", 1, "[1]"),
+    "gold-not-object": ("gold", 1, '"q1"'),
+    "predictions-not-object": ("predictions", 1, "null"),
+    "vectors-nan": ("vectors", 2, "q 1 0\nbad nan 1\nlow 0.1 1\nhigh 1 0.1"),
+    "vectors-infinity": ("vectors", 1, "w Infinity 1"),
+    "vectors-huge-int": ("vectors", 1, f"w {HUGE} 1"),
+    "triples-not-a-triple": ("triples", 1, "not a triple"),
+    "ontology-count-infinity": ("ontology", 1, f"count\t{DBO}City\tInfinity"),
+    "profile-unknown-base": ("profile", 1, "profile = nosuch"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LINES)
+def test_malformed_line_is_located_without_traceback(ford_files, capsys, case):
+    reader, lineno, text = MALFORMED_LINES[case]
+    assert _status_with_line(ford_files, reader, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reader} line {lineno}: ")
+    assert "Traceback" not in err

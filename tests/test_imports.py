@@ -1,5 +1,6 @@
 """Every name a rellink module imports is used, the package exports what it
-imports, and every private definition is used in its own module."""
+imports, every private definition is used in its own module, and input lines
+are read in one place."""
 
 from __future__ import annotations
 
@@ -78,3 +79,26 @@ def test_every_private_definition_is_used(path):
         if name not in (attributes if is_method else loaded)
     ]
     assert unused == [], f"{path.name} defines private names it never uses: {unused}"
+
+
+def _line_reading_calls(tree: ast.Module) -> list[str]:
+    """Each ``json.loads`` call and each ``enumerate`` numbering from 1."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+        if func == "json.loads" or func == "enumerate" and any(
+            ast.unparse(start) == "1" for start in starts
+        ):
+            found.append(f"{func} at line {node.lineno}")
+    return found
+
+
+def test_input_lines_are_read_in_one_place():
+    calls = {path.name: _line_reading_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in MODULES}
+    elsewhere = {name: found for name, found in calls.items() if found and name != "terms.py"}
+    assert elsewhere == {}, "read input lines through terms.read_lines and terms.json_record"
+    assert len(calls["terms.py"]) == 2
