@@ -90,7 +90,7 @@ def build_report(
 
 def _namespace_options(pattern: TriplePattern, swappable: tuple[str, ...]) -> list[TriplePattern]:
     """The pattern itself, then its copies under the other swappable namespaces."""
-    ns, _, local = pattern.predicate.value.partition(":")
+    ns, _, local = pattern.predicate.partition(":")
     if ns not in swappable:
         return [pattern]
     return [pattern] + [

@@ -62,11 +62,14 @@ def _ranked(raw: Iterable[tuple[str, float]], width: int) -> list[OutputSequence
 
 
 def _beam(raw: dict) -> tuple[str, float]:
-    """One beam object as (text, score).  A NaN score has no place in the
-    ranking and is rejected; ``-Infinity`` is a log-probability and is kept."""
+    """One beam object as (text, score).  NaN has no place in the ranking and
+    no log-probability is ``+Infinity``, so both are rejected; ``-Infinity``
+    is a log-probability and is kept."""
     score = float(raw["score"])
     if math.isnan(score):
         raise ValueError("beam score is NaN")
+    if score == math.inf:
+        raise ValueError("beam score is +Infinity")
     return expect_str(raw["text"], "beam text"), score
 
 

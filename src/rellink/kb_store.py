@@ -173,7 +173,7 @@ class KbStore:
             graphlib.TopologicalSorter(self._parents).prepare()
         except graphlib.CycleError as exc:
             # The cycle runs from parent to child; report it child to parent.
-            path = " -> ".join(t.value for t in reversed(exc.args[1]))
+            path = " -> ".join(reversed(exc.args[1]))
             raise HierarchyCycleError(f"class hierarchy cycle: {path}") from None
 
     # -- lookups ----------------------------------------------------------
@@ -203,8 +203,6 @@ class KbStore:
         than reported: the statement's outgoing statement/qualifier
         predicates stand in for the entry edge itself.
         """
-        # Set operations on the index dicts reuse their stored hashes, where a
-        # Python loop would hash every Iri again.
         linked = set(self._spo.get(entity, ())).union(self._op.get(entity, ()))
         found = linked.difference(self._entries)
         for stmt in self._statements_entered(entity, None):
@@ -256,7 +254,7 @@ class KbStore:
             for c in classes
             if not any(c != d and self.is_ancestor(c, d) for d in classes)
         ]
-        leaves.sort(key=lambda c: (-self.instance_count(c), c.value))
+        leaves.sort(key=lambda c: (-self.instance_count(c), c))
         return leaves[0]
 
     def routes(self, label: str) -> list[Predicate]:
@@ -292,16 +290,16 @@ class KbStore:
         if profile.statement_namespace is None:
             return sorted(
                 (iri for iri in hits if iri in self._pos or not self._is_class(iri)),
-                key=lambda iri: (order[hits[iri]], iri.value),
+                key=lambda iri: (order[hits[iri]], iri),
             )
 
         def held(relation: Iri) -> bool:
             return relation in hits or relation in self._pos
 
         typing = (profile.type_predicate, profile.subclass_predicate)
-        direct_only = {iri.value.partition(":")[2] for iri in typing}
+        direct_only = {iri.partition(":")[2] for iri in typing}
         routes: list[Predicate] = []
-        for pid in sorted({iri.value.partition(":")[2] for iri in hits}):
+        for pid in sorted({iri.partition(":")[2] for iri in hits}):
             direct, statement, qualifier = (Iri(f"{ns}:{pid}") for ns in ("wdt", "ps", "pq"))
             if held(direct):
                 routes.append(direct)

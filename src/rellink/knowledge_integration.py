@@ -167,6 +167,13 @@ class QuestionRecord:
     entities: list[LinkedEntity] = field(default_factory=list)
 
 
+def _offset(entity: dict, key: str) -> int:
+    """A span offset: a JSON integer, never a float, bool or string."""
+    if type(entity[key]) is not int:
+        raise TypeError(f"span {key} must be an integer, got {entity[key]!r}")
+    return entity[key]
+
+
 def read_question_records(
     source: IO[str] | Iterable[str], profile: Profile = DBPEDIA
 ) -> Iterator[QuestionRecord]:
@@ -177,8 +184,8 @@ def read_question_records(
         entities = [
             LinkedEntity(
                 mention=e["mention"],
-                start=int(e["start"]),
-                end=int(e["end"]),
+                start=_offset(e, "start"),
+                end=_offset(e, "end"),
                 entity=normalize_iri(e["iri"], profile),
             )
             for e in raw.get("entities", [])

@@ -209,7 +209,7 @@ def result_record(question_id: str, result: LinkingResult) -> dict:
     """The JSON-Lines shape of one linking result."""
     return {
         "question_id": question_id,
-        "relations": [r.value for r in result.relations],
+        "relations": list(result.relations),
         "validated": result.validated,
         "source_rank": result.source_rank,
         "ask_answer": result.ask_answer,

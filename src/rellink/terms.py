@@ -4,6 +4,9 @@ IRIs inside a profile's known namespaces are kept in compact prefixed form
 (``dbo:spouse``, ``wdt:P31``) so that equality, namespace tests, and local
 names are cheap string operations.  Full IRIs are normalized at every
 ingestion boundary via :func:`normalize_iri`.
+
+An :class:`Iri` is a validated ``str``, so ``Iri("dbo:x") == "dbo:x"``; a
+:class:`Literal` is not, and never equals an ``Iri`` of its text.
 """
 
 from __future__ import annotations
@@ -16,18 +19,16 @@ from typing import IO, Any, Callable, Container, Iterable, Iterator
 _IRI_RE = re.compile(r"^(?:[A-Za-z][A-Za-z0-9+.\-]*:\S+|_:\S+)$")
 
 
-@dataclass(frozen=True)
-class Iri:
-    """An IRI in full or prefixed form, or a blank/statement node id."""
+class Iri(str):
+    """An IRI in full or prefixed form, or a blank/statement node id: a
+    ``str`` whose text is validated when it is made."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _IRI_RE.match(self.value):
-            raise ValueError(f"not a valid IRI or prefixed name: {self.value!r}")
-
-    def __str__(self) -> str:
-        return self.value
+    def __new__(cls, value: str) -> Iri:
+        if not _IRI_RE.match(value):
+            raise ValueError(f"not a valid IRI or prefixed name: {value!r}")
+        return super().__new__(cls, value)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,9 @@ class PropertyPath:
     via: Iri | None
     edge: Iri
 
+    def __str__(self) -> str:
+        return f"{self.via or '*'}/{self.edge}"
+
 
 Predicate = Iri | PropertyPath
 
@@ -92,12 +96,7 @@ class TriplePattern:
     object: PatternTerm
 
     def __str__(self) -> str:
-        if isinstance(self.predicate, PropertyPath):
-            via = self.predicate.via.value if self.predicate.via else "*"
-            pred = f"{via}/{self.predicate.edge.value}"
-        else:
-            pred = self.predicate.value
-        return f"({self.subject} {pred} {self.object})"
+        return f"({self.subject} {self.predicate} {self.object})"
 
 
 def relation_uri(predicate: Predicate) -> Iri:
@@ -221,7 +220,7 @@ def normalize_iri(value: str, profile: Profile) -> Iri:
 
 def namespace_of(iri: Iri, profile: Profile) -> str | None:
     """The profile prefix an IRI belongs to, or None for foreign IRIs."""
-    head, sep, _ = iri.value.partition(":")
+    head, sep, _ = iri.partition(":")
     if sep and head in profile.prefixes:
         return head
     return None
@@ -229,11 +228,10 @@ def namespace_of(iri: Iri, profile: Profile) -> str | None:
 
 def local_name(iri: Iri) -> str:
     """The final path segment: after ``#``, else ``/``, else the prefix colon."""
-    value = iri.value
     for sep in ("#", "/"):
-        if sep in value:
-            return value.rsplit(sep, 1)[1]
-    return value.rsplit(":", 1)[1] if ":" in value else value
+        if sep in iri:
+            return iri.rsplit(sep, 1)[1]
+    return iri.rsplit(":", 1)[1]  # every IRI holds a colon
 
 
 def normalize_label(text: str) -> str:

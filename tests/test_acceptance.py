@@ -113,7 +113,7 @@ def test_criterion_02_validation_oracle_equivalence():
         for case in range(1000):
             fx = build_fixture(rng)
             got = _link_fixture(fx)
-            actual = (tuple(r.value for r in got.relations), got.validated, got.source_rank)
+            actual = (tuple(got.relations), got.validated, got.source_rank)
             expected = oracle_link(fx)
             assert actual == expected, f"fixture {case}: {actual} != {expected}"
             if got.validated:
@@ -140,7 +140,7 @@ def test_criterion_02_ask_oracle_equivalence():
             fx = build_ask_fixture(rng)
             got = _link_fixture(fx)
             actual = (
-                tuple(r.value for r in got.relations),
+                tuple(got.relations),
                 got.validated,
                 got.source_rank,
                 got.ask_answer,
@@ -458,7 +458,7 @@ def test_criterion_10_relaxed_evaluation(alma_store):
                 if roll < 0.6:
                     predicted.add(uri)
                 elif roll < 0.85:
-                    space, _, local = uri.value.partition(":")
+                    space, _, local = uri.partition(":")
                     predicted.add(Iri(f"{'dbp' if space == 'dbo' else 'dbo'}:{local}"))
             if rng.random() < 0.2:
                 predicted.add(Iri("dbo:noise"))

@@ -602,8 +602,25 @@ MALFORMED_LINES = {
         {"question_id": "q1", "question": "Ford?",
          "entities": [{"mention": "Ford", "start": 0, "end": math.inf, "iri": "dbr:Ford"}]}
     )),
+    "question-span-float": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Ford?",
+         "entities": [{"mention": "Ford", "start": 0.9, "end": 4.7,
+                       "iri": "http://dbpedia.org/resource/Ford"}]}
+    )),
+    "question-start-bool": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Ford?",
+         "entities": [{"mention": "Ford", "start": False, "end": 4, "iri": "dbr:Ford"}]}
+    )),
+    "question-end-string": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Ford?",
+         "entities": [{"mention": "Ford", "start": 0, "end": "4", "iri": "dbr:Ford"}]}
+    )),
     "fixture-score-huge-int": ("beam fixture", 1, json.dumps(
         {"question_id": "q1", "beams": [{"text": "[A | r]", "score": HUGE}]}
+    )),
+    "fixture-score-infinity": ("beam fixture", 1, json.dumps(
+        {"question_id": "q1", "beams": [{"text": "[Ford | manufacturer]", "score": -0.1},
+                                        {"text": "[Ford | bogus]", "score": math.inf}]}
     )),
     "fixture-not-object": ("beam fixture", 1, "[1]"),
     "gold-not-object": ("gold", 1, '"q1"'),

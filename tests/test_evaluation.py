@@ -252,7 +252,7 @@ def _swap_namespace(pattern: TriplePattern) -> TriplePattern | None:
     predicate = pattern.predicate
     if isinstance(predicate, PropertyPath):
         return None
-    ns, sep, local = predicate.value.partition(":")
+    ns, sep, local = predicate.partition(":")
     if sep and ns in SWAPPABLE:
         swapped = Iri(f"{SWAPPABLE[ns]}:{local}")
         return TriplePattern(pattern.subject, predicate=swapped, object=pattern.object)

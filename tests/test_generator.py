@@ -290,8 +290,9 @@ class TestRemoteGenerator:
 class _StubModelHandler(BaseHTTPRequestHandler):
     """A keep-alive model server: ``/ok`` answers, ``/fail`` and ``/garbled``
     reply with a 503 and with a body that is not JSON, ``/nan`` with a NaN
-    score, ``/bigint`` with a 401-digit integer score that no float holds, and
-    ``/deep`` with JSON nested past the parser's recursion limit."""
+    score, ``/infinity`` with a ``+Infinity`` score, ``/bigint`` with a
+    401-digit integer score that no float holds, and ``/deep`` with JSON
+    nested past the parser's recursion limit."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -305,6 +306,8 @@ class _StubModelHandler(BaseHTTPRequestHandler):
             status, body = 503, b"overloaded"
         elif self.path == "/nan":
             body = b'{"sequences": [{"text": "[A | r]", "score": NaN}]}'
+        elif self.path == "/infinity":
+            body = b'{"sequences": [{"text": "[A | r]", "score": Infinity}]}'
         elif self.path == "/bigint":
             body = b'{"sequences": [{"text": "[A | r]", "score": 1' + b"0" * 400 + b"}]}"
         elif self.path == "/deep":
@@ -351,13 +354,13 @@ class TestRemoteGeneratorOverHttp:
             assert beams == [OutputSequence("[A | r]", -0.5, 1)]
         assert server.accepted == 1
 
-    @pytest.mark.parametrize("path", ["/fail", "/garbled", "/nan", "/bigint", "/deep"])
+    @pytest.mark.parametrize("path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/deep"])
     def test_bad_reply_becomes_generator_error(self, model_server, path):
         _, base = model_server
         with pytest.raises(GeneratorError, match="^remote generation failed: "):
             RemoteGenerator(base + path, timeout=5.0).generate(enc_input("q"))
 
-    @pytest.mark.parametrize("path", ["/nan", "/bigint", "/deep"])
+    @pytest.mark.parametrize("path", ["/nan", "/infinity", "/bigint", "/deep"])
     def test_bad_reply_is_a_per_question_error(self, model_server, tmp_path, path):
         _, base = model_server
         kb = tmp_path / "kb.nt"

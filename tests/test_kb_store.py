@@ -114,6 +114,12 @@ class TestLoading:
         store = load_kb(line + "\n" + line)
         assert len(store) == 1
 
+    def test_iri_and_literal_of_one_text_stay_two_terms(self):
+        # An IRI is a str, but a Literal is not: "a:b" never merges with <a:b>.
+        store = load_kb(f'<{DBR}s> <{DBO}p> <a:b> .\n<{DBR}s> <{DBO}p> "a:b" .')
+        assert len(store) == 2
+        assert list(store._op) == [Iri("a:b"), Literal("a:b")]
+
     def test_load_is_idempotent(self):
         text = "\n".join(
             [
@@ -190,7 +196,7 @@ def _random_nt_lines(rng: random.Random, profile) -> list[str]:
     prefixes = profile.prefixes
 
     def full(iri: Iri) -> str:
-        prefix, local = iri.value.split(":", 1)
+        prefix, local = iri.split(":", 1)
         return f"<{prefixes[prefix]}{local}>"
 
     entity_ns = prefixes["dbr" if "dbr" in prefixes else "wd"]
@@ -566,7 +572,7 @@ def _reference_routes(store: KbStore, label: str) -> list:
     if profile.statement_namespace is None:
         classes = _reference_classes(store)
         variants = [iri for iri in variants if iri in store._pos or iri not in classes]
-        variants.sort(key=lambda iri: (order[namespace_of(iri, profile)], iri.value))
+        variants.sort(key=lambda iri: (order[namespace_of(iri, profile)], iri))
         return variants
 
     by_property: dict[str, set[str]] = {}

@@ -94,7 +94,7 @@ class TestEntityResolution:
             "[Ford Y-block engine | manufacturer]", ford_entities
         )
         arg = pairs[0].argument
-        assert arg.entity is not None and arg.entity.value == "dbr:Ford_Y-block_engine"
+        assert arg.entity is not None and arg.entity == "dbr:Ford_Y-block_engine"
         assert not arg.fuzzy
 
     def test_case_insensitive_match(self, ford_entities):
@@ -106,7 +106,7 @@ class TestEntityResolution:
     def test_token_overlap_fuzzy(self, ford_entities):
         pairs = parse_output("[Y-block engine | manufacturer]", ford_entities)
         arg = pairs[0].argument
-        assert arg.entity is not None and arg.entity.value == "dbr:Ford_Y-block_engine"
+        assert arg.entity is not None and arg.entity == "dbr:Ford_Y-block_engine"
         assert arg.fuzzy
 
     def test_below_threshold_unresolved(self, ford_entities):

@@ -24,18 +24,35 @@ from rellink.terms import (
 
 class TestIri:
     def test_accepts_full_iri(self):
-        assert Iri("http://dbpedia.org/ontology/spouse").value.endswith("spouse")
+        assert Iri("http://dbpedia.org/ontology/spouse").endswith("spouse")
 
     def test_accepts_prefixed(self):
-        assert Iri("dbo:spouse").value == "dbo:spouse"
+        assert Iri("dbo:spouse") == "dbo:spouse"
 
     def test_accepts_blank_node(self):
         Iri("_:b1")
 
     @pytest.mark.parametrize("bad", ["", "no-colon", "has space:x", "a:", "<wrapped>"])
     def test_rejects_non_iris(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^not a valid IRI or prefixed name: {bad!r}$"):
             Iri(bad)
+
+    @pytest.mark.parametrize("bad", [5, None, b"dbo:x"])
+    def test_rejects_non_strings(self, bad):
+        with pytest.raises(TypeError):
+            Iri(bad)
+
+    def test_hashes_and_compares_as_str(self):
+        # Every index lookup then hashes and compares in C, with the hash cached.
+        assert Iri.__hash__ is str.__hash__
+        assert Iri.__eq__ is str.__eq__
+        assert Iri("dbo:x") == "dbo:x" and hash(Iri("dbo:x")) == hash("dbo:x")
+        assert not hasattr(Iri("dbo:x"), "__dict__")
+
+    def test_never_equals_a_literal_of_its_text(self):
+        assert Iri("a:b") != Literal("a:b")
+        assert Literal("a:b") != Iri("a:b")
+        assert len({Iri("a:b"), Literal("a:b")}) == 2
 
 
 class TestVariable:
@@ -137,3 +154,9 @@ class TestRelationUri:
     def test_pattern_str_is_readable(self):
         pattern = TriplePattern(Iri("dbr:A"), Iri("dbo:r"), Variable("x"))
         assert str(pattern) == "(dbr:A dbo:r ?x)"
+
+    def test_path_pattern_str_names_both_steps(self):
+        x, y = Variable("x"), Variable("y")
+        statement = TriplePattern(x, PropertyPath(Iri("p:P176"), Iri("ps:P176")), y)
+        assert str(statement) == "(?x p:P176/ps:P176 ?y)"
+        assert str(TriplePattern(x, PropertyPath(None, Iri("pq:P580")), y)) == "(?x */pq:P580 ?y)"
