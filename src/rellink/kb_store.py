@@ -29,6 +29,7 @@ import re
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .terms import (
+    PREFIX_NAME_RE,
     Iri,
     Literal,
     Predicate,
@@ -532,8 +533,10 @@ def load_profile_config(source: str | IO[str] | Iterable[str]) -> Profile:
     """Read a profile config file: a base profile name plus extra prefixes.
 
     Lines are ``key = value``; ``profile`` names the base and ``prefix.<p>``
-    adds or overrides a namespace.  Unknown keys are errors.
+    adds or overrides a non-empty namespace.  Unknown keys, keys given twice
+    and prefix names that cannot start a prefixed IRI are errors.
     """
+    seen: set[str] = set()
 
     def parse(line: str) -> tuple[str, str | Profile] | None:
         if line.lstrip().startswith("#"):
@@ -543,7 +546,17 @@ def load_profile_config(source: str | IO[str] | Iterable[str]) -> Profile:
             raise ValueError("expected 'key = value'")
         if key != "profile" and not key.startswith("prefix."):
             raise ValueError(f"unknown key {key!r}")
-        return key, get_profile(value) if key == "profile" else value
+        if key in seen:
+            raise ValueError(f"{key!r} is given twice")
+        seen.add(key)
+        if key == "profile":
+            return key, get_profile(value)
+        name = key[len("prefix."):]
+        if not PREFIX_NAME_RE.fullmatch(name):
+            raise ValueError(f"prefix name {name!r} does not match {PREFIX_NAME_RE.pattern}")
+        if not value:
+            raise ValueError(f"prefix {name!r} has an empty namespace")
+        return key, value
 
     settings = dict(read_lines(source, "profile", parse, KbLoadError))
     base = settings.pop("profile", None)

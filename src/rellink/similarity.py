@@ -20,7 +20,7 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Protocol
+from typing import IO, Callable, Iterable
 
 from .terms import read_lines
 
@@ -30,19 +30,6 @@ _TRIGRAM_RE = re.compile(r"(?=(...))")
 # Entries in each label-side cache.  A KB's relation labels share a small
 # vocabulary; the bound keeps memory flat when they do not.
 _LABEL_CACHE = 1 << 14
-
-
-class Similarity(Protocol):
-    """Scores relation labels against a question.
-
-    ``for_question(q)`` returns a scorer of labels against ``q`` alone; bind
-    it once and call it for every label of that question.  ``score(q,
-    label)`` is ``for_question(q)(label)``.
-    """
-
-    def for_question(self, question: str) -> Callable[[str], float]: ...
-
-    def score(self, question: str, label: str) -> float: ...
 
 
 def split_label(label: str) -> list[str]:
@@ -74,37 +61,39 @@ def _label_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
     return tuple(counts.items()), _norm(counts.values())
 
 
-def _mean_of_best(best: Callable[[str], float]) -> Callable[[str], float]:
-    """A label scorer: the mean over label tokens of ``best(token)``, which
-    is computed once per distinct token."""
-    memo: dict[str, float] = {}
+class Similarity:
+    """Scores relation labels against a question.
 
-    def score(label: str) -> float:
-        tokens = _label_tokens(label)
-        if not tokens:
-            return 0.0
-        total = 0.0
-        for token in tokens:
-            value = memo.get(token)
-            if value is None:
-                value = memo[token] = best(token)
-            total += value
-        return total / len(tokens)
-
-    return score
-
-
-class _OneBinding:
-    """``for_question`` returns its last binding again for the same question."""
+    ``for_question(q)`` returns a scorer of labels against ``q`` alone: a
+    label scores the mean over its tokens of ``_best(q)(token)``, computed
+    once per distinct token.  The same question gets the last binding again.
+    ``score(q, label)`` is ``for_question(q)(label)``.
+    """
 
     _last: tuple[str, Callable[[str], float]] | None = None
 
     def for_question(self, question: str) -> Callable[[str], float]:
         last = self._last
         if last is None or last[0] != question:
-            last = self._last = (question, _mean_of_best(self._best(question)))
+            best = self._best(question)
+            memo: dict[str, float] = {}
+
+            def score(label: str) -> float:
+                tokens = _label_tokens(label)
+                if not tokens:
+                    return 0.0
+                total = 0.0
+                for token in tokens:
+                    value = memo.get(token)
+                    if value is None:
+                        value = memo[token] = best(token)
+                    total += value
+                return total / len(tokens)
+
+            last = self._last = (question, score)
         return last[1]
 
+    # perfbench/tracing.py wraps TrigramSimilarity.score; keep it.
     def score(self, question: str, label: str) -> float:
         return self.for_question(question)(label)
 
@@ -113,7 +102,7 @@ class _OneBinding:
         raise NotImplementedError
 
 
-class TrigramSimilarity(_OneBinding):
+class TrigramSimilarity(Similarity):
     """Character-trigram cosine; max over question tokens, mean over label."""
 
     def _best(self, question: str) -> Callable[[str], float]:
@@ -145,7 +134,7 @@ class TrigramSimilarity(_OneBinding):
         return best
 
 
-class WordVectorSimilarity(_OneBinding):
+class WordVectorSimilarity(Similarity):
     """Same scoring scheme over vectors from a word2vec-style text file.
 
     Each line is ``word v1 v2 ...`` of finite values; a numeric header line is skipped.

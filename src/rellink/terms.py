@@ -16,7 +16,9 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Container, Iterable, Iterator
 
-_IRI_RE = re.compile(r"^(?:[A-Za-z][A-Za-z0-9+.\-]*:\S+|_:\S+)$")
+# A prefix name is an IRI scheme, so a prefixed name is a valid IRI.
+PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*")
+_IRI_RE = re.compile(rf"^(?:{PREFIX_NAME_RE.pattern}:\S+|_:\S+)$")
 
 
 class Iri(str):

@@ -20,10 +20,17 @@ from conftest import (
     FORD_TRIPLES,
     OBAMA_QUESTION,
     OBAMA_TRIPLES,
+    PQ,
+    PS,
     RDFS_SUBCLASS,
+    WD,
+    WDS,
+    WDT,
+    P,
     nt,
 )
 from rellink.cli import _generator_config, build_parser, main
+from rellink.terms import WIKIDATA
 
 
 @pytest.fixture()
@@ -496,6 +503,52 @@ class TestProfileFlag:
         assert status == 0
         assert json.loads(capsys.readouterr().out)["f1"] == 1.0
 
+    def test_renamed_wikibase_adapts_by_config_alone(self, tmp_path):
+        # A direct edge, a p:/ps: statement and a pq: qualifier, each linked
+        # from its own question.
+        triples = [
+            nt(WD + "Q42", WDT + "P50", WD + "Q7"),
+            nt(WD + "Q42", P + "P176", WDS + "S1"),
+            nt(WDS + "S1", PS + "P176", WD + "Q99"),
+            nt(WDS + "S1", PQ + "P155", WD + "Q55"),
+            nt(WD + "Q42", WDT + "P31", WD + "Q5"),
+            nt(WD + "Q99", WDT + "P31", WD + "Q6"),
+        ]
+        ontology = [f"label\t{WDT}P50\tauthor", f"label\t{WDT}P176\tmanufacturer",
+                    f"label\t{PQ}P155\tfollows", f"label\t{WD}Q5\thuman",
+                    f"label\t{WD}Q6\tcompany"]
+        questions = []
+        for qid, text in [("q1", "Who is the author of Arthur?"),
+                          ("q2", "Which company is the manufacturer of Arthur?"),
+                          ("q3", "What does Arthur follow?")]:
+            start = text.index("Arthur")
+            questions.append(json.dumps({"question_id": qid, "question": text, "entities": [
+                {"mention": "Arthur", "start": start, "end": start + 6, "iri": WD + "Q42"}]}))
+        base, renamed = "http://www.wikidata.org/", "http://kb.example.org/"
+        config = tmp_path / "renamed.cfg"
+        config.write_text("profile = wikidata\n" + "".join(
+            f"prefix.{name} = {WIKIDATA.prefixes[name].replace(base, renamed)}\n"
+            for name in ("wd", "wds", "wdt", "p", "ps", "pq")))
+
+        def link(name, rename, profile):
+            d = tmp_path / name
+            d.mkdir()
+            for file, lines in (("kb.nt", triples), ("onto.tsv", ontology),
+                                ("questions.jsonl", questions)):
+                text = "\n".join(lines) + "\n"
+                (d / file).write_text(text.replace(base, renamed) if rename else text)
+            out = d / "results.jsonl"
+            assert main(["link", "--kb", str(d / "kb.nt"), "--ontology", str(d / "onto.tsv"),
+                         "--profile", profile, "-o", str(out), str(d / "questions.jsonl")]) == 0
+            return out.read_bytes()
+
+        original = link("original", False, "wikidata")
+        assert [json.loads(line)["relations"] for line in original.splitlines()] == [
+            ["wdt:P50"], ["ps:P176"], ["pq:P155"]]
+        assert all(json.loads(line)["validated"] for line in original.splitlines())
+        assert link("renamed", True, str(config)) == original
+        assert link("unconfigured", True, "wikidata") != original
+
     def test_unknown_profile_exits_1(self, tmp_path, capsys):
         kb = tmp_path / "kb.nt"
         kb.write_text("")
@@ -631,6 +684,14 @@ MALFORMED_LINES = {
     "triples-not-a-triple": ("triples", 1, "not a triple"),
     "ontology-count-infinity": ("ontology", 1, f"count\t{DBO}City\tInfinity"),
     "profile-unknown-base": ("profile", 1, "profile = nosuch"),
+    "profile-empty-namespace": ("profile", 2, "profile = dbpedia\nprefix.ex ="),
+    "profile-bad-prefix-name": (
+        "profile", 2, "profile = dbpedia\nprefix. = http://example.org/rel/"
+    ),
+    "profile-prefix-twice": (
+        "profile", 3, "profile = dbpedia\nprefix.ex = http://a.org/\nprefix.ex = http://b.org/"
+    ),
+    "profile-base-twice": ("profile", 2, "profile = dbpedia\nprofile = wikidata"),
 }
 
 

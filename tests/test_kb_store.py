@@ -32,6 +32,7 @@ from rellink.terms import (
     Variable,
     local_name,
     namespace_of,
+    normalize_iri,
     normalize_label,
     relation_uri,
 )
@@ -1013,6 +1014,13 @@ class TestProfileConfig:
         assert profile.prefixes["ex"] == "http://example.org/"
         assert profile.statement_namespace == WIKIDATA.statement_namespace == "p"
         assert profile.property_namespaces == WIKIDATA.property_namespaces
+
+    def test_built_in_prefix_override(self):
+        profile = load_profile_config(
+            "profile = wikidata\nprefix.wd = http://kb.example.org/entity/\n"
+        )
+        assert profile.prefixes["wd"] == "http://kb.example.org/entity/"
+        assert normalize_iri("http://kb.example.org/entity/Q42", profile) == "wd:Q42"
 
     def test_missing_base(self):
         with pytest.raises(KbLoadError):

@@ -13,6 +13,7 @@ from rellink import load_kb, similarity
 from rellink.generator import BaselineGenerator
 from rellink.knowledge_integration import build_encoder_input, rank_candidate_relations
 from rellink.similarity import (
+    Similarity,
     TrigramSimilarity,
     WordVectorSimilarity,
     question_tokens,
@@ -31,6 +32,40 @@ class TestTokenization:
 
     def test_question_tokens(self):
         assert question_tokens("Where is X's grave?") == ["where", "is", "x", "s", "grave"]
+
+
+class TestSimilarityBase:
+    class Exact(Similarity):
+        """A label token scores 1 when the question holds it, else 0.25."""
+
+        def __init__(self):
+            self.bound, self.asked = [], []
+
+        def _best(self, question):
+            self.bound.append(question)
+            words = set(question_tokens(question))
+            return lambda token: self.asked.append(token) or (1.0 if token in words else 0.25)
+
+    def test_label_scores_mean_of_best_token_matches(self):
+        sim = self.Exact()
+        bound = sim.for_question("Where is the grave of X?")
+        assert bound("graveOfX") == 1.0
+        assert bound("placeOfBurial") == (0.25 + 1.0 + 0.25) / 3
+        assert bound("--") == 0.0
+        assert bound("burial_place") == 0.25
+        assert sim.asked == ["grave", "of", "x", "place", "burial"]
+
+    def test_same_question_same_binding(self):
+        sim = self.Exact()
+        first = sim.for_question("Where is the grave?")
+        assert sim.for_question("Where is the grave?") is first
+        assert sim.bound == ["Where is the grave?"]
+
+    def test_score_is_bound_scorer(self):
+        sim = self.Exact()
+        for question in ("Where is the grave?", "Who is the spouse?", "Where is the grave?"):
+            for label in ("spouse", "placeOfBurial", "graveSite", ""):
+                assert sim.score(question, label) == self.Exact().for_question(question)(label)
 
 
 class TestTrigramSimilarity:
