@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .evaluation import (
@@ -83,12 +84,14 @@ def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
     )
 
 
-def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, encoding="utf-8")
-
-
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+@contextmanager
+def _opened(path: str, mode: str = "r"):
+    """The file at ``path``, closed on exit; ``-`` is stdin or stdout, left open."""
+    if path == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
 
 
 # -- subcommands ------------------------------------------------------------
@@ -139,17 +142,10 @@ def cmd_link(args: argparse.Namespace) -> int:
     generator = make_generator(config, similarity)
     vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
 
-    source = _open_in(args.questions)
-    sink = _open_out(args.out)
-    try:
+    with _opened(args.questions) as source, _opened(args.out, "w") as sink:
         for record in read_question_records(source, store.profile):
             output = _process_question(record, store, generator, similarity, args, vconfig)
             sink.write(json.dumps(output) + "\n")
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
     return 0
 
 
@@ -160,7 +156,7 @@ def _read_predictions(path: str, profile: Profile) -> dict[str, set]:
         qid, raw = json_record(line, predictions)
         return qid, {normalize_iri(r, profile) for r in raw["relations"]}
 
-    with _open_in(path) as source:
+    with _opened(path) as source:
         for qid, relations in read_lines(source, "predictions", parse):
             predictions[qid] = relations
     return predictions
@@ -168,7 +164,7 @@ def _read_predictions(path: str, profile: Profile) -> dict[str, set]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
-    with _open_in(args.gold) as handle:
+    with _opened(args.gold) as handle:
         gold_records = list(read_gold(handle, profile))
     predictions = _read_predictions(args.pred, profile)
 

@@ -116,18 +116,6 @@ class KbStore:
         # mutator clears it, so it never outlives the state it was built from.
         self._route_memo: dict[str, tuple[Predicate, ...]] = {}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KbStore):
-            return NotImplemented
-        return (
-            self.profile == other.profile
-            and self._spo == other._spo
-            and self._parents == other._parents
-            and self.instance_counts() == other.instance_counts()
-            and self._labels == other._labels
-            and self._lexicon == other._lexicon
-        )
-
     def __len__(self) -> int:
         return self._size
 

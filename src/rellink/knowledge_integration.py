@@ -56,7 +56,6 @@ class EncoderInput:
     question: str
     structures: list[EntityStructure]
     rendered: str
-    budget: int = DEFAULT_BUDGET
 
 
 def token_count(text: str) -> int:
@@ -110,14 +109,6 @@ def _render(question: str, pieces: Iterable[tuple[str, list[str]]]) -> str:
     return " ".join([question.strip(), *(_group(h, r) for h, r in pieces)])
 
 
-def render_structure(structure: EntityStructure) -> str:
-    return _group(*_escaped(structure))
-
-
-def render_input(question: str, structures: Iterable[EntityStructure]) -> str:
-    return _render(question, (_escaped(s) for s in structures))
-
-
 def build_encoder_input(
     store: KbStore,
     question: str,
@@ -148,7 +139,7 @@ def build_encoder_input(
                 EntityStructure(s.mention, s.type_label, s.relations[:n])
                 for s, n in zip(structures, kept)
             ]
-            return EncoderInput(question, fitted, rendered, budget)
+            return EncoderInput(question, fitted, rendered)
         if not any(kept):
             raise InputTooLongError(
                 f"minimal rendering is {token_count(rendered)} tokens, budget {budget}"

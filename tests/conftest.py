@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from rellink import brackets, load_kb
+from rellink import brackets
+from rellink.kb_store import load_kb
 from rellink.knowledge_integration import EntityStructure, LinkedEntity
 from rellink.terms import Iri
 
@@ -63,6 +64,24 @@ def parse_structures(text: str) -> list[EntityStructure]:
         ]
         out.append(EntityStructure(mention, type_label, relations))
     return out
+
+
+# Reference rendering, the oracle for build_encoder_input: the earlier
+# renderer, kept verbatim, which escapes every field afresh on each call.
+
+
+def ref_render_structure(structure: EntityStructure) -> str:
+    parts = [brackets.escape(structure.mention)]
+    if structure.type_label is not None:
+        parts.append(brackets.escape(structure.type_label))
+    parts.append(", ".join(brackets.escape(r) for r in structure.relations))
+    return "[" + " | ".join(parts) + "]"
+
+
+def ref_render_input(question, structures) -> str:
+    chunks = [question.strip()]
+    chunks.extend(ref_render_structure(s) for s in structures)
+    return " ".join(chunks)
 
 
 FORD_QUESTION = (

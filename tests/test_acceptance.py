@@ -24,6 +24,7 @@ from conftest import (
     entity,
     nt,
     parse_structures,
+    ref_render_input,
 )
 from oracle_link import (
     ASK_WINDOW,
@@ -33,34 +34,27 @@ from oracle_link import (
     oracle_ask,
     oracle_link,
 )
-from rellink import (
-    ArgRelPair,
-    EntityArg,
+from rellink.evaluation import GoldRecord, relaxed_score, score_sets
+from rellink.generator import GeneratorConfig, make_generator
+from rellink.kb_store import load_kb
+from rellink.knowledge_integration import (
     EntityStructure,
-    GoldRecord,
-    Iri,
+    InputTooLongError,
     LinkedEntity,
-    OutputSequence,
-    PlaceholderArg,
-    PropertyPath,
-    TriplePattern,
-    VAR_X,
-    VAR_Y,
     build_encoder_input,
-    enumerate_graphs,
-    expand_pair,
-    link,
-    load_kb,
-    parse_output,
-    relaxed_score,
-    render_input,
-    score_sets,
-    serialize_target,
     token_count,
 )
-from rellink.generator import GeneratorConfig, make_generator
-from rellink.knowledge_integration import InputTooLongError
-from rellink.sequence_grammar import WH_LEXICON
+from rellink.knowledge_validation import enumerate_graphs, expand_pair, link
+from rellink.sequence_grammar import (
+    WH_LEXICON,
+    ArgRelPair,
+    EntityArg,
+    OutputSequence,
+    PlaceholderArg,
+    parse_output,
+    serialize_target,
+)
+from rellink.terms import VAR_X, VAR_Y, Iri, PropertyPath, TriplePattern
 
 DBR = "http://dbpedia.org/resource/"
 
@@ -265,7 +259,7 @@ def test_criterion_05_budget_safety():
                 enc = build_encoder_input(store, question, entities, budget)
             except InputTooLongError:
                 bare = [EntityStructure(s.mention, s.type_label, []) for s in full.structures]
-                minimal = render_input(question, bare)
+                minimal = ref_render_input(question, bare)
                 assert (
                     token_count(question) > budget or token_count(minimal) > budget
                 ), case

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -187,6 +190,24 @@ class TestLink:
         assert record["relations"] == []
         assert record["validated"] is False
 
+    def test_unopenable_output_closes_the_questions_file(self, ford_files, capsys):
+        tmp, kb, ontology, questions, beams = ford_files
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, _ = run_link(tmp / "missing", kb, ontology, questions, beams)
+            gc.collect()
+        assert status == 1
+        assert "missing" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_dash_streams_stay_open(self, ford_files, monkeypatch, capsys):
+        tmp, kb, ontology, questions, beams = ford_files
+        monkeypatch.setattr(sys, "stdin", io.StringIO(questions.read_text()))
+        status, _ = run_link(tmp, kb, ontology, "-", beams, "-o", "-")
+        assert status == 0
+        assert not sys.stdin.closed and not sys.stdout.closed
+        assert json.loads(capsys.readouterr().out)["question_id"] == "q1"
+
     def test_wo_kb_budget_failure_is_per_question(self, ford_files):
         tmp, kb, ontology, questions, beams = ford_files
         tokens = len(FORD_QUESTION.split())
@@ -355,6 +376,13 @@ class TestEval:
         gold, pred = self.write_eval_files(tmp_path, ["dbp:almaMater", "dbo:state"])
         status = main(["eval", "--gold", str(gold), "--pred", str(pred)])
         assert status == 0
+        assert "1.000" in capsys.readouterr().out
+
+    def test_gold_from_stdin_leaves_it_open(self, tmp_path, monkeypatch, capsys):
+        gold, pred = self.write_eval_files(tmp_path, ["dbp:almaMater", "dbo:state"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(gold.read_text()))
+        assert main(["eval", "--gold", "-", "--pred", str(pred)]) == 0
+        assert not sys.stdin.closed
         assert "1.000" in capsys.readouterr().out
 
     def test_strict_half(self, tmp_path, capsys):

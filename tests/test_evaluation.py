@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 
 from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR, PS, WD, WDT, nt
-from rellink import load_kb
 from rellink.evaluation import (
     GoldRecord,
     _answer_variable,
@@ -24,7 +23,7 @@ from rellink.evaluation import (
     report_to_dict,
     score_sets,
 )
-from rellink.kb_store import KbStore
+from rellink.kb_store import KbStore, load_kb
 from rellink.terms import (
     DBPEDIA,
     WIKIDATA,

@@ -27,7 +27,7 @@ from rellink.similarity import TrigramSimilarity
 
 
 def enc_input(question: str, structures=()) -> EncoderInput:
-    return EncoderInput(question, list(structures), question, 512)
+    return EncoderInput(question, list(structures), question)
 
 
 class TestGeneratorConfig:

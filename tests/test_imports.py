@@ -1,6 +1,6 @@
-"""Every name a rellink module imports is used, the package exports what it
-imports, every private definition is used in its own module, and input lines
-are read in one place."""
+"""Every name a rellink module imports is used, the package root exports
+nothing, every public definition has a caller outside the tests, every private
+definition is used in its own module, and input lines are read in one place."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rellink"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rellink"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -25,25 +26,45 @@ def _imported(tree: ast.Module) -> list[str]:
     return names
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    if path.name == "__init__.py":
-        unexported = [name for name in _imported(tree) if name not in _exported(tree)]
-        assert unexported == [], f"__init__.py imports names missing from __all__: {unexported}"
-        return
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [name for name in _imported(tree) if name not in loaded | _exported(tree)]
+    unused = [name for name in _imported(tree) if name not in loaded]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_package_root_exports_nothing():
+    # Callers import each name from its module, the one way to reach it.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert _imported(tree) == [], "import from the rellink modules, not the package root"
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    """Names a module reads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_has_a_caller():
+    """A public function or class that only tests reach is dead weight; the
+    benchmark's modules count as callers, its tests do not."""
+    callers = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
+    loaded = set().union(*(_loaded(ast.parse(p.read_text(encoding="utf-8"))) for p in callers))
+    uncalled = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in loaded
+    ]
+    assert uncalled == [], f"public definitions with no caller outside the tests: {uncalled}"
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, bool]]:

@@ -128,7 +128,14 @@ class TestLoading:
                 nt(DBR + "B", DBP + "s", ("lit", "two")),
             ]
         )
-        assert load_kb(text) == load_kb(text + "\n" + text)
+        once, twice = load_kb(text), load_kb(text + "\n" + text)
+        assert len(once) == len(twice) == 2
+
+        def contents(store):
+            return (store.profile, store._spo, store._pos, store._op, store._parents,
+                    store.instance_counts(), store._labels, store._lexicon)
+
+        assert contents(once) == contents(twice)
 
     def test_accepts_file_object(self):
         store = load_kb(io.StringIO(nt(DBR + "A", DBO + "r", DBR + "B")))

@@ -7,8 +7,17 @@ import random
 
 import pytest
 
-from conftest import DBO, DBR, FORD_QUESTION, RDF_TYPE, entity, nt, parse_structures
-from rellink import brackets, load_kb
+from conftest import (
+    DBO,
+    DBR,
+    FORD_QUESTION,
+    RDF_TYPE,
+    entity,
+    nt,
+    parse_structures,
+    ref_render_input,
+)
+from rellink.kb_store import load_kb
 from rellink.knowledge_integration import (
     EncoderInput,
     EntityStructure,
@@ -17,7 +26,6 @@ from rellink.knowledge_integration import (
     build_encoder_input,
     build_entity_structure,
     read_question_records,
-    render_structure,
     token_count,
 )
 from rellink.terms import Iri
@@ -47,34 +55,75 @@ class TestBuildEntityStructure:
         assert structure == EntityStructure("Ghost", None, [])
 
 
+def _encoder_input(question, mentions, triples, ontology=None):
+    """The encoder input for a tiny KB; ``mentions`` pairs each mention with
+    the local name of its ``dbr:`` entity."""
+    store = load_kb("\n".join(triples), ontology)
+    entities = [entity(question, mention, f"dbr:{name}") for mention, name in mentions]
+    return build_encoder_input(store, question, entities)
+
+
 class TestRendering:
     def test_full_structure(self):
-        structure = EntityStructure("Plant", "Factory", ["owns", "builds"])
-        assert render_structure(structure) == "[Plant | Factory | owns, builds]"
+        enc = _encoder_input(
+            "Who owns the Plant?",
+            [("Plant", "Plant")],
+            [
+                nt(DBR + "Plant", DBO + "owns", DBR + "X"),
+                nt(DBR + "Plant", DBO + "builds", DBR + "Y"),
+                nt(DBR + "Plant", RDF_TYPE, DBO + "Factory"),
+            ],
+        )
+        assert enc.structures == [EntityStructure("Plant", "Factory", ["owns", "builds"])]
+        assert enc.rendered == "Who owns the Plant? [Plant | Factory | owns, builds]"
 
     def test_no_type(self):
-        structure = EntityStructure("Plant", None, ["owns"])
-        assert render_structure(structure) == "[Plant | owns]"
+        triples = [nt(DBR + "Plant", DBO + "owns", DBR + "X")]
+        enc = _encoder_input("Who owns the Plant?", [("Plant", "Plant")], triples)
+        assert enc.rendered == "Who owns the Plant? [Plant | owns]"
 
     def test_type_with_empty_relations_differs_from_single_relation(self):
         # [m | Factory | ] and [m | Factory] must parse back differently.
-        with_type = EntityStructure("m", "Factory", [])
-        with_rel = EntityStructure("m", None, ["Factory"])
-        assert render_structure(with_type) != render_structure(with_rel)
-        assert parse_structures(render_structure(with_type)) == [with_type]
-        assert parse_structures(render_structure(with_rel)) == [with_rel]
+        question = "What is m?"
+        typed = [nt(DBR + "m", RDF_TYPE, DBO + "Factory")]
+        related = [nt(DBR + "m", DBO + "Factory", DBR + "X")]
+        with_type = _encoder_input(question, [("m", "m")], typed)
+        with_rel = _encoder_input(question, [("m", "m")], related)
+        assert with_type.rendered == "What is m? [m | Factory | ]"
+        assert with_rel.rendered == "What is m? [m | Factory]"
+        assert with_type.structures == [EntityStructure("m", "Factory", [])]
+        assert with_rel.structures == [EntityStructure("m", None, ["Factory"])]
+        for enc in (with_type, with_rel):
+            assert parse_structures(enc.rendered[len(question):]) == enc.structures
 
     def test_escaping_roundtrip(self):
-        structure = EntityStructure("a | b [c]", "T,ype", ["r,1", "r|2"])
-        assert parse_structures(render_structure(structure)) == [structure]
+        question = "Where is a | b [c] from?"
+        enc = _encoder_input(
+            question,
+            [("a | b [c]", "E")],
+            [
+                nt(DBR + "E", DBO + "r1", DBR + "X"),
+                nt(DBR + "E", DBO + "r2", DBR + "X"),
+                nt(DBR + "E", RDF_TYPE, DBO + "T"),
+            ],
+            f"label\t{DBO}T\tT,ype\nlabel\t{DBO}r1\tr,1\nlabel\t{DBO}r2\tr|2",
+        )
+        assert enc.structures == [EntityStructure("a | b [c]", "T,ype", ["r,1", "r|2"])]
+        assert enc.rendered == question + r" [a \| b \[c\] | T\,ype | r\,1, r\|2]"
+        assert parse_structures(enc.rendered[len(question):]) == enc.structures
 
     def test_multiple_structures(self):
-        structures = [
+        question = "Is A next to B?"
+        enc = _encoder_input(
+            question,
+            [("A", "A"), ("B", "B")],
+            [nt(DBR + "A", DBO + "r1", DBR + "X"), nt(DBR + "A", RDF_TYPE, DBO + "T")],
+        )
+        assert enc.rendered == "Is A next to B? [A | T | r1] [B | ]"
+        assert parse_structures(enc.rendered[len(question):]) == [
             EntityStructure("A", "T", ["r1"]),
             EntityStructure("B", None, []),
         ]
-        text = " ".join(render_structure(s) for s in structures)
-        assert parse_structures(text) == structures
 
 
 class TestBuildEncoderInput:
@@ -163,22 +212,8 @@ class TestQuestionReader:
 
 # -- the budget loop against the one it replaced ----------------------------
 #
-# Reference: the earlier shrink loop and renderer, kept verbatim, which
-# re-escaped and re-rendered every relation after each drop.
-
-
-def _ref_render_structure(structure: EntityStructure) -> str:
-    parts = [brackets.escape(structure.mention)]
-    if structure.type_label is not None:
-        parts.append(brackets.escape(structure.type_label))
-    parts.append(", ".join(brackets.escape(r) for r in structure.relations))
-    return "[" + " | ".join(parts) + "]"
-
-
-def _ref_render_input(question, structures) -> str:
-    chunks = [question.strip()]
-    chunks.extend(_ref_render_structure(s) for s in structures)
-    return " ".join(chunks)
+# Reference: the earlier shrink loop, kept verbatim, which re-escaped and
+# re-rendered every relation after each drop.
 
 
 def _ref_shrink(question, structures, budget) -> EncoderInput:
@@ -189,9 +224,9 @@ def _ref_shrink(question, structures, budget) -> EncoderInput:
             EntityStructure(s.mention, s.type_label, kept[i])
             for i, s in enumerate(structures)
         ]
-        rendered = _ref_render_input(question, trial)
+        rendered = ref_render_input(question, trial)
         if token_count(rendered) <= budget:
-            return EncoderInput(question, trial, rendered, budget)
+            return EncoderInput(question, trial, rendered)
         if not any(kept):
             raise InputTooLongError(
                 f"minimal rendering is {token_count(rendered)} tokens, budget {budget}"
@@ -245,7 +280,7 @@ class TestShrinkMatchesReference:
         ordered = sorted(entities, key=lambda e: (e.start, e.end))
         structures = [build_entity_structure(store, question, e) for e in ordered]
         floor = token_count(question)
-        full = token_count(_ref_render_input(question, structures))
+        full = token_count(ref_render_input(question, structures))
         # From "question only" (too small for any bracket group) to generous.
         budgets = {floor, floor + 1, floor + 3, full - 1, full, full + 10}
         budgets.update(rng.randint(floor, full + 2) for _ in range(8))
@@ -253,7 +288,3 @@ class TestShrinkMatchesReference:
             expected = _outcome(lambda: _ref_shrink(question, structures, budget))
             actual = _outcome(lambda: build_encoder_input(store, question, entities, budget))
             assert actual == expected, budget
-
-    def test_reserved_characters_render_escaped(self):
-        structure = EntityStructure("m [1]", "T|ype", ["a,b", "c\\d", "[e]"])
-        assert render_structure(structure) == _ref_render_structure(structure)

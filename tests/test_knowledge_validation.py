@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import DBO, DBP, DBR, FORD_QUESTION, OBAMA_QUESTION, WD, WDT, nt
-from rellink import knowledge_validation, load_kb
+from rellink import knowledge_validation
+from rellink.kb_store import load_kb
 from rellink.knowledge_integration import LinkedEntity
 from rellink.knowledge_validation import (
     ValidationConfig,

@@ -9,8 +9,9 @@ from collections import Counter
 import pytest
 
 from conftest import FORD_TRIPLES, FORD_ONTOLOGY, entity
-from rellink import load_kb, similarity
+from rellink import similarity
 from rellink.generator import BaselineGenerator
+from rellink.kb_store import load_kb
 from rellink.knowledge_integration import build_encoder_input, rank_candidate_relations
 from rellink.similarity import (
     Similarity,
