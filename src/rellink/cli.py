@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .evaluation import (
@@ -63,15 +63,10 @@ def _resolve_profile(value: str) -> Profile:
 
 def _load_store(args: argparse.Namespace) -> KbStore:
     profile = _resolve_profile(args.profile)
-    ontology = None
-    if args.ontology:
-        ontology = open(args.ontology, encoding="utf-8")
-    try:
-        with open(args.kb, encoding="utf-8") as triples:
-            return load_kb(triples, ontology, profile)
-    finally:
-        if ontology is not None:
-            ontology.close()
+    with open(args.kb, encoding="utf-8") as triples, (
+        open(args.ontology, encoding="utf-8") if args.ontology else nullcontext()
+    ) as ontology:
+        return load_kb(triples, ontology, profile)
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
@@ -133,8 +128,10 @@ def _process_question(
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    store = _load_store(args)
+    if args.budget < 1:
+        raise ValueError("--budget must be >= 1")
     config = _generator_config(args)
+    store = _load_store(args)
     similarity = None
     if args.vectors:
         with open(args.vectors, encoding="utf-8") as handle:

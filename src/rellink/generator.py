@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import requests
 
 from .knowledge_integration import EncoderInput
-from .sequence_grammar import ArgRelPair, EntityArg, OutputSequence, serialize_target
+from .sequence_grammar import OutputSequence, render_group, serialize_target
 from .similarity import DEFAULT_SIMILARITY, Similarity
 from .terms import RECORD_ERRORS, expect_str, json_record, read_lines
 
@@ -46,6 +46,8 @@ class GeneratorConfig:
             raise GeneratorError(f"unknown generator kind {self.kind!r}")
         if self.beam_width < 1:
             raise GeneratorError("beam_width must be >= 1")
+        if not self.timeout > 0:
+            raise GeneratorError("timeout must be > 0")
         if self.kind == "fixture":
             if self.fixture_path is None or not os.access(self.fixture_path, os.R_OK):
                 raise GeneratorError(f"fixture path not readable: {self.fixture_path}")
@@ -146,18 +148,18 @@ class BaselineGenerator:
         k = 1
         while k ** len(structures) < self.beam_width:
             k += 1
-        choices = [
-            [(s.mention, label) for label in s.relations[:k]] for s in structures
-        ]
-        # Score each distinct label once; a combination sums its labels' scores.
+        tops = [s.relations[:k] for s in structures]
+        # Score each distinct label and render each group once per question.
         score_of = self.similarity.for_question(enc.question)
-        labels = {label for options in choices for _, label in options}
-        scores = {label: score_of(label) for label in labels}
+        scores = {label: score_of(label) for label in set().union(*tops)}
+        choices = [
+            [(render_group(s.mention, label), scores[label]) for label in top]
+            for s, top in zip(structures, tops)
+        ]
         raw = []
         for combo in product(*choices):
-            pairs = [ArgRelPair(EntityArg(mention), label) for mention, label in combo]
-            score = sum(scores[label] for _, label in combo)
-            raw.append((serialize_target(pairs), score))
+            groups, group_scores = zip(*combo)
+            raw.append((serialize_target(groups), sum(group_scores)))
         return _ranked(sorted(raw), self.beam_width)
 
 

@@ -1,14 +1,15 @@
 """The structured output format: ``[Arg1 | Rel1], [Arg2 | Rel2], ...``
 
-Targets are serialized from argument-relation pairs, and generator output is
-parsed back, classifying each argument as a question-entity mention or a
-Wh-term placeholder.  A lone ``-`` separator (surrounded by spaces) is
-accepted as an alias for ``|`` when parsing.
+Target text is written only here: one escaped group per argument and relation,
+then the groups joined.  Generator output is parsed back, classifying each
+argument as a question-entity mention or a Wh-term placeholder.  A lone ``-``
+separator (surrounded by spaces) is accepted as an alias for ``|`` when parsing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import brackets
 from .brackets import OutputParseError
@@ -64,21 +65,18 @@ class OutputSequence:
     rank: int
 
 
-def _argument_text(argument: Argument) -> str:
-    if isinstance(argument, PlaceholderArg):
-        return argument.wh_term
-    return argument.mention
+def render_group(argument: str, relation_label: str) -> str:
+    """One ``[argument | relation]`` target group, both fields escaped."""
+    if not relation_label:
+        raise ValueError("relation label must be non-empty")
+    return f"[{brackets.escape(argument)} | {brackets.escape(relation_label)}]"
 
 
-def serialize_target(pairs: list[ArgRelPair]) -> str:
-    if not pairs:
-        raise ValueError("cannot serialize an empty pair list")
-    rendered = []
-    for pair in pairs:
-        arg = brackets.escape(_argument_text(pair.argument))
-        rel = brackets.escape(pair.relation_label)
-        rendered.append(f"[{arg} | {rel}]")
-    return ", ".join(rendered)
+def serialize_target(groups: Sequence[str]) -> str:
+    """The target sequence of groups rendered by :func:`render_group`."""
+    if not groups:
+        raise ValueError("cannot serialize an empty group list")
+    return ", ".join(groups)
 
 
 def _resolve_mention(

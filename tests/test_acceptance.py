@@ -52,6 +52,7 @@ from rellink.sequence_grammar import (
     OutputSequence,
     PlaceholderArg,
     parse_output,
+    render_group,
     serialize_target,
 )
 from rellink.terms import VAR_X, VAR_Y, Iri, PropertyPath, TriplePattern
@@ -181,7 +182,7 @@ def test_criterion_03_four_pattern_expansion():
             assert len(set(graphs)) == 4**k
 
 
-# 4. parse(serialize(pairs)) is the identity on random pair lists.
+# 4. parse(serialize(rendered groups)) is the identity on random pair lists.
 def _random_chunk(rng: Random, allow_reserved: bool) -> str:
     while True:
         chars = []
@@ -204,15 +205,19 @@ def test_criterion_04_grammar_roundtrip():
     reserved_seen = {c: 0 for c in "|[],\\"}
     with criterion("4 grammar roundtrip, 10000 pair lists", budget_s=10.0):
         for _ in range(10_000):
-            pairs = []
+            pairs, groups = [], []
             for _ in range(rng.randint(1, 4)):
                 if rng.random() < 0.2:
                     term = rng.choice(wh_terms)
-                    arg = PlaceholderArg(term.title() if rng.random() < 0.5 else term)
+                    argument = term.title() if rng.random() < 0.5 else term
+                    arg = PlaceholderArg(argument)
                 else:
-                    arg = EntityArg(_random_chunk(rng, allow_reserved=True))
-                pairs.append(ArgRelPair(arg, _random_chunk(rng, rng.random() < 0.3)))
-            text = serialize_target(pairs)
+                    argument = _random_chunk(rng, allow_reserved=True)
+                    arg = EntityArg(argument)
+                label = _random_chunk(rng, rng.random() < 0.3)
+                pairs.append(ArgRelPair(arg, label))
+                groups.append(render_group(argument, label))
+            text = serialize_target(groups)
             for char in reserved_seen:
                 reserved_seen[char] += text.count("\\" + char)
             assert parse_output(text) == pairs, text

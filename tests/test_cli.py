@@ -208,6 +208,27 @@ class TestLink:
         assert not sys.stdin.closed and not sys.stdout.closed
         assert json.loads(capsys.readouterr().out)["question_id"] == "q1"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "0"], "--budget must be >= 1"),
+            (["--budget", "-5"], "--budget must be >= 1"),
+            (["--timeout", "0"], "timeout must be > 0"),
+            (["--timeout", "nan"], "timeout must be > 0"),
+            (
+                ["--timeout", "-1", "--generator", "remote", "--endpoint", "http://127.0.0.1:9/"],
+                "timeout must be > 0",
+            ),
+        ],
+        ids=["budget-0", "budget-negative", "timeout-0", "timeout-nan", "timeout-remote"],
+    )
+    def test_bad_run_settings_fail_before_output(self, ford_files, capsys, flags, message):
+        # Each would otherwise fail every question alike and still exit 0.
+        status, out = run_link(*ford_files, *flags)
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_wo_kb_budget_failure_is_per_question(self, ford_files):
         tmp, kb, ontology, questions, beams = ford_files
         tokens = len(FORD_QUESTION.split())

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import product
 
 import pytest
 
 import rellink.generator as generator_module
 from conftest import DBO, DBR, nt
+from rellink import brackets
 from rellink.cli import main
 from rellink.generator import (
     BaselineGenerator,
@@ -18,12 +21,19 @@ from rellink.generator import (
     GeneratorConfig,
     GeneratorError,
     RemoteGenerator,
+    _ranked,
     make_generator,
     read_beam_fixture,
 )
 from rellink.knowledge_integration import EncoderInput, EntityStructure
-from rellink.sequence_grammar import OutputSequence
-from rellink.similarity import TrigramSimilarity
+from rellink.sequence_grammar import (
+    ArgRelPair,
+    Argument,
+    EntityArg,
+    OutputSequence,
+    PlaceholderArg,
+)
+from rellink.similarity import Similarity, TrigramSimilarity
 
 
 def enc_input(question: str, structures=()) -> EncoderInput:
@@ -38,6 +48,11 @@ class TestGeneratorConfig:
     def test_rejects_zero_beam_width(self):
         with pytest.raises(GeneratorError):
             GeneratorConfig(beam_width=0)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_rejects_timeout_not_above_zero(self, timeout):
+        with pytest.raises(GeneratorError, match="^timeout must be > 0$"):
+            GeneratorConfig(timeout=timeout)
 
     def test_fixture_requires_readable_path(self, tmp_path):
         with pytest.raises(GeneratorError):
@@ -210,6 +225,108 @@ class TestBaselineGenerator:
         assert binds == [question]
         assert scored == Counter(["birthPlace", "deathPlace", "spouse", "parent"])
         assert beams == BaselineGenerator(beam_width=9).generate(enc)
+
+
+# -- the baseline against the generator it replaced ---------------------------
+#
+# Reference: the earlier baseline and its serializer, kept verbatim but for the
+# serializer's name, which built an ArgRelPair for every pair of every
+# combination and escaped each mention and label again per combination.  Beams
+# must match in text, score and rank.
+
+
+def _ref_argument_text(argument: Argument) -> str:
+    if isinstance(argument, PlaceholderArg):
+        return argument.wh_term
+    return argument.mention
+
+
+def _ref_serialize_target(pairs: list[ArgRelPair]) -> str:
+    if not pairs:
+        raise ValueError("cannot serialize an empty pair list")
+    rendered = []
+    for pair in pairs:
+        arg = brackets.escape(_ref_argument_text(pair.argument))
+        rel = brackets.escape(pair.relation_label)
+        rendered.append(f"[{arg} | {rel}]")
+    return ", ".join(rendered)
+
+
+class ReferenceBaselineGenerator(BaselineGenerator):
+    def generate(self, enc: EncoderInput, question_id: str | None = None) -> list[OutputSequence]:
+        structures = [s for s in enc.structures if s.relations]
+        if not structures:
+            return []
+        k = 1
+        while k ** len(structures) < self.beam_width:
+            k += 1
+        choices = [
+            [(s.mention, label) for label in s.relations[:k]] for s in structures
+        ]
+        # Score each distinct label once; a combination sums its labels' scores.
+        score_of = self.similarity.for_question(enc.question)
+        labels = {label for options in choices for _, label in options}
+        scores = {label: score_of(label) for label in labels}
+        raw = []
+        for combo in product(*choices):
+            pairs = [ArgRelPair(EntityArg(mention), label) for mention, label in combo]
+            score = sum(scores[label] for _, label in combo)
+            raw.append((_ref_serialize_target(pairs), score))
+        return _ranked(sorted(raw), self.beam_width)
+
+
+class _Tied(Similarity):
+    """Every label scores alike, so text alone orders the beams."""
+
+    def for_question(self, question):
+        return lambda label: 0.1
+
+
+# Reserved characters, spaces and few letters, so texts share prefixes and
+# the trigram scorer ties some labels; labels come from a small per-question
+# pool, so entities share them.
+_WORDS = ["birth", "place", "of", "a", "ab", "ba", "x"]
+_RESERVED = "\\[]|,"
+
+
+def _random_text(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.35:
+            parts.append(rng.choice(_RESERVED) * rng.randint(1, 2))
+        else:
+            parts.append(rng.choice(_WORDS))
+    return rng.choice(["", " "]).join(parts)
+
+
+def _random_input(rng: random.Random) -> EncoderInput:
+    question = " ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 6)))
+    pool = sorted({_random_text(rng) for _ in range(rng.randint(1, 12))})
+    structures = [
+        EntityStructure(_random_text(rng), None, rng.sample(pool, rng.randint(0, min(8, len(pool)))))
+        for _ in range(rng.randint(0, 6))
+    ]
+    return EncoderInput(question, structures, question)
+
+
+def test_baseline_matches_reference():
+    rng = random.Random(17)
+    shared = truncated = 0
+    escaped = Counter()
+    for _ in range(500):
+        enc = _random_input(rng)
+        labels = [set(s.relations) for s in enc.structures]
+        shared += any(a & b for i, a in enumerate(labels) for b in labels[i + 1 :])
+        for width in (1, 3, 7, 50):
+            for similarity in (TrigramSimilarity(), _Tied()):
+                beams = BaselineGenerator(width, similarity).generate(enc)
+                expected = ReferenceBaselineGenerator(width, similarity).generate(enc)
+                assert beams == expected, (enc, width)
+                truncated += len(beams) == width
+                escaped.update(c for b in beams for c in _RESERVED if "\\" + c in b.text)
+    assert shared >= 100, shared
+    assert truncated >= 500, truncated
+    assert set(escaped) == set(_RESERVED), escaped
 
 
 class _FakeResponse:

@@ -12,31 +12,46 @@ from rellink.sequence_grammar import (
     PlaceholderArg,
     detect_ask,
     parse_output,
+    render_group,
     serialize_target,
 )
 
 
+def _target(pairs: list[ArgRelPair]) -> str:
+    """The target text of ``pairs``, one rendered group per pair."""
+    return serialize_target([
+        render_group(
+            p.argument.wh_term if isinstance(p.argument, PlaceholderArg) else p.argument.mention,
+            p.relation_label,
+        )
+        for p in pairs
+    ])
+
+
 class TestSerializeTarget:
     def test_two_entity_pairs(self):
-        pairs = [
-            ArgRelPair(EntityArg("Ford Kansas City Assembly Plant"), "owningOrganisation"),
-            ArgRelPair(EntityArg("Ford Y-block engine"), "manufacturer"),
+        groups = [
+            render_group("Ford Kansas City Assembly Plant", "owningOrganisation"),
+            render_group("Ford Y-block engine", "manufacturer"),
         ]
-        assert serialize_target(pairs) == (
+        assert serialize_target(groups) == (
             "[Ford Kansas City Assembly Plant | owningOrganisation], "
             "[Ford Y-block engine | manufacturer]"
         )
 
     def test_placeholder_pair(self):
-        assert serialize_target([ArgRelPair(PlaceholderArg("Who"), "owner")]) == "[Who | owner]"
+        assert serialize_target([render_group("Who", "owner")]) == "[Who | owner]"
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             serialize_target([])
 
+    def test_empty_relation_label_rejected(self):
+        with pytest.raises(ValueError, match="relation label must be non-empty"):
+            render_group("m", "")
+
     def test_reserved_characters_escaped(self):
-        pair = ArgRelPair(EntityArg("a | b"), "r,1")
-        assert serialize_target([pair]) == "[a \\| b | r\\,1]"
+        assert render_group("a | b", "r,1") == "[a \\| b | r\\,1]"
 
 
 class TestParseOutput:
@@ -135,7 +150,7 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("pairs", CASES)
     def test_roundtrip(self, pairs):
-        assert parse_output(serialize_target(pairs)) == pairs
+        assert parse_output(_target(pairs)) == pairs
 
 
 class TestDetectAsk:
