@@ -43,7 +43,9 @@ from .knowledge_validation import (
     result_record,
 )
 from .similarity import WordVectorSimilarity
-from .terms import PROFILES, Profile, get_profile, json_record, normalize_iri, read_lines
+from .terms import (
+    PROFILES, Profile, get_profile, json_record, normalize_iri, open_input, read_lines,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -56,15 +58,15 @@ def _resolve_profile(value: str) -> Profile:
         return get_profile(value)
     path = Path(value)
     if path.exists():
-        with open(path, encoding="utf-8") as handle:
+        with open_input(path) as handle:
             return load_profile_config(handle)
     raise KbLoadError(f"profile {value!r} is neither a known name nor a config file")
 
 
 def _load_store(args: argparse.Namespace) -> KbStore:
     profile = _resolve_profile(args.profile)
-    with open(args.kb, encoding="utf-8") as triples, (
-        open(args.ontology, encoding="utf-8") if args.ontology else nullcontext()
+    with open_input(args.kb) as triples, (
+        open_input(args.ontology) if args.ontology else nullcontext()
     ) as ontology:
         return load_kb(triples, ontology, profile)
 
@@ -85,7 +87,7 @@ def _opened(path: str, mode: str = "r"):
     if path == "-":
         yield sys.stdin if mode == "r" else sys.stdout
     else:
-        with open(path, mode, encoding="utf-8") as handle:
+        with open_input(path) if mode == "r" else open(path, mode, encoding="utf-8") as handle:
             yield handle
 
 
@@ -134,7 +136,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     store = _load_store(args)
     similarity = None
     if args.vectors:
-        with open(args.vectors, encoding="utf-8") as handle:
+        with open_input(args.vectors) as handle:
             similarity = WordVectorSimilarity.load(handle)
     generator = make_generator(config, similarity)
     vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)

@@ -2,17 +2,19 @@
 
 The baseline synthesizes beams from the encoder input alone, pairing each
 entity mention with its candidate relation labels; it exists so the whole
-pipeline runs with no network and no trained model.  All kinds return beams
-in a total order: descending score, ties broken by text.
+pipeline runs with no network and no trained model.  It searches the label
+combinations best-first, so its work grows with the beams it returns, not
+with the number of combinations.  All kinds return beams in a total order:
+descending score, ties broken by text.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -21,7 +23,7 @@ import requests
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import OutputSequence, render_group, serialize_target
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import RECORD_ERRORS, expect_str, json_record, read_lines
+from .terms import RECORD_ERRORS, expect_str, json_record, open_input, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +94,7 @@ class FixtureGenerator:
     """Replays pre-recorded beams keyed by question id."""
 
     def __init__(self, path: str | Path, beam_width: int = DEFAULT_BEAM_WIDTH):
-        with open(path, encoding="utf-8") as handle:
+        with open_input(path) as handle:
             self._beams = read_beam_fixture(handle)
         self.beam_width = beam_width
 
@@ -129,12 +131,43 @@ class RemoteGenerator:
         return _ranked(sorted(raw), self.beam_width)
 
 
+def _best_first(choices: list[list[tuple[str, float]]], width: int) -> list[OutputSequence]:
+    """The top ``width`` combinations of one ``(group, score)`` per choice
+    list, as :func:`_ranked` would order all of them: by descending score,
+    the builtin ``sum`` of the combination's scores, ties broken by text.
+
+    A node is a prefix of a combination, keyed by (-bound, groups so far).
+    Its bound is the ``sum`` of its scores and of each remaining list's best
+    score.  ``sum`` is monotone in every argument (left-to-right addition
+    before Python 3.12; the compensated sum since is near enough to exact
+    that the reference tests find no inversion), so the bound is at least
+    every completion's sum, and a child's key never precedes its parent's:
+    complete nodes pop in order.  No group is a proper prefix of another, so
+    among equal sums the order of group tuples is the order of texts.
+    """
+    best = tuple(max(score for _, score in options) for options in choices)
+    heap: list[tuple[float, tuple[str, ...], tuple[float, ...]]] = [(-sum(best), (), ())]
+    beams: list[OutputSequence] = []
+    while heap and len(beams) < width:
+        _, groups, scores = heapq.heappop(heap)
+        depth = len(groups)
+        if depth == len(choices):
+            beams.append(OutputSequence(serialize_target(groups), sum(scores), len(beams) + 1))
+            continue
+        rest = best[depth + 1 :]
+        for group, score in choices[depth]:
+            taken = (*scores, score)
+            heapq.heappush(heap, (-sum(taken + rest), (*groups, group), taken))
+    return beams
+
+
 class BaselineGenerator:
     """Deterministic lexical stand-in for a trained sequence model.
 
     Takes the top-k candidate labels per entity (k chosen so the product can
-    reach the beam width), emits every combination as one sequence, and
-    scores it by the summed label similarities to the question.
+    reach the beam width), scores each combination by the summed label
+    similarities to the question, and returns the best ``beam_width`` of
+    them without building the rest.
     """
 
     def __init__(self, beam_width: int = DEFAULT_BEAM_WIDTH, similarity: Similarity | None = None):
@@ -145,8 +178,10 @@ class BaselineGenerator:
         structures = [s for s in enc.structures if s.relations]
         if not structures:
             return []
+        # Past the longest list a larger k takes no more labels.
+        longest = max(len(s.relations) for s in structures)
         k = 1
-        while k ** len(structures) < self.beam_width:
+        while k < longest and k ** len(structures) < self.beam_width:
             k += 1
         tops = [s.relations[:k] for s in structures]
         # Score each distinct label and render each group once per question.
@@ -156,11 +191,7 @@ class BaselineGenerator:
             [(render_group(s.mention, label), scores[label]) for label in top]
             for s, top in zip(structures, tops)
         ]
-        raw = []
-        for combo in product(*choices):
-            groups, group_scores = zip(*combo)
-            raw.append((serialize_target(groups), sum(group_scores)))
-        return _ranked(sorted(raw), self.beam_width)
+        return _best_first(choices, self.beam_width)
 
 
 Generator = FixtureGenerator | RemoteGenerator | BaselineGenerator

@@ -4,7 +4,9 @@ Each pre-linked entity contributes one bracketed structure holding its
 mention, its most specific KB type, and its candidate relations ranked by
 similarity to the question.  The rendered line is kept within a whitespace
 token budget by dropping the lowest-ranked relations round-robin across
-entities; the question itself is never truncated.
+entities; the question itself is never truncated.  A drop never adds a
+token, so the fewest drops that fit are found by bisection: O(log R)
+renderings for R candidate relations.
 """
 
 from __future__ import annotations
@@ -129,26 +131,43 @@ def build_encoder_input(
         )
     structures = [build_entity_structure(store, question, e, similarity) for e in ordered]
     pieces = [_escaped(s) for s in structures]
-    # kept[i]: how many of entity i's top-ranked relations are rendered.
-    kept = [len(s.relations) for s in structures]
-    cursor = 0
-    while True:
-        rendered = _render(question, ((h, r[:n]) for (h, r), n in zip(pieces, kept)))
-        if token_count(rendered) <= budget:
-            fitted = [
-                EntityStructure(s.mention, s.type_label, s.relations[:n])
-                for s, n in zip(structures, kept)
-            ]
-            return EncoderInput(question, fitted, rendered)
-        if not any(kept):
-            raise InputTooLongError(
-                f"minimal rendering is {token_count(rendered)} tokens, budget {budget}"
-            )
-        # Drop the lowest-ranked relation of the next non-empty entity.
-        while not kept[cursor % len(kept)]:
-            cursor += 1
-        kept[cursor % len(kept)] -= 1
-        cursor += 1
+
+    def render(kept: list[int]) -> str:
+        """The input with entity i's top ``kept[i]`` relations."""
+        return _render(question, ((h, r[:n]) for (h, r), n in zip(pieces, kept)))
+
+    lengths = [len(r) for _, r in pieces]
+    kept, rendered = lengths, render(lengths)
+    tokens = token_count(rendered)
+    if tokens > budget:
+        # The j-th drop from any entity comes in round j, and each round visits
+        # the non-empty entities in order; an entity drops its lowest-ranked
+        # relations first.  A drop never adds a token, so bisect the number of
+        # drops: ``too_long`` drops do not fit, and none fewer than ``fit_at``.
+        order = sorted((j, i) for i, n in enumerate(lengths) for j in range(n))
+
+        def after(drops: int) -> list[int]:
+            # Rounds before ``j`` are complete; round ``j`` got to entity ``last``.
+            j, last = order[drops - 1]
+            return [n - min(n, j + (i <= last)) for i, n in enumerate(lengths)]
+
+        too_long, fit_at = 0, len(order) + 1
+        while fit_at - too_long > 1:
+            mid = (too_long + fit_at) // 2
+            text = render(after(mid))
+            count = token_count(text)
+            if count <= budget:
+                fit_at, rendered = mid, text
+            else:
+                too_long, tokens = mid, count
+        if fit_at > len(order):
+            raise InputTooLongError(f"minimal rendering is {tokens} tokens, budget {budget}")
+        kept = after(fit_at)
+    fitted = [
+        EntityStructure(s.mention, s.type_label, s.relations[:n])
+        for s, n in zip(structures, kept)
+    ]
+    return EncoderInput(question, fitted, rendered)
 
 
 @dataclass

@@ -10,6 +10,11 @@ candidate graph with a satisfying join wins.  Beams are scanned in rank
 order in one pass that parses each beam once and keeps the first parseable
 beam as the fallback; ASK questions are checked with fully bound triples
 instead.
+
+A pair's surviving patterns depend only on its argument (the resolved
+entity, or ?y) and its label, so :func:`link` keeps them per question in a
+dict keyed by that pair: each distinct pair is expanded and tested against
+the store once, however many beams repeat it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .sequence_grammar import (
     detect_ask,
     parse_output,
 )
-from .terms import Iri, TriplePattern, VAR_X, VAR_Y, relation_uri
+from .terms import Iri, TriplePattern, VAR_X, VAR_Y, Variable, relation_uri
 
 DEFAULT_BEAM_LIMIT = 50
 DEFAULT_ASK_LIMIT = 10
@@ -59,6 +64,17 @@ class ValidationConfig:
                 raise ValueError(f"{name} must not be negative, got {value}")
 
 
+# What a pair's patterns depend on: its argument term and its relation label.
+PairKey = tuple[Iri | Variable, str]
+
+
+def _pair_key(pair: ArgRelPair) -> PairKey:
+    """The resolved entity, or the unbound ?y for a placeholder, and the label."""
+    arg = VAR_Y if isinstance(pair.argument, PlaceholderArg) else pair.argument.entity
+    assert arg is not None, "unresolved entity argument"
+    return arg, pair.relation_label
+
+
 def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     """Patterns connecting the pair's argument to ?x over its label.
 
@@ -67,26 +83,33 @@ def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     namespaces of a flat profile therefore yields four patterns.  Unknown
     labels yield none.
     """
-    arg = VAR_Y if isinstance(pair.argument, PlaceholderArg) else pair.argument.entity
-    assert arg is not None, "unresolved entity argument"
+    arg, label = _pair_key(pair)
     patterns: list[TriplePattern] = []
-    for route in store.routes(pair.relation_label):
+    for route in store.routes(label):
         patterns += [TriplePattern(arg, route, VAR_X), TriplePattern(VAR_X, route, arg)]
     return patterns
 
 
 def enumerate_graphs(
-    store: KbStore, pairs: Sequence[ArgRelPair]
+    store: KbStore,
+    pairs: Sequence[ArgRelPair],
+    survivors: dict[PairKey, list[TriplePattern]],
 ) -> Iterator[tuple[TriplePattern, ...]]:
     """Stream candidate graphs: tuples of one pattern per pair.
 
     Graphs come in lexicographic order of the per-pair choices.  Patterns
     that match nothing on their own are pruned first; a pair left with no
-    patterns empties the whole product.
+    patterns empties the whole product.  ``survivors`` holds the pruned
+    patterns of each pair already seen, and gains those of each new pair.
     """
     per_pair: list[list[TriplePattern]] = []
     for pair in pairs:
-        surviving = [p for p in expand_pair(store, pair) if store.pattern_satisfiable(p)]
+        key = _pair_key(pair)
+        surviving = survivors.get(key)
+        if surviving is None:
+            surviving = survivors[key] = [
+                p for p in expand_pair(store, pair) if store.pattern_satisfiable(p)
+            ]
         if not surviving:
             return
         per_pair.append(surviving)
@@ -115,12 +138,16 @@ def _resolved(pairs: Sequence[ArgRelPair]) -> bool:
 
 
 def validate_sequence(
-    store: KbStore, pairs: Sequence[ArgRelPair], rank: int
+    store: KbStore,
+    pairs: Sequence[ArgRelPair],
+    rank: int,
+    survivors: dict[PairKey, list[TriplePattern]],
 ) -> LinkingResult | None:
-    """First matching candidate graph of one parsed beam, or None."""
+    """First matching candidate graph of one parsed beam, or None;
+    ``survivors`` is the question's, as in :func:`enumerate_graphs`."""
     if not pairs or not _resolved(pairs):
         return None
-    for graph in enumerate_graphs(store, pairs):
+    for graph in enumerate_graphs(store, pairs, survivors):
         if store.match_graph(graph) is not None:
             relations = _unique(relation_uri(p.predicate) for p in graph)
             return LinkingResult(relations, True, rank)
@@ -182,17 +209,19 @@ def link(
     paired entities in the top ``ask_limit`` beams; a hit answers true,
     otherwise the answer is false.  When nothing validates, the top
     parseable beam is returned with best-effort URI mapping.  Each beam is
-    parsed at most once.
+    parsed at most once, and each distinct pair tested against the store
+    once.
     """
     config = config or ValidationConfig()
     is_ask = detect_ask(question)
-    if is_ask:
-        limit, check = config.ask_limit, _ask_hit
-    else:
-        limit, check = config.beam_limit, validate_sequence
+    limit = config.ask_limit if is_ask else config.beam_limit
+    survivors: dict[PairKey, list[TriplePattern]] = {}
     first = None
     for seq, pairs in _parsed(beams[:limit], entities):
-        result = check(store, pairs, seq.rank)
+        if is_ask:
+            result = _ask_hit(store, pairs, seq.rank)
+        else:
+            result = validate_sequence(store, pairs, seq.rank, survivors)
         if result is not None:
             return result
         first = first or (seq, pairs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Any, Callable, Container, Iterable, Iterator
 
 # A prefix name is an IRI scheme, so a prefixed name is a valid IRI.
@@ -168,14 +169,34 @@ def expect_str(value: object, what: str) -> str:
 RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
+def open_input(path: str | Path) -> IO[str]:
+    """An input file as UTF-8 text.  A byte that is not UTF-8 is read as a lone
+    surrogate (``surrogateescape``), which :func:`read_lines` reports with its
+    line number."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(line: str) -> None:
+    """Reject a lone surrogate: a byte that was not UTF-8 in the file."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(line[exc.start])
+        what = f"byte {code - 0xDC00:#04x}" if 0xDC80 <= code <= 0xDCFF else f"U+{code:04X}"
+        raise ValueError(f"invalid UTF-8 {what} at character {exc.start + 1}") from None
+
+
 def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable[[str], Any],
                error: type[Exception] = ValueError) -> Iterator[Any]:
     """``parse(line)`` for each line of ``source``, lazily, skipping blank lines
-    and None results; a record error becomes ``error("<kind> line N: ...")``."""
+    and None results; a record error, or text that is not UTF-8, becomes
+    ``error("<kind> line N: ...")``."""
     lines = source.splitlines() if isinstance(source, str) else source
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
+                if not line.isascii():
+                    _check_utf8(line)
                 record = parse(line)
             except RECORD_ERRORS as exc:
                 raise error(f"{kind} line {lineno}: {exc}") from None

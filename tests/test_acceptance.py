@@ -177,7 +177,7 @@ def test_criterion_03_four_pattern_expansion():
                     "dbp:owner",
                     "dbp:owner",
                 ]
-            graphs = list(enumerate_graphs(store, pairs))
+            graphs = list(enumerate_graphs(store, pairs, {}))
             assert len(graphs) == 4**k
             assert len(set(graphs)) == 4**k
 

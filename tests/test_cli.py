@@ -663,7 +663,8 @@ MALFORMED_RECORDS = {
 
 
 def _status_with_line(ford_files, reader, line):
-    """Exit status of the command reading ``reader`` when its text is ``line``."""
+    """Exit status of the command reading ``reader`` when its text, or its
+    bytes, are ``line``."""
     tmp, kb, ontology, questions, beams = ford_files
     gold = tmp / "gold.jsonl"
     gold.write_text(json.dumps({"question_id": "q1", "question": "q", "relations": []}) + "\n")
@@ -672,7 +673,10 @@ def _status_with_line(ford_files, reader, line):
     vectors, profile = tmp / "vectors.txt", tmp / "profile.cfg"
     target = {"questions": questions, "beam fixture": beams, "gold": gold, "predictions": pred,
               "triples": kb, "ontology": ontology, "vectors": vectors, "profile": profile}
-    target[reader].write_text(line + "\n")
+    if isinstance(line, bytes):
+        target[reader].write_bytes(line + b"\n")
+    else:
+        target[reader].write_text(line + "\n")
     if reader in ("gold", "predictions"):
         return main(["eval", "--gold", str(gold), "--pred", str(pred)])
     extra = {"vectors": ["--vectors", str(vectors)], "profile": ["--profile", str(profile)]}
@@ -741,6 +745,17 @@ MALFORMED_LINES = {
         "profile", 3, "profile = dbpedia\nprefix.ex = http://a.org/\nprefix.ex = http://b.org/"
     ),
     "profile-base-twice": ("profile", 2, "profile = dbpedia\nprofile = wikidata"),
+    # Byte 0xE9 is Latin-1 "é", not UTF-8.  CRLF and a lone CR still end lines.
+    "question-not-utf8": ("questions", 1, b'{"question_id": "q1", "question": "Caf\xe9?"}'),
+    "fixture-not-utf8": ("beam fixture", 2, b'{"question_id": "q0", "beams": []}\r\n'
+                         b'{"question_id": "q1", "beams": [{"text": "[A | r\xe9]", "score": -1}]}'),
+    "gold-not-utf8": ("gold", 1, b'{"question_id": "q1", "question": "\xe9", "relations": []}'),
+    "predictions-not-utf8": ("predictions", 1, b'{"question_id": "q1", "relations": ["dbo:\xe9"]}'),
+    "vectors-not-utf8": ("vectors", 2, b"q 1 0\rcaf\xe9 1 0"),
+    "triples-not-utf8": ("triples", 2, f"<{DBO}a> <{DBO}b> <{DBO}c> .\r\n".encode()
+                         + f'<{DBO}a> <{DBO}b> "caf'.encode() + b'\xe9" .'),
+    "ontology-not-utf8": ("ontology", 1, f"label\t{DBO}City\t".encode() + b"Cit\xe9"),
+    "profile-not-utf8": ("profile", 2, b"profile = dbpedia\r# caf\xe9"),
 }
 
 
@@ -751,3 +766,5 @@ def test_malformed_line_is_located_without_traceback(ford_files, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {reader} line {lineno}: ")
     assert "Traceback" not in err
+    if isinstance(text, bytes):
+        assert err.startswith(f"error: {reader} line {lineno}: invalid UTF-8 byte 0xe9 at character ")

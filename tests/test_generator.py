@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 from collections import Counter
@@ -226,6 +227,32 @@ class TestBaselineGenerator:
         assert scored == Counter(["birthPlace", "deathPlace", "spouse", "parent"])
         assert beams == BaselineGenerator(beam_width=9).generate(enc)
 
+    @pytest.mark.parametrize("lengths", [(3,), (3, 2)])
+    def test_huge_width_costs_no_more_than_every_combination(self, lengths):
+        # k stops at the longest list: past it a larger k takes no more labels.
+        enc = enc_input("birth place", [
+            EntityStructure(f"E{i}", None, ["birthPlace", "deathPlace", "spouse"][:n])
+            for i, n in enumerate(lengths)
+        ])
+        beams = BaselineGenerator(beam_width=10**9).generate(enc)
+        assert beams == BaselineGenerator(beam_width=10**5).generate(enc)
+        assert len(beams) == math.prod(lengths)
+
+    def test_wide_question_serializes_only_the_kept_beams(self, monkeypatch):
+        serialized = []
+        real = generator_module.serialize_target
+        monkeypatch.setattr(
+            generator_module, "serialize_target", lambda groups: serialized.append(groups) or real(groups)
+        )
+        # 20 entities with tied labels: k = 2 gives 2 ** 20 combinations, and
+        # text ranks them as the binary numerals over the entities, b = 1.
+        structures = [EntityStructure(f"E{i}", None, ["a", "b", "c"]) for i in range(20)]
+        beams = BaselineGenerator(50, _Tied()).generate(enc_input("q", structures))
+        assert [b.text for b in beams] == [
+            ", ".join(f"[E{j} | {'ab'[(i >> (19 - j)) & 1]}]" for j in range(20)) for i in range(50)
+        ]
+        assert len(serialized) == 50
+
 
 # -- the baseline against the generator it replaced ---------------------------
 #
@@ -304,28 +331,37 @@ def _random_input(rng: random.Random) -> EncoderInput:
     pool = sorted({_random_text(rng) for _ in range(rng.randint(1, 12))})
     structures = [
         EntityStructure(_random_text(rng), None, rng.sample(pool, rng.randint(0, min(8, len(pool)))))
-        for _ in range(rng.randint(0, 6))
+        for _ in range(rng.randint(0, 8))
     ]
     return EncoderInput(question, structures, question)
 
 
 def test_baseline_matches_reference():
     rng = random.Random(17)
-    shared = truncated = 0
+    shared = truncated = whole = 0
     escaped = Counter()
     for _ in range(500):
         enc = _random_input(rng)
         labels = [set(s.relations) for s in enc.structures]
         shared += any(a & b for i, a in enumerate(labels) for b in labels[i + 1 :])
-        for width in (1, 3, 7, 50):
+        lengths = [len(s.relations) for s in enc.structures if s.relations]
+        # Every label is taken, and no beam cut, once longest ** n reaches the
+        # width; the reference's k rule would count up to 10**9 to see that.
+        every = max(lengths, default=1) ** len(lengths)
+        widths = [1, 3, 7, 50]
+        if math.prod(lengths) <= 512:
+            widths.append(10**9)
+            whole += len(lengths) >= 5
+        for width in widths:
             for similarity in (TrigramSimilarity(), _Tied()):
                 beams = BaselineGenerator(width, similarity).generate(enc)
-                expected = ReferenceBaselineGenerator(width, similarity).generate(enc)
+                expected = ReferenceBaselineGenerator(min(width, every), similarity).generate(enc)
                 assert beams == expected, (enc, width)
                 truncated += len(beams) == width
                 escaped.update(c for b in beams for c in _RESERVED if "\\" + c in b.text)
     assert shared >= 100, shared
     assert truncated >= 500, truncated
+    assert whole >= 50, whole
     assert set(escaped) == set(_RESERVED), escaped
 
 

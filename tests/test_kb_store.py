@@ -720,7 +720,7 @@ def test_pruning_matches_first_match_filter(profile):
                 for pair in pairs
             ]
             expected = list(itertools.product(*surviving))
-            assert list(enumerate_graphs(store, pairs)) == expected, (seed, pairs)
+            assert list(enumerate_graphs(store, pairs, {})) == expected, (seed, pairs)
             for pair, patterns in zip(pairs, surviving):
                 kinds.update(
                     (type(pair.argument).__name__, namespace_of(relation_uri(p.predicate), profile))

@@ -17,7 +17,8 @@ from conftest import (
     parse_structures,
     ref_render_input,
 )
-from rellink.kb_store import load_kb
+from rellink import knowledge_integration
+from rellink.kb_store import KbStore, load_kb
 from rellink.knowledge_integration import (
     EncoderInput,
     EntityStructure,
@@ -28,7 +29,7 @@ from rellink.knowledge_integration import (
     read_question_records,
     token_count,
 )
-from rellink.terms import Iri
+from rellink.terms import DBPEDIA, Iri
 
 
 class TestBuildEntityStructure:
@@ -288,3 +289,42 @@ class TestShrinkMatchesReference:
             expected = _outcome(lambda: _ref_shrink(question, structures, budget))
             actual = _outcome(lambda: build_encoder_input(store, question, entities, budget))
             assert actual == expected, budget
+
+    def test_renders_logarithmically_many_times(self, monkeypatch):
+        # R = 3,000 candidate relations over three entities: bisection renders
+        # the full input and then at most ceil(log2(R + 1)) drop counts.
+        store = KbStore(DBPEDIA)
+        entities = []
+        for i, count in enumerate((2000, 700, 300)):
+            for j in range(count):
+                store.add_triple(Iri(f"dbr:E{i}"), Iri(f"dbo:r{i}_{j}"), Iri(f"dbr:V{j}"))
+            entities.append(LinkedEntity(f"E{i}", 2 * i, 2 * i + 1, Iri(f"dbr:E{i}")))
+        question = "E0 E1 E2 which relation?"
+        full = build_encoder_input(store, question, entities, budget=10**6)
+        counted = []
+        monkeypatch.setattr(
+            knowledge_integration, "token_count", lambda text: counted.append(text) or token_count(text)
+        )
+        # An input that fits counts the question and one rendering.
+        assert build_encoder_input(store, question, entities, budget=10**6) == full
+        assert len(counted) == 2
+        # Bisection counts at most 2 + ceil(log2(3001)) = 14 texts.
+        for budget in (token_count(full.rendered) - 5, 1500, 50, token_count(question)):
+            counted.clear()
+            outcome = _outcome(lambda: build_encoder_input(store, question, entities, budget))
+            assert len(counted) <= 14, (budget, len(counted))
+            if budget == token_count(question):
+                assert outcome.startswith("minimal rendering is "), outcome
+                continue
+            assert token_count(outcome.rendered) <= budget
+            # Round robin: entities that still hold relations dropped equally
+            # often, give or take one, and no emptied entity dropped more.
+            kept = [len(s.relations) for s in outcome.structures]
+            dropped = [len(s.relations) - k for s, k in zip(full.structures, kept)]
+            live = [d for d, k in zip(dropped, kept) if k]
+            assert max(live) - min(live) <= 1 and max(dropped) == max(live), kept
+        # The reference drops one relation at a time; few drops keep it quick.
+        budget = token_count(full.rendered) - 5
+        assert build_encoder_input(store, question, entities, budget) == _ref_shrink(
+            question, full.structures, budget
+        )

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from conftest import DBO, DBP, DBR, FORD_QUESTION, OBAMA_QUESTION, WD, WDT, nt
 from rellink import knowledge_validation
-from rellink.kb_store import load_kb
+from rellink.kb_store import KbStore, load_kb
 from rellink.knowledge_integration import LinkedEntity
 from rellink.knowledge_validation import (
+    LinkingResult,
     ValidationConfig,
     enumerate_graphs,
     expand_pair,
@@ -21,9 +26,23 @@ from rellink.sequence_grammar import (
     EntityArg,
     OutputSequence,
     PlaceholderArg,
+    detect_ask,
     parse_output,
+    render_group,
+    serialize_target,
 )
-from rellink.terms import Iri, PropertyPath, TriplePattern, VAR_X, VAR_Y
+from rellink.terms import (
+    DBPEDIA,
+    WIKIDATA,
+    Iri,
+    Literal,
+    PropertyPath,
+    TriplePattern,
+    VAR_X,
+    VAR_Y,
+    namespace_of,
+    relation_uri,
+)
 
 DUAL_NS_TRIPLES = "\n".join(
     [
@@ -110,7 +129,7 @@ class TestWikidataExpansion:
     def test_reified_pair_validates(self, wikidata_store):
         entities = [LinkedEntity("maker", 0, 5, Iri("wd:Q42"))]
         pairs = parse_output("[maker | manufacturer]", entities)
-        result = validate_sequence(wikidata_store, pairs, 1)
+        result = validate_sequence(wikidata_store, pairs, 1, {})
         assert result is not None and result.validated
         assert result.relations == [Iri("ps:P176")]
 
@@ -119,7 +138,7 @@ class TestEnumerateGraphs:
     def test_lexicographic_choice_order(self):
         store = load_kb(DUAL_NS_TRIPLES)
         pairs = [pair("dbr:A", "owner"), pair("dbr:A", "owner")]
-        graphs = list(enumerate_graphs(store, pairs))
+        graphs = list(enumerate_graphs(store, pairs, {}))
         options = expand_pair(store, pairs[0])
         assert len(graphs) == 16
         assert graphs[0] == (options[0], options[0])
@@ -131,7 +150,7 @@ class TestEnumerateGraphs:
         # Only (entity, r, ?x) holds in the Ford fixture; the reverse
         # orientation is pruned before the product.
         pairs = [pair("dbr:Kansas_City_Assembly", "owningOrganisation")]
-        graphs = list(enumerate_graphs(ford_store, pairs))
+        graphs = list(enumerate_graphs(ford_store, pairs, {}))
         assert len(graphs) == 1
         assert graphs[0][0].subject == Iri("dbr:Kansas_City_Assembly")
 
@@ -140,11 +159,11 @@ class TestEnumerateGraphs:
             pair("dbr:Kansas_City_Assembly", "owningOrganisation"),
             pair("dbr:Kansas_City_Assembly", "noSuchRel"),
         ]
-        assert list(enumerate_graphs(ford_store, pairs)) == []
+        assert list(enumerate_graphs(ford_store, pairs, {})) == []
 
     def test_shared_hub_variable(self):
         store = load_kb(DUAL_NS_TRIPLES)
-        graphs = list(enumerate_graphs(store, [pair("dbr:A", "owner")]))
+        graphs = list(enumerate_graphs(store, [pair("dbr:A", "owner")], {}))
         for graph in graphs:
             terms = {graph[0].subject, graph[0].object}
             assert VAR_X in terms
@@ -157,14 +176,14 @@ class TestValidateSequence:
             "[Ford Y-block engine | manufacturer]",
             ford_entities,
         )
-        result = validate_sequence(ford_store, pairs, 1)
+        result = validate_sequence(ford_store, pairs, 1, {})
         assert result is not None
         assert result.validated and result.source_rank == 1
         assert result.relations == [Iri("dbo:owningOrganisation"), Iri("dbo:manufacturer")]
 
     def test_unresolved_entity_none(self, ford_store, ford_entities):
         pairs = parse_output("[An Unknown Thing | owningOrganisation]", ford_entities)
-        assert validate_sequence(ford_store, pairs, 1) is None
+        assert validate_sequence(ford_store, pairs, 1, {}) is None
 
     def test_no_join_none(self, ford_store, ford_entities):
         # Both relations exist but share no hub entity in this orientation mix.
@@ -173,13 +192,13 @@ class TestValidateSequence:
             "[Ford Y-block engine | manufacturer]",
             ford_entities,
         )
-        assert validate_sequence(ford_store, pairs, 1) is None
+        assert validate_sequence(ford_store, pairs, 1, {}) is None
 
     def test_reverse_orientation_found(self):
         # Only (?x, r, e) holds; forward orientation is pruned away.
         store = load_kb(nt(DBR + "V", DBO + "owner", DBR + "A"))
         entities = [LinkedEntity("A thing", 0, 7, Iri("dbr:A"))]
-        result = validate_sequence(store, parse_output("[A thing | owner]", entities), 1)
+        result = validate_sequence(store, parse_output("[A thing | owner]", entities), 1, {})
         assert result is not None and result.validated
 
 
@@ -349,3 +368,132 @@ class TestParsesEachBeamOnce:
         result = link(ford_store, FORD_QUESTION, beams, ford_entities, config)
         assert not result.validated and result.source_rank == 4
         assert parsed == [b.text for b in beams[:4]]
+
+
+# -- the per-question survivor dict against the code it replaced -------------
+#
+# Reference: ``enumerate_graphs``, ``validate_sequence`` and ``link`` as they
+# were before a question kept each distinct pair's surviving patterns, kept
+# verbatim but for their names and the module prefix on private helpers: every
+# beam expanded and tested every one of its pairs again.
+
+
+def _ref_enumerate_graphs(store, pairs):
+    per_pair = []
+    for pair in pairs:
+        surviving = [p for p in expand_pair(store, pair) if store.pattern_satisfiable(p)]
+        if not surviving:
+            return
+        per_pair.append(surviving)
+    yield from product(*per_pair)
+
+
+def _ref_validate_sequence(store, pairs, rank):
+    if not pairs or not knowledge_validation._resolved(pairs):
+        return None
+    for graph in _ref_enumerate_graphs(store, pairs):
+        if store.match_graph(graph) is not None:
+            relations = knowledge_validation._unique(relation_uri(p.predicate) for p in graph)
+            return LinkingResult(relations, True, rank)
+    return None
+
+
+def _ref_link(store, question, beams, entities=(), config=None):
+    config = config or ValidationConfig()
+    is_ask = detect_ask(question)
+    if is_ask:
+        limit, check = config.ask_limit, knowledge_validation._ask_hit
+    else:
+        limit, check = config.beam_limit, _ref_validate_sequence
+    first = None
+    for seq, pairs in knowledge_validation._parsed(beams[:limit], entities):
+        result = check(store, pairs, seq.rank)
+        if result is not None:
+            return result
+        first = first or (seq, pairs)
+    if first is not None:
+        result = knowledge_validation._best_effort(store, *first)
+    else:
+        result = fallback_result(store, beams[limit:], entities)
+    if is_ask:
+        result.ask_answer = False
+    return result
+
+
+SURVIVOR_PIDS = ("P1", "P2")
+SURVIVOR_ENTITIES = [Iri(f"wd:Q{i}") for i in range(4)]
+SURVIVOR_STATEMENTS = [Iri(f"wds:S{i}") for i in range(3)]
+# Mentions E0-E3 name the entities; "what" is a placeholder and "nobody"
+# resolves to nothing.  P9 labels nothing.  No two labels normalize alike, so
+# a pattern belongs to one (argument, label) pair.
+SURVIVOR_ARGUMENTS = ("E0", "E1", "E2", "E3", "what", "nobody")
+SURVIVOR_LABELS = ("P1", "P2", "P9")
+
+
+def _random_question(rng: random.Random, profile):
+    """A store with flat (dbo:, dbp:, wdt:) edges, p:/ps: statements and pq:
+    qualifiers over small pools, a plain or ASK question about E0-E3, and
+    up to eight beams."""
+    store = KbStore(profile)
+    values = [*SURVIVOR_ENTITIES, Literal("0")]
+    for _ in range(rng.randint(0, 10)):
+        pred = Iri(f"{rng.choice(('dbo', 'dbp', 'wdt'))}:{rng.choice(SURVIVOR_PIDS)}")
+        store.add_triple(rng.choice(SURVIVOR_ENTITIES), pred, rng.choice(values))
+    for _ in range(rng.randint(0, 5)):
+        stmt = rng.choice(SURVIVOR_STATEMENTS)
+        store.add_triple(rng.choice(SURVIVOR_ENTITIES), Iri(f"p:{rng.choice(SURVIVOR_PIDS)}"), stmt)
+        store.add_triple(stmt, Iri(f"ps:{rng.choice(SURVIVOR_PIDS)}"), rng.choice(values))
+        if rng.random() < 0.5:
+            store.add_triple(stmt, Iri(f"pq:{rng.choice(SURVIVOR_PIDS)}"), rng.choice(values))
+    question = rng.choice(["Is E0 E1 E2 E3 linked?", "What links E0 E1 E2 E3?"])
+    entities = [
+        LinkedEntity(f"E{i}", question.index(f"E{i}"), question.index(f"E{i}") + 2, iri)
+        for i, iri in enumerate(SURVIVOR_ENTITIES)
+    ]
+    # Like a model's beams, one question's beams draw on a few groups.
+    pool = [
+        render_group(rng.choice(SURVIVOR_ARGUMENTS), rng.choice(SURVIVOR_LABELS))
+        for _ in range(rng.randint(2, 6))
+    ]
+    beams = []
+    for rank in range(1, rng.randint(1, 8) + 1):
+        groups = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        text = "garbage" if rng.random() < 0.1 else serialize_target(groups)
+        beams.append(OutputSequence(text, -0.1 * rank, rank))
+    config = ValidationConfig(beam_limit=rng.choice([1, 3, 50]), ask_limit=rng.choice([1, 10]))
+    return store, question, beams, entities, config
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+def test_link_matches_reference_and_tests_each_pattern_once(profile):
+    kinds, ask_true = set(), 0
+    calls_before = calls_after = 0
+    for seed in range(400):
+        store, question, beams, entities, config = _random_question(random.Random(seed), profile)
+        tested = Counter()
+        satisfiable = store.pattern_satisfiable
+
+        def counting(pattern):
+            tested[pattern] += 1
+            return satisfiable(pattern)
+
+        store.pattern_satisfiable = counting
+        expected = _ref_link(store, question, beams, entities, config)
+        before = sum(tested.values())
+        tested.clear()
+        result = link(store, question, beams, entities, config)
+        assert result == expected, seed
+        if not detect_ask(question):
+            # The ASK path tests bound triples beam by beam, as before.
+            assert max(tested.values(), default=0) <= 1, (seed, tested)
+            calls_before += before
+            calls_after += sum(tested.values())
+        if result.validated and result.ask_answer is None:
+            pairs = parse_output(beams[result.source_rank - 1].text, entities)
+            kinds.update(namespace_of(r, profile) for r in result.relations)
+            kinds.update(type(p.argument).__name__ for p in pairs)
+        ask_true += result.ask_answer is True
+    routed = set(profile.property_namespaces) - {profile.statement_namespace}
+    assert kinds == routed | {"EntityArg", "PlaceholderArg"}
+    assert ask_true >= 5, ask_true
+    assert calls_after < calls_before, (calls_after, calls_before)
