@@ -3,11 +3,13 @@
 The store keeps each triple once, by subject (``_spo``) and by predicate
 (``_pos``), and lists the predicates reaching each object (``_op``), all in
 insertion-ordered dicts, so every enumeration is deterministic for a given
-load order.  It also tracks the class hierarchy, reads per-class instance
-counts from the type index, and keeps a label lexicon mapping normalized
-relation labels to the IRIs that carry them.  The store alone turns a
-relation label into its routes; no other module builds a route from
-namespace strings.
+load order.  A leaf of those indexes that holds one term, as most do, is a
+1-tuple instead, in the spirit of HDT's compact runs (Fernández et al., J.
+Web Semantics 2013); its second term makes it a dict.  The store also
+tracks the class hierarchy, reads per-class instance counts from the type
+index, and keeps a label lexicon mapping normalized relation labels to the
+IRIs that carry them.  The store alone turns a relation label into its
+routes; no other module builds a route from namespace strings.
 
 Validation asks the store the same two questions for every beam, so both
 are answered from store-level state.  ``routes`` memoizes each lexicon
@@ -95,17 +97,37 @@ def _unescape(raw: str, echars: bool) -> str:
     return _ESCAPE_RE.sub(decode, raw)
 
 
+def _add_to_leaf(index: dict, key: Term, term: Term) -> bool:
+    """Add ``term`` to the leaf ``index[key]``; False when it is there already.
+
+    A leaf holding one term is a 1-tuple, a quarter the size of a one-key
+    dict; its second term makes it a dict with the first term first.  Either
+    way it iterates in insertion order and answers ``in`` and ``len``.
+    """
+    leaf = index.get(key)
+    if leaf is None:
+        index[key] = (term,)
+    elif term in leaf:
+        return False
+    elif type(leaf) is tuple:
+        index[key] = {leaf[0]: None, term: None}
+    else:
+        leaf[term] = None
+    return True
+
+
 class KbStore:
     """Triples plus ontology metadata for one knowledge-base profile."""
 
     def __init__(self, profile: Profile):
         self.profile = profile
         self._size = 0
-        # subject -> predicate -> {object}; dicts double as ordered sets.
-        self._spo: dict[Iri, dict[Iri, dict[Term, None]]] = {}
-        self._pos: dict[Iri, dict[Term, dict[Iri, None]]] = {}
+        # subject -> predicate -> {object}; each leaf is a 1-tuple or a dict
+        # of two or more terms, both ordered sets (see ``_add_to_leaf``).
+        self._spo: dict[Iri, dict[Iri, tuple[Term] | dict[Term, None]]] = {}
+        self._pos: dict[Iri, dict[Term, tuple[Iri] | dict[Iri, None]]] = {}
         # object -> {predicate}: the predicates that reach each object.
-        self._op: dict[Term, dict[Iri, None]] = {}
+        self._op: dict[Term, tuple[Iri] | dict[Iri, None]] = {}
         self._parents: dict[Iri, dict[Iri, None]] = {}
         self._count_overrides: dict[Iri, int] = {}
         self._labels: dict[Iri, str] = {}
@@ -122,10 +144,11 @@ class KbStore:
     # -- construction -----------------------------------------------------
 
     def add_triple(self, s: Iri, p: Iri, o: Term) -> None:
-        objects = self._spo.setdefault(s, {}).setdefault(p, {})
-        if o in objects:
+        by_predicate = self._spo.get(s)
+        if by_predicate is None:
+            by_predicate = self._spo[s] = {}
+        if not _add_to_leaf(by_predicate, p, o):
             return
-        objects[o] = None
         self._size += 1
         by_object = self._pos.get(p)
         if by_object is None:
@@ -134,18 +157,27 @@ class KbStore:
             by_object = self._pos[p] = {}
             ns = namespace_of(p, self.profile)
             if ns in self.profile.property_namespaces:
-                self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
+                self._add_to_lexicon(local_name(p), p)
             if ns is not None and ns == self.profile.statement_namespace:
                 self._entries[p] = None
-        by_object.setdefault(o, {})[s] = None
-        self._op.setdefault(o, {})[p] = None
+        _add_to_leaf(by_object, o, s)
+        _add_to_leaf(self._op, o, p)
         if p == self.profile.subclass_predicate and isinstance(o, Iri):
             self._parents.setdefault(s, {})[o] = None
-        self._route_memo.clear()
+        if self._route_memo:
+            self._route_memo.clear()
+
+    def _add_to_lexicon(self, label: str, iri: Iri) -> None:
+        """File ``iri`` under the lexicon key of ``label``.  A label of
+        punctuation alone files nothing: its key is the empty one, which
+        every such label shares."""
+        key = normalize_label(label)
+        if key:
+            self._lexicon.setdefault(key, {})[iri] = None
 
     def set_label(self, iri: Iri, label: str) -> None:
         self._labels[iri] = label
-        self._lexicon.setdefault(normalize_label(label), {})[iri] = None
+        self._add_to_lexicon(label, iri)
         self._route_memo.clear()
 
     def set_instance_count(self, cls: Iri, count: int) -> None:
@@ -451,10 +483,7 @@ def parse_nt_line(
             except ValueError as exc:
                 raise ValueError(f"{exc}: {stripped!r}") from None
         parsed.append(term)
-    subject, predicate, obj = parsed
-    if isinstance(subject, Literal) or not isinstance(predicate, Iri):
-        raise ValueError(f"subject and predicate must be IRIs: {stripped!r}")
-    return subject, predicate, obj
+    return tuple(parsed)
 
 
 def load_triples(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:

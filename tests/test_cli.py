@@ -735,6 +735,8 @@ MALFORMED_LINES = {
     "vectors-infinity": ("vectors", 1, "w Infinity 1"),
     "vectors-huge-int": ("vectors", 1, f"w {HUGE} 1"),
     "triples-not-a-triple": ("triples", 1, "not a triple"),
+    "triples-literal-subject": ("triples", 1, f'"A" <{DBO}b> <{DBO}c> .'),
+    "triples-blank-node-predicate": ("triples", 1, f"<{DBO}a> _:b <{DBO}c> ."),
     "ontology-count-infinity": ("ontology", 1, f"count\t{DBO}City\tInfinity"),
     "profile-unknown-base": ("profile", 1, "profile = nosuch"),
     "profile-empty-namespace": ("profile", 2, "profile = dbpedia\nprefix.ex ="),

@@ -7,6 +7,7 @@ import io
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from rellink.terms import (
     Iri,
     Literal,
     PropertyPath,
+    Term,
     TriplePattern,
     Variable,
     local_name,
@@ -78,6 +80,15 @@ class TestNtParsing:
     def test_missing_terminal_dot(self):
         with pytest.raises(KbLoadError):
             load_kb(f"<{DBR}A> <{DBO}r> <{DBR}B>")
+
+    @pytest.mark.parametrize(
+        "line",
+        [f'"A" <{DBO}r> <{DBR}B> .', f"<{DBR}A> _:r <{DBR}B> ."],
+        ids=["literal-subject", "blank-node-predicate"],
+    )
+    def test_subject_and_predicate_shapes_are_in_the_line_pattern(self, line):
+        with pytest.raises(KbLoadError, match="^triples line 1: not a valid triple line: "):
+            load_kb(line)
 
 
 class TestNtEscapes:
@@ -293,6 +304,138 @@ def test_term_table_load_matches_per_line_parsing(profile):
         assert _ordered(loaded._lexicon) == _ordered(lexicon), seed
 
 
+# -- the leaf layout against a store whose every leaf is a dict --------------
+
+
+class _DictLeafStore(KbStore):
+    """The store as it was before one-term leaves became 1-tuples: its
+    ``add_triple`` is that version verbatim, so every leaf is a dict."""
+
+    def add_triple(self, s: Iri, p: Iri, o: Term) -> None:
+        objects = self._spo.setdefault(s, {}).setdefault(p, {})
+        if o in objects:
+            return
+        objects[o] = None
+        self._size += 1
+        by_object = self._pos.get(p)
+        if by_object is None:
+            # First sight of the predicate: its lexicon entry and whether it
+            # enters statements depend on nothing else, so both are made once.
+            by_object = self._pos[p] = {}
+            ns = namespace_of(p, self.profile)
+            if ns in self.profile.property_namespaces:
+                self._lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
+            if ns is not None and ns == self.profile.statement_namespace:
+                self._entries[p] = None
+        by_object.setdefault(o, {})[s] = None
+        self._op.setdefault(o, {})[p] = None
+        if p == self.profile.subclass_predicate and isinstance(o, Iri):
+            self._parents.setdefault(s, {})[o] = None
+        self._route_memo.clear()
+
+
+def _random_leaf_triples(rng: random.Random, profile) -> list[tuple]:
+    """Triples over small pools with a hub subject and a hub object, blank
+    nodes, an IRI and a literal of one text, statements under a reified
+    profile, and repeats spelled as fresh but equal terms."""
+    entities = [Iri(f"ex:E{i}") for i in range(8)] + [Iri("_:b1"), Iri("_:b2"), Iri("a:b")]
+    hub_s, hub_o = Iri("ex:HubS"), Iri("ex:HubO")
+    values = entities + [Literal("a:b"), Literal("plain"), Literal("")]
+    predicates = [Iri(f"{ns}:P{i}") for ns in profile.property_namespaces for i in range(3)]
+    predicates += [profile.type_predicate, profile.subclass_predicate]
+    triples: list[tuple] = []
+    for _ in range(rng.randint(0, 60)):
+        roll = rng.random()
+        if triples and roll < 0.15:
+            s, p, o = rng.choice(triples)
+            o = Literal(o.lexical) if isinstance(o, Literal) else Iri(str(o))
+            triples.append((Iri(str(s)), Iri(str(p)), o))
+            continue
+        s = hub_s if roll < 0.4 else rng.choice(entities)
+        o = hub_o if rng.random() < 0.3 else rng.choice(values)
+        if profile.statement_namespace is not None and roll > 0.85:
+            stmt = Iri(f"wds:S{rng.randrange(4)}")
+            triples.append((s, Iri(f"p:P{rng.randrange(3)}"), stmt))
+            s, p = stmt, Iri(f"{rng.choice(('ps', 'pq'))}:P{rng.randrange(3)}")
+        else:
+            p = rng.choice(predicates)
+        triples.append((s, p, o))
+    return triples
+
+
+def _leaves(index: dict, depth: int):
+    """An index as nested lists of (type, key, inner) triples down to its
+    leaves, each leaf as the list of its terms with their types: equality
+    then checks order and term kinds, whatever container a leaf is."""
+    if depth == 0:
+        return [(type(term), term) for term in index]
+    return [(type(key), key, _leaves(inner, depth - 1)) for key, inner in index.items()]
+
+
+LEAF_INDEXES = (("_spo", 2), ("_pos", 2), ("_op", 1))
+
+
+@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
+def test_one_term_leaves_are_tuples_and_hold_what_dict_leaves_hold(profile):
+    shapes = set()
+    for seed in range(200):
+        triples = _random_leaf_triples(random.Random(seed), profile)
+        store, reference = KbStore(profile), _DictLeafStore(profile)
+        for triple in triples:
+            store.add_triple(*triple)
+            reference.add_triple(*triple)
+        assert len(store) == len(reference), seed
+        for name, depth in LEAF_INDEXES:
+            index = getattr(store, name)
+            leaves = [index] if depth == 1 else list(index.values())
+            for leaf in (leaf for inner in leaves for leaf in inner.values()):
+                shape = (type(leaf), min(len(leaf), 2))
+                assert shape in ((tuple, 1), (dict, 2)), (seed, name, leaf)
+                shapes.add(shape)
+            assert _leaves(index, depth) == _leaves(getattr(reference, name), depth), (seed, name)
+        for name in ("_parents", "_lexicon", "_entries"):
+            assert getattr(store, name) == getattr(reference, name), (seed, name)
+    assert shapes == {(tuple, 1), (dict, 2)}
+
+
+def _flat_kb(rng: random.Random, n_triples: int) -> list[tuple]:
+    """A dbpedia-profile KB with Zipf-skewed predicate fan-out, every seventh
+    predicate's objects literals, and one or two types per entity."""
+    n_entities, n_predicates = n_triples // 4, 60
+    entities = [Iri(f"dbr:E{i}") for i in range(n_entities)]
+    predicates = [Iri(f"{('dbo', 'dbp')[i % 2]}:rel{i}") for i in range(n_predicates)]
+    classes = [Iri(f"dbo:Kind{i}") for i in range(40)]
+    type_p = DBPEDIA.type_predicate
+    triples = []
+    for e in entities:
+        triples.append((e, type_p, rng.choice(classes)))
+        if rng.random() < 0.3:
+            triples.append((e, type_p, rng.choice(classes)))
+    weights = [1.0 / (i + 1) for i in range(n_predicates)]
+    for _ in range(n_triples - len(triples)):
+        i = rng.choices(range(n_predicates), weights)[0]
+        o = Literal(f"w{rng.randrange(5000)}") if i % 7 == 6 else rng.choice(entities)
+        triples.append((rng.choice(entities), predicates[i], o))
+    return triples
+
+
+def test_store_heap_is_at_most_six_tenths_of_dict_leaves():
+    # The terms exist before tracing starts, so each heap is the indexes'.
+    triples = _flat_kb(random.Random(1), 20_000)
+    heaps = []
+    for cls in (KbStore, _DictLeafStore):
+        tracemalloc.start()
+        try:
+            store = cls(DBPEDIA)
+            for triple in triples:
+                store.add_triple(*triple)
+            heaps.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del store
+    assert heaps[0] <= 0.6 * heaps[1], heaps
+
+
 class TestOntology:
     def test_bad_row_reports_line(self):
         with pytest.raises(KbLoadError, match="ontology line 1"):
@@ -336,6 +479,15 @@ class TestOntology:
     def test_blank_label_is_located(self, label):
         with pytest.raises(KbLoadError, match="^ontology line 2: label rows take a non-empty label$"):
             load_kb("", ontology=f"# header\nlabel\t{DBO}foo\t{label}")
+
+    def test_punctuation_label_routes_nowhere(self):
+        # Such a label, or local name, has an empty lexicon key; filed under
+        # it, every label of punctuation alone would route to it.
+        store = load_kb(
+            nt(DBR + "A", DBO + "--", DBR + "B"), ontology=f"label\t{DBO}foo\t---"
+        )
+        assert store.routes("-") == store.routes("?!") == store.routes("--") == []
+        assert "" not in store._lexicon
 
     def test_label_row_overrides_local_name(self):
         store = load_kb(
