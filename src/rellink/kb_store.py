@@ -20,11 +20,16 @@ ICDE 2011), and ``_op`` lists the predicates reaching each object.  Every
 other shape takes the first pair of ``_pairs``, the one walk over the
 indexes that matching also takes.  The statement-entry predicates are kept
 as a set when first loaded.
+
+A load validates each distinct N-Triples token once, skips the line regex
+for a line whose tokens are all known, and pauses the cyclic garbage
+collector while it builds the store (see ``load_triples``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import graphlib
 import logging
 import re
@@ -490,13 +495,42 @@ def load_triples(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:
     """Add every triple of an N-Triples source to ``store``.
 
     One term table lives for the call, so a term repeated over many lines is
-    parsed once and shared by all three indexes.
+    parsed once and shared by all three indexes.  A line whose three
+    whitespace-separated tokens are all in the table skips ``_TRIPLE_RE``:
+    each token was captured by the alternative its first character names, so
+    the regex would take the same three groups.  A subject token starting
+    with ``"`` or a predicate not starting with ``<`` was captured in another
+    position and takes the regex, which rejects it.  ``str.split`` and the
+    regex's ``\\s`` agree on whitespace.
+
+    The cyclic garbage collector is paused while the store is built: every
+    term is a tracked object, so each pass walks the growing indexes, and a
+    load makes no reference cycles for it to free.  When the load had it
+    running, it resumes with one pass over the young generations, which hold
+    the objects the load made; the first allocations after the load would
+    otherwise start that walk, twice, in whatever code runs next.  The old
+    generation, the caller's heap, is left to the collector's own schedule.
     """
+    profile = store.profile
     terms: dict[str, Term] = {}
-    for triple in read_lines(
-        source, "triples", lambda line: parse_nt_line(line, store.profile, terms), KbLoadError
-    ):
-        store.add_triple(*triple)
+
+    def parse(line: str) -> tuple[Iri, Iri, Term] | None:
+        parts = line.split()
+        if len(parts) == 4 and parts[3] == "." and parts[0][0] != '"' and parts[1][0] == "<":
+            s, p, o, _ = parts
+            if s in terms and p in terms and o in terms:
+                return terms[s], terms[p], terms[o]
+        return parse_nt_line(line, profile, terms)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for triple in read_lines(source, "triples", parse, KbLoadError):
+            store.add_triple(*triple)
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(1)
 
 
 def load_ontology(store: KbStore, source: str | IO[str] | Iterable[str]) -> None:

@@ -11,6 +11,7 @@ An :class:`Iri` is a validated ``str``, so ``Iri("dbo:x") == "dbo:x"``; a
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import IO, Any, Callable, Container, Iterable, Iterator
 
 # A prefix name is an IRI scheme, so a prefixed name is a valid IRI.
 PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*")
-_IRI_RE = re.compile(rf"^(?:{PREFIX_NAME_RE.pattern}:\S+|_:\S+)$")
+_IRI_RE = re.compile(rf"{PREFIX_NAME_RE.pattern}:\S+|_:\S+")
 
 
 class Iri(str):
@@ -29,7 +30,7 @@ class Iri(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> Iri:
-        if not _IRI_RE.match(value):
+        if not _IRI_RE.fullmatch(value):
             raise ValueError(f"not a valid IRI or prefixed name: {value!r}")
         return super().__new__(cls, value)
 
@@ -190,8 +191,9 @@ def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable
                error: type[Exception] = ValueError) -> Iterator[Any]:
     """``parse(line)`` for each line of ``source``, lazily, skipping blank lines
     and None results; a record error, or text that is not UTF-8, becomes
-    ``error("<kind> line N: ...")``."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    ``error("<kind> line N: ...")``.  A ``str`` source is split as a text file
+    is read: only LF, CR LF and CR end a line."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:

@@ -713,6 +713,11 @@ MALFORMED_LINES = {
          "entities": [{"mention": "Ford", "start": 0.9, "end": 4.7,
                        "iri": "http://dbpedia.org/resource/Ford"}]}
     )),
+    "question-iri-newline": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Ford?",
+         "entities": [{"mention": "Ford", "start": 0, "end": 4,
+                       "iri": "http://dbpedia.org/resource/Ford\n"}]}
+    )),
     "question-start-bool": ("questions", 1, json.dumps(
         {"question_id": "q1", "question": "Ford?",
          "entities": [{"mention": "Ford", "start": False, "end": 4, "iri": "dbr:Ford"}]}
@@ -761,12 +766,19 @@ MALFORMED_LINES = {
 }
 
 
+# The error text of a case, where the reader's located prefix alone would
+# not show which check caught the line.
+MALFORMED_LINE_ERRORS = {
+    "question-iri-newline": "not a valid IRI or prefixed name: 'dbr:Ford\\n'\n",
+}
+
+
 @pytest.mark.parametrize("case", MALFORMED_LINES)
 def test_malformed_line_is_located_without_traceback(ford_files, capsys, case):
     reader, lineno, text = MALFORMED_LINES[case]
     assert _status_with_line(ford_files, reader, text) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {reader} line {lineno}: ")
+    assert err.startswith(f"error: {reader} line {lineno}: {MALFORMED_LINE_ERRORS.get(case, '')}")
     assert "Traceback" not in err
     if isinstance(text, bytes):
         assert err.startswith(f"error: {reader} line {lineno}: invalid UTF-8 byte 0xe9 at character ")

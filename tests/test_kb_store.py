@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import itertools
 import random
@@ -155,6 +156,76 @@ class TestLoading:
     def test_empty_input(self):
         assert len(load_kb("")) == 0
 
+    def test_str_source_splits_lines_as_a_file_does(self, tmp_path):
+        # N-Triples allows U+2028, U+0085, \x1c-\x1e, \v and \f raw in a
+        # literal; a text file ends lines only at LF, CR LF and CR.
+        odd = "x\u2028y\x85z\x1c\x1d\x1e\v\f"
+        text = (
+            nt(DBR + "A", DBO + "r", DBR + "B") + "\r\n"
+            + nt(DBR + "A", DBO + "r", ("lit", odd)) + "\r"
+            + nt(DBR + "B", DBO + "r", ("lit", "x y")) + "\n"
+        )
+        path = tmp_path / "kb.nt"
+        path.write_bytes(text.encode())
+        from_str = load_kb(text)
+        with open(path, encoding="utf-8") as f:
+            from_file = load_kb(f)
+        assert Literal(odd) in from_str._op
+        for name in STORE_INDEXES:
+            assert _ordered(getattr(from_str, name)) == _ordered(getattr(from_file, name)), name
+        path.write_bytes((text + "\x85not a triple\n").encode())
+        with pytest.raises(KbLoadError, match="^triples line 4: ") as from_str_error:
+            load_kb(text + "\x85not a triple\n")
+        with open(path, encoding="utf-8") as f, pytest.raises(KbLoadError) as from_file_error:
+            load_kb(f)
+        assert str(from_str_error.value) == str(from_file_error.value)
+
+
+class TestCollectorPause:
+    """The cyclic collector is paused while a load builds the store and
+    left as the caller had it, whether the load ends or fails."""
+
+    LINES = [nt(DBR + "A", DBO + "r", DBR + "B"), nt(DBR + "B", DBO + "r", DBR + "C")]
+
+    def _load(self, lines):
+        seen = []
+
+        def source():
+            for line in lines:
+                seen.append(gc.isenabled())
+                yield line
+
+        load_kb(source())
+        return seen
+
+    def test_paused_during_load_and_restored(self):
+        assert gc.isenabled()
+        assert self._load(self.LINES) == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_failed_load(self):
+        with pytest.raises(KbLoadError, match="^triples line 2: "):
+            self._load([self.LINES[0], "not a triple", self.LINES[1]])
+        assert gc.isenabled()
+
+    def test_load_leaves_no_pass_for_later(self):
+        # The load ends with a pass over the young generations, so the
+        # objects it made do not start one in the first code that allocates.
+        lines = [nt(DBR + f"E{i}", DBO + "r", DBR + f"F{i}") for i in range(3000)]
+        load_triples(KbStore(DBPEDIA), lines)
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+
+    def test_left_disabled_when_the_caller_disabled_it(self):
+        gc.disable()
+        try:
+            self._load(self.LINES)
+            assert not gc.isenabled()
+            with pytest.raises(KbLoadError):
+                self._load(["not a triple"])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
 
 class TestLoadErrorLines:
     @pytest.mark.parametrize(
@@ -211,7 +282,14 @@ class TestTermSharing:
 
 def _random_nt_lines(rng: random.Random, profile) -> list[str]:
     """N-Triples text over small pools, so that terms, predicates and whole
-    lines repeat; tokens spelled with and without escapes decode alike."""
+    lines repeat; tokens spelled with and without escapes decode alike.
+
+    Lines vary their separators (tab, ``\\x1c`` and U+3000 among them), their
+    end (no space before the dot, a trailing comment, CR LF) and their
+    literals' tags.  About one text in four also holds one bad line after a
+    good line that brings its tokens into the load's term table: a literal
+    seen as an object put in subject position, a blank node put in predicate
+    position, or a line the regex rejects."""
     prefixes = profile.prefixes
 
     def full(iri: Iri) -> str:
@@ -244,7 +322,11 @@ def _random_nt_lines(rng: random.Random, profile) -> list[str]:
         '"1"^^<http://www.w3.org/2001/XMLSchema#integer>',
         '"1"@en',
         '"plain"@en-GB',
+        '"two words"',
+        '"x"',
     ]
+    separators = [" ", "\t", "  ", "\x1c", "\u3000"]
+    ends = [" .", ".", "\t.", " . # a comment", " .#", "\x1c."]
     lines: list[str] = []
     for _ in range(rng.randint(0, 40)):
         roll = rng.random()
@@ -264,8 +346,25 @@ def _random_nt_lines(rng: random.Random, profile) -> list[str]:
                 rng.choice(predicates),
                 rng.choice(entities + literals),
             )
-        sep = rng.choice([" ", "\t", "  "])
-        lines.append(sep.join(triple) + " .")
+        lines.append(
+            rng.choice(["", "", " "])
+            + rng.choice(separators).join(triple)
+            + rng.choice(ends)
+            + rng.choice(["", "", "\r"])
+        )
+    if rng.random() < 0.25:
+        e, p, lit = rng.choice(entities), rng.choice(predicates), rng.choice(literals)
+        good, bad = rng.choice([
+            (f"{e} {p} {lit} .", f"{lit} {p} {e} ."),
+            (f"{e} {p} _:b1 .", f"{e} _:b1 {e} ."),
+            (f"{e} {p} {e} .", f"{e} {p} {e}"),
+            (f"{e} {p} {e} .", f"{e} {p} {e} {e} ."),
+            (f"{e} {p} {e} .", f"{e} {p} {e} . ."),
+            (f"{e} {p} {e} .", f"{e} {p} {e} ;"),
+            (f"{e} {p} {lit} .", f'{e} {p} "bad \\q" .'),
+        ])
+        at = rng.randint(0, len(lines))
+        lines[at:at] = [good, bad]
     return lines
 
 
@@ -281,27 +380,40 @@ STORE_INDEXES = ("_spo", "_pos", "_op", "_lexicon", "_parents")
 
 @pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
 def test_term_table_load_matches_per_line_parsing(profile):
+    errors = 0
     for seed in range(200):
         lines = _random_nt_lines(random.Random(seed), profile)
         loaded = KbStore(profile)
-        load_triples(loaded, "\n".join(lines))
+        try:
+            load_triples(loaded, "\n".join(lines))
+            error = None
+        except KbLoadError as exc:
+            error = str(exc)
         # The reference parses every line with no table and rebuilds the
         # lexicon entries on every triple, not only on a predicate's first.
         expected = KbStore(profile)
+        expected_error = None
         lexicon: dict = {}
-        for line in lines:
-            triple = parse_nt_line(line, profile)
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                triple = parse_nt_line(line, profile)
+            except ValueError as exc:
+                expected_error = f"triples line {lineno}: {exc}"
+                break
             if triple is None:
                 continue
             expected.add_triple(*triple)
             _, p, _ = triple
             if namespace_of(p, profile) in profile.property_namespaces:
                 lexicon.setdefault(normalize_label(local_name(p)), {})[p] = None
+        assert error == expected_error, seed
+        errors += error is not None
         assert len(loaded) == len(expected), seed
         for name in STORE_INDEXES:
             assert _ordered(getattr(loaded, name)) == _ordered(getattr(expected, name)), (seed, name)
         assert _ordered(loaded.instance_counts()) == _ordered(expected.instance_counts()), seed
         assert _ordered(loaded._lexicon) == _ordered(lexicon), seed
+    assert 20 < errors < 100  # both outcomes are exercised
 
 
 # -- the leaf layout against a store whose every leaf is a dict --------------

@@ -37,6 +37,14 @@ class TestIri:
         with pytest.raises(ValueError, match=f"^not a valid IRI or prefixed name: {bad!r}$"):
             Iri(bad)
 
+    def test_rejects_a_trailing_newline(self):
+        # The whole text must match: a pattern ending in $ also matches
+        # before a final newline.
+        with pytest.raises(ValueError, match="^not a valid IRI or prefixed name: 'dbo:x\\\\n'$"):
+            Iri("dbo:x\n")
+        with pytest.raises(ValueError, match="^not a valid IRI or prefixed name: 'dbr:E1\\\\n'$"):
+            normalize_iri("http://dbpedia.org/resource/E1\n", DBPEDIA)
+
     @pytest.mark.parametrize("bad", [5, None, b"dbo:x"])
     def test_rejects_non_strings(self, bad):
         with pytest.raises(TypeError):
