@@ -24,9 +24,9 @@ from .terms import (
     Variable,
     json_record,
     local_name,
-    normalize_iri,
     parse_term,
     read_lines,
+    record_iri,
 )
 
 logger = logging.getLogger(__name__)
@@ -181,7 +181,7 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
 
     def parse(line: str) -> GoldRecord:
         qid, raw = json_record(line, seen)
-        relations = {normalize_iri(r, profile) for r in raw["relations"]}
+        relations = {record_iri(r, profile) for r in raw["relations"]}
         graph = None
         if raw.get("graph"):
             patterns = []

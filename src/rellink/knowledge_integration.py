@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator
 from . import brackets
 from .kb_store import KbStore
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import DBPEDIA, Iri, Profile, expect_str, json_record, normalize_iri, read_lines
+from .terms import DBPEDIA, Iri, Profile, expect_str, json_record, read_lines, record_iri
 
 DEFAULT_BUDGET = 512
 
@@ -196,7 +196,7 @@ def read_question_records(
                 mention=e["mention"],
                 start=_offset(e, "start"),
                 end=_offset(e, "end"),
-                entity=normalize_iri(e["iri"], profile),
+                entity=record_iri(e["iri"], profile),
             )
             for e in raw.get("entities", [])
         ]

@@ -3,7 +3,11 @@
 IRIs inside a profile's known namespaces are kept in compact prefixed form
 (``dbo:spouse``, ``wdt:P31``) so that equality, namespace tests, and local
 names are cheap string operations.  Full IRIs are normalized at every
-ingestion boundary via :func:`normalize_iri`.
+ingestion boundary: each :class:`Profile` compiles its namespaces into one
+regex when it is made, so compaction is one match.  The KB loaders call it
+through :func:`normalize_iri`; record readers (questions, gold, predictions)
+call it through :func:`record_iri`, which keeps the profile's last
+``RECORD_IRI_MEMO`` IRIs, since records repeat their relations and entities.
 
 An :class:`Iri` is a validated ``str``, so ``Iri("dbo:x") == "dbo:x"``; a
 :class:`Literal` is not, and never equals an ``Iri`` of its text.
@@ -14,13 +18,18 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Any, Callable, Container, Iterable, Iterator
 
 # A prefix name is an IRI scheme, so a prefixed name is a valid IRI.
 PREFIX_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*")
 _IRI_RE = re.compile(rf"{PREFIX_NAME_RE.pattern}:\S+|_:\S+")
+# Distinct IRIs each profile's record memo keeps: enough for the relations and
+# frequent entities of a run, small enough that one-off entities do not crowd
+# them out.
+RECORD_IRI_MEMO = 1024
 
 
 class Iri(str):
@@ -67,6 +76,7 @@ class Variable:
 
 VAR_X = Variable("x")
 VAR_Y = Variable("y")
+_VARIABLES = {"?x": VAR_X, "?y": VAR_Y}
 
 Term = Iri | Literal
 PatternTerm = Iri | Literal | Variable
@@ -110,7 +120,12 @@ def relation_uri(predicate: Predicate) -> Iri:
 
 @dataclass(frozen=True)
 class Profile:
-    """Namespace layout and traversal conventions of a knowledge base."""
+    """Namespace layout and traversal conventions of a knowledge base.
+
+    Its IRI compaction is built from ``prefixes`` when it is made, and kept
+    off the fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only
+    the fields; ``prefixes`` is not to be changed in place.
+    """
 
     name: str
     prefixes: dict[str, str] = field(hash=False)
@@ -118,6 +133,40 @@ class Profile:
     type_predicate: Iri
     subclass_predicate: Iri
     statement_namespace: str | None = None
+
+    def __post_init__(self):
+        compact = _compaction(self.prefixes)
+        object.__setattr__(self, "_compact", compact)
+        object.__setattr__(self, "_record_iri", lru_cache(RECORD_IRI_MEMO)(compact))
+
+    def __reduce__(self):
+        # Pickled as its fields; the compaction is rebuilt when it is loaded.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _compaction(prefixes: dict[str, str]) -> Callable[[str], Iri]:
+    """Compaction of a string into a profile's prefixed form, as one regex match.
+
+    The alternation lists namespaces longest first, and a regex alternation
+    takes its first alternative that matches, so the longest namespace wins.
+    A namespace under two prefix names keeps the first name.
+    """
+    names: dict[str, str] = {}
+    for prefix, ns in prefixes.items():
+        names.setdefault(ns, prefix)
+    alternation = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    # (?!) never matches: with no namespaces, every value stays as it is.
+    match = re.compile(alternation if names else "(?!)").match
+
+    def compact(value: str) -> Iri:
+        found = match(value)
+        if found is not None:
+            local = value[found.end():]
+            if local:
+                return Iri(f"{names[found.group()]}:{local}")
+        return Iri(value)
+
+    return compact
 
 
 _COMMON_PREFIXES = {
@@ -230,17 +279,13 @@ def normalize_iri(value: str, profile: Profile) -> Iri:
     Longest namespace wins, so statement-entity IRIs compact to ``wds:`` and
     not to a truncated ``wd:`` form.  Values already prefixed pass through.
     """
-    expect_str(value, "IRI")
-    best: tuple[int, str] | None = None
-    for prefix, ns in profile.prefixes.items():
-        if value.startswith(ns) and (best is None or len(ns) > best[0]):
-            best = (len(ns), prefix)
-    if best is not None:
-        _, prefix = best
-        local = value[len(profile.prefixes[prefix]):]
-        if local:
-            return Iri(f"{prefix}:{local}")
-    return Iri(value)
+    return profile._compact(expect_str(value, "IRI"))
+
+
+def record_iri(value: str, profile: Profile) -> Iri:
+    """:func:`normalize_iri` through the profile's bounded memo, for record
+    readers.  An error is never kept, so bad text raises the same every time."""
+    return profile._record_iri(expect_str(value, "IRI"))
 
 
 def namespace_of(iri: Iri, profile: Profile) -> str | None:
@@ -265,12 +310,13 @@ def normalize_label(text: str) -> str:
 
 
 def parse_term(text: str, profile: Profile) -> PatternTerm:
-    """Read a pattern term from its text form: ``?x``, ``"lit"``, or an IRI."""
+    """Read a record's pattern term from its text form: ``?x``, ``"lit"``, or
+    an IRI, compacted as :func:`record_iri` does."""
     text = expect_str(text, "term").strip()
     if text.startswith("?"):
-        return Variable(text[1:])
+        return _VARIABLES.get(text) or Variable(text[1:])
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return Literal(text[1:-1])
     if text.startswith("<") and text.endswith(">"):
         text = text[1:-1]
-    return normalize_iri(text, profile)
+    return profile._record_iri(text)
