@@ -133,13 +133,13 @@ def cmd_link(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError("--budget must be >= 1")
     config = _generator_config(args)
+    vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
     store = _load_store(args)
     similarity = None
     if args.vectors:
         with open_input(args.vectors) as handle:
             similarity = WordVectorSimilarity.load(handle)
     generator = make_generator(config, similarity)
-    vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
 
     with _opened(args.questions) as source, _opened(args.out, "w") as sink:
         for record in read_question_records(source, store.profile):

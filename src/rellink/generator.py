@@ -99,6 +99,7 @@ class FixtureGenerator:
         self.beam_width = beam_width
 
     def generate(self, enc: EncoderInput, question_id: str | None = None) -> list[OutputSequence]:
+        # ``enc`` is never read, so its relations are never ranked.
         if question_id not in self._beams:
             logger.warning("no fixture beams for question %r", question_id)
             return []
@@ -120,6 +121,8 @@ class RemoteGenerator:
         self._session = requests.Session()
 
     def generate(self, enc: EncoderInput, question_id: str | None = None) -> list[OutputSequence]:
+        # Reading ``rendered`` may rank and fit the input; a fault there is
+        # not a remote one, so it stays outside the ``try``.
         payload = {"input": enc.rendered, "beams": self.beam_width}
         try:
             reply = self._session.post(self.endpoint, json=payload, timeout=self.timeout)

@@ -7,12 +7,18 @@ token budget by dropping the lowest-ranked relations round-robin across
 entities; the question itself is never truncated.  A drop never adds a
 token, so the fewest drops that fit are found by bisection: O(log R)
 renderings for R candidate relations.
+
+Only the budget check runs when the input is built: each entity's type is
+looked up and the minimal rendering, every relation list empty, is counted.
+Ranking and fitting run the first time ``structures`` or ``rendered`` is
+read, and are kept.  The baseline generator reads ``structures`` and the
+remote one ``rendered``; fixture replay reads neither, so it never ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from . import brackets
 from .kb_store import KbStore
@@ -53,11 +59,46 @@ class EntityStructure:
     relations: list[str]
 
 
-@dataclass
 class EncoderInput:
-    question: str
-    structures: list[EntityStructure]
-    rendered: str
+    """The question, its entity structures fitted to the budget, and their
+    rendering.
+
+    ``EncoderInput(question, structures, rendered)`` holds the three values.
+    :func:`build_encoder_input` passes ``fit`` instead, a callable returning
+    ``(structures, rendered)``: it runs the first time either is read, and
+    its result is kept.  Equality compares the three values.
+    """
+
+    __slots__ = ("question", "_structures", "_rendered", "_fit")
+
+    def __init__(self, question: str, structures: list[EntityStructure] | None = None,
+                 rendered: str | None = None, *, fit: Callable[[], tuple] | None = None):
+        self.question = question
+        self._structures, self._rendered, self._fit = structures, rendered, fit
+
+    def _fitted(self) -> tuple[list[EntityStructure], str]:
+        if self._fit is not None:
+            self._structures, self._rendered = self._fit()
+            self._fit = None
+        return self._structures, self._rendered
+
+    @property
+    def structures(self) -> list[EntityStructure]:
+        return self._fitted()[0]
+
+    @property
+    def rendered(self) -> str:
+        return self._fitted()[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, EncoderInput):
+            return NotImplemented
+        return (self.question, *self._fitted()) == (other.question, *other._fitted())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EncoderInput({self.question!r}, {self.structures!r}, {self.rendered!r})"
 
 
 def token_count(text: str) -> int:
@@ -75,14 +116,26 @@ def rank_candidate_relations(
     return sorted(set(labels), key=lambda lbl: (-score(lbl), lbl))
 
 
+def _type_label(store: KbStore, entity: Iri) -> str | None:
+    cls = store.most_specific_type(entity)
+    return store.label_of(cls) if cls is not None else None
+
+
+_LOOK_UP = object()
+
+
 def build_entity_structure(
     store: KbStore,
     question: str,
     entity: LinkedEntity,
     similarity: Similarity | None = None,
+    type_label: str | None | object = _LOOK_UP,
 ) -> EntityStructure:
-    cls = store.most_specific_type(entity.entity)
-    type_label = store.label_of(cls) if cls is not None else None
+    """The entity's type label and its candidate relations, ranked.  A caller
+    that has the type label already passes it, and the type is not looked up
+    again."""
+    if type_label is _LOOK_UP:
+        type_label = _type_label(store, entity.entity)
     # Typing predicates feed the type slot, not the relation candidates.
     skip = {store.profile.type_predicate, store.profile.subclass_predicate}
     labels = {
@@ -94,21 +147,11 @@ def build_entity_structure(
     return EntityStructure(entity.mention, type_label, ranked)
 
 
-def _escaped(structure: EntityStructure) -> tuple[str, list[str]]:
-    """The escaped ``mention | type`` head and escaped relations."""
-    head = [brackets.escape(structure.mention)]
-    if structure.type_label is not None:
-        head.append(brackets.escape(structure.type_label))
-    return " | ".join(head), [brackets.escape(r) for r in structure.relations]
-
-
-def _group(head: str, relations: list[str]) -> str:
-    return f"[{head} | {', '.join(relations)}]"
-
-
-def _render(question: str, pieces: Iterable[tuple[str, list[str]]]) -> str:
-    """The question, then one bracket group per escaped (head, relations)."""
-    return " ".join([question.strip(), *(_group(h, r) for h, r in pieces)])
+def _opening(mention: str, type_label: str | None) -> str:
+    """A bracket group up to its relations: ``[mention | type | ``, escaped."""
+    if type_label is None:
+        return f"[{brackets.escape(mention)} | "
+    return f"[{brackets.escape(mention)} | {brackets.escape(type_label)} | "
 
 
 def build_encoder_input(
@@ -122,52 +165,68 @@ def build_encoder_input(
 
     Relations are dropped one at a time, lowest-ranked first, cycling over
     the entities, until the rendering fits.  A question that cannot fit even
-    with every relation list empty raises :class:`InputTooLongError`.
+    with every relation list empty raises :class:`InputTooLongError` here;
+    the ranking and the fitted rendering wait for the first read of
+    ``structures`` or ``rendered``.
     """
     ordered = sorted(entities, key=lambda e: (e.start, e.end))
-    if token_count(question) > budget:
-        raise InputTooLongError(
-            f"question alone is {token_count(question)} tokens, budget {budget}"
-        )
-    structures = [build_entity_structure(store, question, e, similarity) for e in ordered]
-    pieces = [_escaped(s) for s in structures]
-
-    def render(kept: list[int]) -> str:
-        """The input with entity i's top ``kept[i]`` relations."""
-        return _render(question, ((h, r[:n]) for (h, r), n in zip(pieces, kept)))
-
-    lengths = [len(r) for _, r in pieces]
-    kept, rendered = lengths, render(lengths)
-    tokens = token_count(rendered)
+    types = [_type_label(store, e.entity) for e in ordered]
+    openings = [_opening(e.mention, t) for e, t in zip(ordered, types)]
+    # The question, then one bracket group per entity.
+    stripped = question.strip()
+    minimal = " ".join([stripped, *[o + "]" for o in openings]])
+    tokens = token_count(minimal)
     if tokens > budget:
-        # The j-th drop from any entity comes in round j, and each round visits
-        # the non-empty entities in order; an entity drops its lowest-ranked
-        # relations first.  A drop never adds a token, so bisect the number of
-        # drops: ``too_long`` drops do not fit, and none fewer than ``fit_at``.
-        order = sorted((j, i) for i, n in enumerate(lengths) for j in range(n))
+        if token_count(question) > budget:
+            raise InputTooLongError(
+                f"question alone is {token_count(question)} tokens, budget {budget}"
+            )
+        raise InputTooLongError(f"minimal rendering is {tokens} tokens, budget {budget}")
 
-        def after(drops: int) -> list[int]:
-            # Rounds before ``j`` are complete; round ``j`` got to entity ``last``.
-            j, last = order[drops - 1]
-            return [n - min(n, j + (i <= last)) for i, n in enumerate(lengths)]
+    def fit() -> tuple[list[EntityStructure], str]:
+        structures = [
+            build_entity_structure(store, question, e, similarity, t)
+            for e, t in zip(ordered, types)
+        ]
+        relations = [[brackets.escape(r) for r in s.relations] for s in structures]
+        lengths = [len(r) for r in relations]
 
-        too_long, fit_at = 0, len(order) + 1
-        while fit_at - too_long > 1:
-            mid = (too_long + fit_at) // 2
-            text = render(after(mid))
-            count = token_count(text)
-            if count <= budget:
-                fit_at, rendered = mid, text
-            else:
-                too_long, tokens = mid, count
-        if fit_at > len(order):
-            raise InputTooLongError(f"minimal rendering is {tokens} tokens, budget {budget}")
-        kept = after(fit_at)
-    fitted = [
-        EntityStructure(s.mention, s.type_label, s.relations[:n])
-        for s, n in zip(structures, kept)
-    ]
-    return EncoderInput(question, fitted, rendered)
+        def render(kept: list[int]) -> str:
+            """The input with entity i's top ``kept[i]`` relations."""
+            groups = [f"{o}{', '.join(r[:n])}]" for o, r, n in zip(openings, relations, kept)]
+            return " ".join([stripped, *groups])
+
+        kept, rendered = lengths, render(lengths)
+        if token_count(rendered) > budget:
+            # The j-th drop from any entity comes in round j, and each round
+            # visits the non-empty entities in order; an entity drops its
+            # lowest-ranked relations first.  A drop never adds a token, so
+            # bisect the number of drops: ``too_long`` drops do not fit, and
+            # none fewer than ``fit_at``.  Dropping all of them leaves the
+            # minimal rendering, which fits.
+            order = sorted((j, i) for i, n in enumerate(lengths) for j in range(n))
+
+            def after(drops: int) -> list[int]:
+                # Rounds before ``j`` are complete; round ``j`` got to entity ``last``.
+                j, last = order[drops - 1]
+                return [n - min(n, j + (i <= last)) for i, n in enumerate(lengths)]
+
+            too_long, fit_at, rendered = 0, len(order), minimal
+            while fit_at - too_long > 1:
+                mid = (too_long + fit_at) // 2
+                text = render(after(mid))
+                if token_count(text) <= budget:
+                    fit_at, rendered = mid, text
+                else:
+                    too_long = mid
+            kept = after(fit_at)
+        fitted = [
+            EntityStructure(s.mention, s.type_label, s.relations[:n])
+            for s, n in zip(structures, kept)
+        ]
+        return fitted, rendered
+
+    return EncoderInput(question, fit=fit)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,9 @@ from conftest import (
     P,
     nt,
 )
+from rellink import knowledge_integration
 from rellink.cli import _generator_config, build_parser, main
+from rellink.kb_store import KbStore
 from rellink.terms import WIKIDATA
 
 
@@ -331,6 +334,17 @@ class TestLink:
         assert capsys.readouterr().err == "error: ask_limit must not be negative, got -1\n"
         assert not out.exists()
 
+    def test_bad_ask_beams_fail_before_the_kb_loads(self, tmp_path, capsys):
+        # A --kb that does not exist shows the flag is checked first.
+        questions = tmp_path / "q.jsonl"
+        questions.write_text("")
+        out = tmp_path / "results.jsonl"
+        argv = ["link", "--kb", str(tmp_path / "missing.nt"), "--ask-beams", "-1",
+                "-o", str(out), str(questions)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: ask_limit must not be negative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "other, ontology",
         [
@@ -374,6 +388,79 @@ class TestLink:
         config = _generator_config(args)
         assert config.endpoint == "http://flag.example/generate"
         assert config.timeout == 5.0
+
+
+class TestFixtureReplayRanksNothing:
+    """Fixture replay never reads the encoder input, so no relation is
+    ranked, yet each over-budget question keeps its error record."""
+
+    SHORT = "What company built the Ford Y-block engine?"
+    LONG = "Which " + "very " * 26 + "old company built the Ford Y-block engine?"
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            knowledge_integration, "rank_candidate_relations",
+            counted("rank", knowledge_integration.rank_candidate_relations),
+        )
+        monkeypatch.setattr(KbStore, "relations_of", counted("relations_of", KbStore.relations_of))
+        return calls
+
+    def _inputs(self, ford_files):
+        tmp, kb, ontology, questions, beams = ford_files
+        records = [json.loads(questions.read_text())]
+        for qid, text in (("q2", self.SHORT), ("q3", self.LONG)):
+            start = text.index("Ford Y-block engine")
+            records.append({"question_id": qid, "question": text, "entities": [
+                {"mention": "Ford Y-block engine", "start": start, "end": start + 19,
+                 "iri": DBR + "Ford_Y-block_engine"}]})
+        questions.write_text("".join(json.dumps(r) + "\n" for r in records))
+        beam = json.loads(beams.read_text())
+        beams.write_text("".join(
+            json.dumps({**beam, "question_id": r["question_id"]}) + "\n" for r in records
+        ))
+        return tmp, kb, ontology, questions, beams
+
+    def test_link_ranks_nothing(self, ford_files, calls):
+        status, out = run_link(*self._inputs(ford_files))
+        assert status == 0
+        assert out.read_text() == (
+            '{"question_id": "q1", "relations": ["dbo:owningOrganisation", "dbo:manufacturer"], '
+            '"validated": true, "source_rank": 1, "ask_answer": null}\n'
+            '{"question_id": "q2", "relations": ["dbo:manufacturer"], "validated": true, '
+            '"source_rank": 2, "ask_answer": null}\n'
+            '{"question_id": "q3", "relations": ["dbo:manufacturer"], "validated": true, '
+            '"source_rank": 2, "ask_answer": null}\n'
+        )
+        assert calls == {}
+        # The same inputs through the baseline rank, so the counters count.
+        tmp, kb, ontology, questions, _ = ford_files
+        argv = ["link", "--kb", str(kb), "--ontology", str(ontology), "-o", str(tmp / "b.jsonl")]
+        assert main(argv + [str(questions)]) == 0
+        assert calls == {"rank": 4, "relations_of": 4}
+
+    def test_over_budget_records_are_kept(self, ford_files, calls):
+        # At 30 tokens q1 fits alone (21) but not with its two bracket groups
+        # (37), q2 fits, and q3 is too long by itself (34).
+        status, out = run_link(*self._inputs(ford_files), "--budget", "30")
+        assert status == 0
+        assert out.read_text() == (
+            '{"question_id": "q1", "relations": [], "validated": false, "source_rank": 0, '
+            '"ask_answer": null, "error": "minimal rendering is 37 tokens, budget 30"}\n'
+            '{"question_id": "q2", "relations": ["dbo:manufacturer"], "validated": true, '
+            '"source_rank": 2, "ask_answer": null}\n'
+            '{"question_id": "q3", "relations": [], "validated": false, "source_rank": 0, '
+            '"ask_answer": null, "error": "question alone is 34 tokens, budget 30"}\n'
+        )
+        assert calls == {}
 
 
 class TestEval:

@@ -13,8 +13,8 @@ from itertools import product
 import pytest
 
 import rellink.generator as generator_module
-from conftest import DBO, DBR, nt
-from rellink import brackets
+from conftest import DBO, DBR, FORD_QUESTION, nt, ref_render_input
+from rellink import brackets, knowledge_integration
 from rellink.cli import main
 from rellink.generator import (
     BaselineGenerator,
@@ -26,7 +26,12 @@ from rellink.generator import (
     make_generator,
     read_beam_fixture,
 )
-from rellink.knowledge_integration import EncoderInput, EntityStructure
+from rellink.knowledge_integration import (
+    EncoderInput,
+    EntityStructure,
+    build_encoder_input,
+    build_entity_structure,
+)
 from rellink.sequence_grammar import (
     ArgRelPair,
     Argument,
@@ -35,6 +40,7 @@ from rellink.sequence_grammar import (
     PlaceholderArg,
 )
 from rellink.similarity import Similarity, TrigramSimilarity
+from test_knowledge_integration import _outcome, _random_case, _ref_shrink
 
 
 def enc_input(question: str, structures=()) -> EncoderInput:
@@ -451,7 +457,7 @@ class _StubModelHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posted.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
         status, body = 200, b"{not json"
         if self.path == "/ok":
             body = json.dumps({"sequences": [{"text": "[A | r]", "score": -0.5}]}).encode()
@@ -476,8 +482,14 @@ class _StubModelHandler(BaseHTTPRequestHandler):
 
 
 class _CountingServer(ThreadingHTTPServer):
+    """Counts the connections it accepts and keeps each request body posted."""
+
     daemon_threads = True
     accepted = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.posted: list = []
 
     def get_request(self):
         conn = super().get_request()
@@ -506,6 +518,46 @@ class TestRemoteGeneratorOverHttp:
             beams = gen.generate(enc_input(f"question {i}"), f"q{i}")
             assert beams == [OutputSequence("[A | r]", -0.5, 1)]
         assert server.accepted == 1
+
+    def test_posts_the_reference_rendering(self, model_server):
+        # The input is ranked and fitted when the generator reads it; what is
+        # posted must be the reference shrink loop's rendering.
+        server, base = model_server
+        gen = RemoteGenerator(base + "/ok", beam_width=5, timeout=5.0)
+        outcomes = Counter()
+        for seed in range(40):
+            rng = random.Random(seed)
+            store, question, entities = _random_case(rng)
+            ordered = sorted(entities, key=lambda e: (e.start, e.end))
+            structures = [build_entity_structure(store, question, e) for e in ordered]
+            floor = len(question.split())
+            full = len(ref_render_input(question, structures).split())
+            budget = rng.randint(floor, full + 2)
+            expected = _outcome(lambda: _ref_shrink(question, structures, budget))
+            enc = _outcome(lambda: build_encoder_input(store, question, entities, budget))
+            if isinstance(expected, str):
+                assert enc == expected
+                outcomes["too long"] += 1
+                continue
+            assert gen.generate(enc) == [OutputSequence("[A | r]", -0.5, 1)]
+            assert server.posted[-1] == {"input": expected.rendered, "beams": 5}
+            assert enc == expected
+            outcomes["shrunk" if budget < full else "whole"] += 1
+        assert len(server.posted) == outcomes["shrunk"] + outcomes["whole"]
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_ranking_fault_is_not_a_remote_failure(
+        self, model_server, monkeypatch, ford_store, ford_entities
+    ):
+        def broken(*args):
+            raise ValueError("ranking broke")
+
+        server, base = model_server
+        enc = build_encoder_input(ford_store, FORD_QUESTION, ford_entities)
+        monkeypatch.setattr(knowledge_integration, "rank_candidate_relations", broken)
+        with pytest.raises(ValueError, match="^ranking broke$"):
+            RemoteGenerator(base + "/ok", timeout=5.0).generate(enc)
+        assert server.posted == []
 
     @pytest.mark.parametrize("path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/deep"])
     def test_bad_reply_becomes_generator_error(self, model_server, path):

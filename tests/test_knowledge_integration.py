@@ -188,6 +188,80 @@ class TestBuildEncoderInput:
         assert enc.structures[0].mention == "Ford Kansas City Assembly Plant"
 
 
+class TestLazyFit:
+    """Building checks the budget only; ranking and fitting run on the first
+    read of ``structures`` or ``rendered``, once."""
+
+    @pytest.fixture()
+    def ranked(self, monkeypatch):
+        calls = []
+        rank = knowledge_integration.rank_candidate_relations
+
+        def counted(question, labels, similarity=None):
+            calls.append(question)
+            return rank(question, labels, similarity)
+
+        monkeypatch.setattr(knowledge_integration, "rank_candidate_relations", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "reads",
+        [("structures", "rendered"), ("rendered", "structures"),
+         ("structures", "structures"), ("rendered", "rendered", "structures")],
+    )
+    def test_fits_once_in_any_read_order(self, ford_store, ford_entities, ranked, reads):
+        full = ref_render_input(
+            FORD_QUESTION, [build_entity_structure(ford_store, FORD_QUESTION, e) for e in ford_entities]
+        )
+        budget = token_count(full) - 1
+        ranked.clear()
+        enc = build_encoder_input(ford_store, FORD_QUESTION, ford_entities, budget)
+        assert ranked == []
+        values = [getattr(enc, name) for name in reads]
+        assert len(ranked) == len(ford_entities)
+        structures = [build_entity_structure(ford_store, FORD_QUESTION, e) for e in ford_entities]
+        expected = _ref_shrink(FORD_QUESTION, structures, budget)
+        assert values == [getattr(expected, name) for name in reads]
+        assert enc == expected and enc.rendered != full
+        assert len(ranked) == 2 * len(ford_entities)
+
+    def test_type_is_looked_up_once(self, ford_store, ford_entities, monkeypatch):
+        looked_up = []
+        lookup = KbStore.most_specific_type
+        monkeypatch.setattr(
+            KbStore, "most_specific_type", lambda store, e: looked_up.append(e) or lookup(store, e)
+        )
+        enc = build_encoder_input(ford_store, FORD_QUESTION, ford_entities)
+        assert looked_up == [e.entity for e in ford_entities]
+        assert [s.type_label for s in enc.structures] == ["Factory", "AutomobileEngine"]
+        assert len(looked_up) == len(ford_entities)
+
+    def test_budget_errors_are_raised_when_built(self, ford_store, ford_entities, ranked):
+        too_long = len(FORD_QUESTION.split())
+        with pytest.raises(InputTooLongError, match=f"^question alone is {too_long} tokens, budget 20$"):
+            build_encoder_input(ford_store, FORD_QUESTION, ford_entities, budget=20)
+        with pytest.raises(InputTooLongError, match="^minimal rendering is 37 tokens, budget 36$"):
+            build_encoder_input(ford_store, FORD_QUESTION, ford_entities, budget=36)
+        enc = build_encoder_input(ford_store, FORD_QUESTION, ford_entities, budget=37)
+        assert ranked == []
+        structures = [build_entity_structure(ford_store, FORD_QUESTION, e) for e in ford_entities]
+        assert enc == _ref_shrink(FORD_QUESTION, structures, 37)
+        assert token_count(enc.rendered) == 37
+
+    def test_built_directly_it_holds_its_values(self):
+        structures = [EntityStructure("m", None, ["r"])]
+        enc = EncoderInput("q m", structures, "q m [m | r]")
+        assert enc.structures is structures and enc.rendered == "q m [m | r]"
+        assert enc == EncoderInput("q m", [EntityStructure("m", None, ["r"])], "q m [m | r]")
+        assert enc != EncoderInput("q m", structures, "q m [m | ]")
+        assert repr(enc) == (
+            "EncoderInput('q m', [EntityStructure(mention='m', type_label=None, "
+            "relations=['r'])], 'q m [m | r]')"
+        )
+        with pytest.raises(TypeError):
+            hash(enc)
+
+
 class TestQuestionReader:
     RECORD = (
         '{"question_id": "q1", "question": "Who made the Ford Y-block engine?", '
@@ -301,11 +375,13 @@ class TestShrinkMatchesReference:
             entities.append(LinkedEntity(f"E{i}", 2 * i, 2 * i + 1, Iri(f"dbr:E{i}")))
         question = "E0 E1 E2 which relation?"
         full = build_encoder_input(store, question, entities, budget=10**6)
+        # Ranking and fitting run on the first read; read ``full`` before counting.
+        assert full.rendered
         counted = []
         monkeypatch.setattr(
             knowledge_integration, "token_count", lambda text: counted.append(text) or token_count(text)
         )
-        # An input that fits counts the question and one rendering.
+        # An input that fits counts the minimal rendering and the full one.
         assert build_encoder_input(store, question, entities, budget=10**6) == full
         assert len(counted) == 2
         # Bisection counts at most 2 + ceil(log2(3001)) = 14 texts.
@@ -317,6 +393,8 @@ class TestShrinkMatchesReference:
                 assert outcome.startswith("minimal rendering is "), outcome
                 continue
             assert token_count(outcome.rendered) <= budget
+            # That read ran the fit: its counts come in only now.
+            assert len(counted) <= 14, (budget, len(counted))
             # Round robin: entities that still hold relations dropped equally
             # often, give or take one, and no emptied entity dropped more.
             kept = [len(s.relations) for s in outcome.structures]
