@@ -37,6 +37,7 @@ from .knowledge_integration import (
 from .knowledge_validation import (
     DEFAULT_ASK_LIMIT,
     DEFAULT_BEAM_LIMIT,
+    LinkingResult,
     ValidationConfig,
     fallback_result,
     link,
@@ -124,7 +125,7 @@ def _process_question(
         return result_record(record.question_id, result)
     except (InputTooLongError, GeneratorError) as exc:
         logger.error("question %s failed: %s", record.question_id, exc)
-        failed = result_record(record.question_id, fallback_result(store, []))
+        failed = result_record(record.question_id, LinkingResult([], False, 0))
         failed["error"] = str(exc)
         return failed
 
@@ -134,12 +135,12 @@ def cmd_link(args: argparse.Namespace) -> int:
         raise ValueError("--budget must be >= 1")
     config = _generator_config(args)
     vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
-    store = _load_store(args)
     similarity = None
     if args.vectors:
         with open_input(args.vectors) as handle:
             similarity = WordVectorSimilarity.load(handle)
     generator = make_generator(config, similarity)
+    store = _load_store(args)
 
     with _opened(args.questions) as source, _opened(args.out, "w") as sink:
         for record in read_question_records(source, store.profile):

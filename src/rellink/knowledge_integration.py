@@ -4,15 +4,16 @@ Each pre-linked entity contributes one bracketed structure holding its
 mention, its most specific KB type, and its candidate relations ranked by
 similarity to the question.  The rendered line is kept within a whitespace
 token budget by dropping the lowest-ranked relations round-robin across
-entities; the question itself is never truncated.  A drop never adds a
-token, so the fewest drops that fit are found by bisection: O(log R)
-renderings for R candidate relations.
+entities; the question itself is never truncated.  A token count is a sum
+over parts, so each drop subtracts its relation's count: one rendering, and
+a second only if something was dropped.
 
-Only the budget check runs when the input is built: each entity's type is
-looked up and the minimal rendering, every relation list empty, is counted.
-Ranking and fitting run the first time ``structures`` or ``rendered`` is
-read, and are kept.  The baseline generator reads ``structures`` and the
-remote one ``rendered``; fixture replay reads neither, so it never ranks.
+Only the budget check runs when the input is built: the question is
+counted, then each entity's type is looked up and the minimal rendering is
+counted from its parts.  Ranking and fitting run the first time
+``structures`` or ``rendered`` is read, and are kept.  The baseline
+generator reads ``structures`` and the remote one ``rendered``; fixture
+replay reads neither, so it never ranks.
 """
 
 from __future__ import annotations
@@ -169,18 +170,15 @@ def build_encoder_input(
     the ranking and the fitted rendering wait for the first read of
     ``structures`` or ``rendered``.
     """
+    alone = token_count(question)
+    if alone > budget:
+        raise InputTooLongError(f"question alone is {alone} tokens, budget {budget}")
     ordered = sorted(entities, key=lambda e: (e.start, e.end))
     types = [_type_label(store, e.entity) for e in ordered]
     openings = [_opening(e.mention, t) for e, t in zip(ordered, types)]
-    # The question, then one bracket group per entity.
-    stripped = question.strip()
-    minimal = " ".join([stripped, *[o + "]" for o in openings]])
-    tokens = token_count(minimal)
+    # The question, then one bracket group per entity, each closed by a lone "]".
+    tokens = token_count(" ".join([question, *openings])) + len(openings)
     if tokens > budget:
-        if token_count(question) > budget:
-            raise InputTooLongError(
-                f"question alone is {token_count(question)} tokens, budget {budget}"
-            )
         raise InputTooLongError(f"minimal rendering is {tokens} tokens, budget {budget}")
 
     def fit() -> tuple[list[EntityStructure], str]:
@@ -189,37 +187,34 @@ def build_encoder_input(
             for e, t in zip(ordered, types)
         ]
         relations = [[brackets.escape(r) for r in s.relations] for s in structures]
-        lengths = [len(r) for r in relations]
+        kept = [len(r) for r in relations]
 
         def render(kept: list[int]) -> str:
             """The input with entity i's top ``kept[i]`` relations."""
             groups = [f"{o}{', '.join(r[:n])}]" for o, r, n in zip(openings, relations, kept)]
-            return " ".join([stripped, *groups])
+            return " ".join([question.strip(), *groups])
 
-        kept, rendered = lengths, render(lengths)
-        if token_count(rendered) > budget:
-            # The j-th drop from any entity comes in round j, and each round
-            # visits the non-empty entities in order; an entity drops its
-            # lowest-ranked relations first.  A drop never adds a token, so
-            # bisect the number of drops: ``too_long`` drops do not fit, and
-            # none fewer than ``fit_at``.  Dropping all of them leaves the
-            # minimal rendering, which fits.
-            order = sorted((j, i) for i, n in enumerate(lengths) for j in range(n))
-
-            def after(drops: int) -> list[int]:
-                # Rounds before ``j`` are complete; round ``j`` got to entity ``last``.
-                j, last = order[drops - 1]
-                return [n - min(n, j + (i <= last)) for i, n in enumerate(lengths)]
-
-            too_long, fit_at, rendered = 0, len(order), minimal
-            while fit_at - too_long > 1:
-                mid = (too_long + fit_at) // 2
-                text = render(after(mid))
-                if token_count(text) <= budget:
-                    fit_at, rendered = mid, text
-                else:
-                    too_long = mid
-            kept = after(fit_at)
+        rendered = render(kept)
+        excess = token_count(rendered) - budget
+        if excess > 0:
+            # The count is exact, so no drop is rendered: ``str.split()``
+            # counts parts joined by whitespace as the sum of their counts;
+            # each opening ``[mention | type | `` ends in a space; a kept
+            # list ``r0, r1, …, rk]`` is the pieces ``rj + ","`` (the last
+            # ``rk + "]"``) joined by single spaces, and ``r + ","`` and
+            # ``r + "]"`` count the same for any ``r``, whitespace included.
+            # So dropping relation j of entity i lowers the count by
+            # ``token_count(rij + ",")``; when that empties the list, the
+            # lone ``"]"`` raises it by 1.  Round j drops, in entity order,
+            # the j-th lowest-ranked relation of each entity holding more
+            # than j.  The minimal rendering fits, so the walk ends in a fit.
+            drops = (i for j in range(max(kept)) for i, r in enumerate(relations) if j < len(r))
+            for i in drops:
+                kept[i] -= 1
+                excess -= token_count(relations[i][kept[i]] + ",") - (kept[i] == 0)
+                if excess <= 0:
+                    break
+            rendered = render(kept)
         fitted = [
             EntityStructure(s.mention, s.type_label, s.relations[:n])
             for s, n in zip(structures, kept)

@@ -860,6 +860,19 @@ MALFORMED_LINE_ERRORS = {
 }
 
 
+@pytest.mark.parametrize("case", ["fixture-score-infinity", "vectors-nan"])
+def test_bad_beams_or_vectors_fail_before_the_kb_loads(ford_files, capsys, case):
+    # A --kb that does not exist shows the file is read first.
+    reader, lineno, text = MALFORMED_LINES[case]
+    tmp, _, ontology, questions, beams = ford_files
+    vectors = tmp / "vectors.txt"
+    (beams if reader == "beam fixture" else vectors).write_text(text + "\n")
+    extra = ["--vectors", str(vectors)] if reader == "vectors" else []
+    status, _ = run_link(tmp, tmp / "missing.nt", ontology, questions, beams, *extra)
+    assert status == 1
+    assert capsys.readouterr().err.startswith(f"error: {reader} line {lineno}: ")
+
+
 @pytest.mark.parametrize("case", MALFORMED_LINES)
 def test_malformed_line_is_located_without_traceback(ford_files, capsys, case):
     reader, lineno, text = MALFORMED_LINES[case]

@@ -235,6 +235,11 @@ class TestLazyFit:
         assert looked_up == [e.entity for e in ford_entities]
         assert [s.type_label for s in enc.structures] == ["Factory", "AutomobileEngine"]
         assert len(looked_up) == len(ford_entities)
+        # A question over the budget on its own fails before any lookup.
+        looked_up.clear()
+        with pytest.raises(InputTooLongError, match="^question alone is "):
+            build_encoder_input(ford_store, FORD_QUESTION, ford_entities, budget=1)
+        assert looked_up == []
 
     def test_budget_errors_are_raised_when_built(self, ford_store, ford_entities, ranked):
         too_long = len(FORD_QUESTION.split())
@@ -321,21 +326,37 @@ def _random_text(rng: random.Random, most: int) -> str:
     return rng.choice([" ", "", "_"]).join(words)
 
 
+_EDGES = [" ", "\t", "  ", " \t "]
+
+
+def _edge_label(rng: random.Random) -> str:
+    """A label with whitespace at its start, its end or both, or only whitespace."""
+    pad, text = rng.choice(_EDGES), _random_text(rng, 2)
+    return rng.choice([pad, pad + text, text + pad, pad + text + rng.choice(_EDGES)])
+
+
 def _random_case(rng: random.Random):
     """A store, a question, and 1-3 linked entities whose relation labels,
-    type labels and mentions hold reserved characters; some have no type."""
-    triples, ontology, entities = [], [], []
+    type labels and mentions hold reserved characters; some have no type,
+    and some labels hold edge whitespace or only whitespace."""
+    triples, ontology, entities, labelled = [], [], [], []
     for i in range(rng.randint(1, 3)):
         subject = f"{DBR}E{i}"
         for j in range(rng.randint(0, 12)):
             triples.append(nt(subject, f"{DBO}r{i}_{j}", f"{DBR}V{i}_{j}"))
             ontology.append(f"label\t{DBO}r{i}_{j}\t{_random_text(rng, 3)}")
+            labelled.append(Iri(f"dbo:r{i}_{j}"))
         if rng.random() < 0.6:
             triples.append(nt(subject, RDF_TYPE, f"{DBO}T{i}"))
             ontology.append(f"label\t{DBO}T{i}\t{_random_text(rng, 2)}")
+            labelled.append(Iri(f"dbo:T{i}"))
         start = rng.randrange(100)
         entities.append(LinkedEntity(_random_text(rng, 3), start, start + 1, Iri(f"dbr:E{i}")))
     store = load_kb("\n".join(triples), "\n".join(ontology))
+    # load_ontology strips a label; set_label keeps it as given.
+    for iri in labelled:
+        if rng.random() < 0.25:
+            store.set_label(iri, _edge_label(rng))
     question = " ".join(rng.choice(_PIECES[:5]) for _ in range(rng.randint(1, 8)))
     return store, question, entities
 
@@ -364,9 +385,10 @@ class TestShrinkMatchesReference:
             actual = _outcome(lambda: build_encoder_input(store, question, entities, budget))
             assert actual == expected, budget
 
-    def test_renders_logarithmically_many_times(self, monkeypatch):
-        # R = 3,000 candidate relations over three entities: bisection renders
-        # the full input and then at most ceil(log2(R + 1)) drop counts.
+    def test_counts_one_rendering_and_each_drop(self, monkeypatch):
+        # R = 3,000 candidate relations over three entities: a fit counts the
+        # full rendering once and then one relation per drop, never a
+        # rendering per drop.
         store = KbStore(DBPEDIA)
         entities = []
         for i, count in enumerate((2000, 700, 300)):
@@ -381,26 +403,27 @@ class TestShrinkMatchesReference:
         monkeypatch.setattr(
             knowledge_integration, "token_count", lambda text: counted.append(text) or token_count(text)
         )
-        # An input that fits counts the minimal rendering and the full one.
+        # An input that fits counts the question, the minimal input and the
+        # full rendering.
         assert build_encoder_input(store, question, entities, budget=10**6) == full
-        assert len(counted) == 2
-        # Bisection counts at most 2 + ceil(log2(3001)) = 14 texts.
+        assert len(counted) == 3 and counted.count(full.rendered) == 1
         for budget in (token_count(full.rendered) - 5, 1500, 50, token_count(question)):
             counted.clear()
             outcome = _outcome(lambda: build_encoder_input(store, question, entities, budget))
-            assert len(counted) <= 14, (budget, len(counted))
+            assert len(counted) == 2, (budget, len(counted))
             if budget == token_count(question):
                 assert outcome.startswith("minimal rendering is "), outcome
                 continue
             assert token_count(outcome.rendered) <= budget
-            # That read ran the fit: its counts come in only now.
-            assert len(counted) <= 14, (budget, len(counted))
             # Round robin: entities that still hold relations dropped equally
             # often, give or take one, and no emptied entity dropped more.
             kept = [len(s.relations) for s in outcome.structures]
             dropped = [len(s.relations) - k for s, k in zip(full.structures, kept)]
             live = [d for d, k in zip(dropped, kept) if k]
             assert max(live) - min(live) <= 1 and max(dropped) == max(live), kept
+            # That read ran the fit: one full rendering, then one relation per drop.
+            assert counted.count(full.rendered) == 1
+            assert len(counted) <= sum(dropped) + 3, (budget, len(counted), sum(dropped))
         # The reference drops one relation at a time; few drops keep it quick.
         budget = token_count(full.rendered) - 5
         assert build_encoder_input(store, question, entities, budget) == _ref_shrink(
