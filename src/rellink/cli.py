@@ -166,6 +166,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
     with _opened(args.gold) as handle:
         gold_records = list(read_gold(handle, profile))
+    if not gold_records:
+        raise ValueError("gold has no records")
     predictions = _read_predictions(args.pred, profile)
 
     gold_ids = {g.question_id for g in gold_records}

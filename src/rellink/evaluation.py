@@ -77,11 +77,16 @@ def build_report(
     equal = sum(1 for gold_n, pred_n in sizes if pred_n == gold_n)
     more = sum(1 for gold_n, pred_n in sizes if pred_n > gold_n)
     fewer = n - equal - more
+    # Added left to right: the builtin ``sum`` compensates float rounding
+    # from CPython 3.12 on, so a report would differ by interpreter.
+    precision = recall = f1 = 0.0
+    for p, r, f in per_question:
+        precision, recall, f1 = precision + p, recall + r, f1 + f
     return EvalReport(
         per_question=per_question,
-        precision=sum(p for p, _, _ in per_question) / n,
-        recall=sum(r for _, r, _ in per_question) / n,
-        f1=sum(f for _, _, f in per_question) / n,
+        precision=precision / n,
+        recall=recall / n,
+        f1=f1 / n,
         pct_equal=100.0 * equal / n,
         pct_more=100.0 * more / n,
         pct_fewer=100.0 * fewer / n,

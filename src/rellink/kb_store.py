@@ -462,7 +462,7 @@ def _parse_nt_term(raw: str, profile: Profile) -> Term:
 
 
 def parse_nt_line(
-    line: str, profile: Profile, terms: dict[str, Term] | None = None
+    line: str, profile: Profile, terms: dict[str, Term]
 ) -> tuple[Iri, Iri, Term] | None:
     """One N-Triples line to a ``(subject, predicate, object)`` tuple; None
     for blank and comment lines.  Errors quote the line.
@@ -477,8 +477,6 @@ def parse_nt_line(
     m = _TRIPLE_RE.match(line)
     if m is None:
         raise ValueError(f"not a valid triple line: {stripped!r}")
-    if terms is None:
-        terms = {}
     parsed = []
     for raw in m.groups():
         term = terms.get(raw)

@@ -10,10 +10,11 @@ a second only if something was dropped.
 
 Only the budget check runs when the input is built: the question is
 counted, then each entity's type is looked up and the minimal rendering is
-counted from its parts.  Ranking and fitting run the first time
-``structures`` or ``rendered`` is read, and are kept.  The baseline
-generator reads ``structures`` and the remote one ``rendered``; fixture
-replay reads neither, so it never ranks.
+counted from its parts.  Ranking and fitting go into the ``fit`` callable of
+``EncoderInput(question, fit)``, the one way to make an input; it runs the
+first time ``structures`` or ``rendered`` is read, and its result is kept.
+The baseline generator reads ``structures`` and the remote one
+``rendered``; fixture replay reads neither, so it never ranks.
 """
 
 from __future__ import annotations
@@ -64,18 +65,16 @@ class EncoderInput:
     """The question, its entity structures fitted to the budget, and their
     rendering.
 
-    ``EncoderInput(question, structures, rendered)`` holds the three values.
-    :func:`build_encoder_input` passes ``fit`` instead, a callable returning
-    ``(structures, rendered)``: it runs the first time either is read, and
-    its result is kept.  Equality compares the three values.
+    ``EncoderInput(question, fit)`` is the one way to make one: ``fit``
+    returns ``(structures, rendered)``, runs the first time either is read,
+    and its result is kept.
     """
 
     __slots__ = ("question", "_structures", "_rendered", "_fit")
 
-    def __init__(self, question: str, structures: list[EntityStructure] | None = None,
-                 rendered: str | None = None, *, fit: Callable[[], tuple] | None = None):
+    def __init__(self, question: str, fit: Callable[[], tuple[list[EntityStructure], str]]):
         self.question = question
-        self._structures, self._rendered, self._fit = structures, rendered, fit
+        self._fit = fit
 
     def _fitted(self) -> tuple[list[EntityStructure], str]:
         if self._fit is not None:
@@ -90,16 +89,6 @@ class EncoderInput:
     @property
     def rendered(self) -> str:
         return self._fitted()[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, EncoderInput):
-            return NotImplemented
-        return (self.question, *self._fitted()) == (other.question, *other._fitted())
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EncoderInput({self.question!r}, {self.structures!r}, {self.rendered!r})"
 
 
 def token_count(text: str) -> int:
@@ -122,21 +111,14 @@ def _type_label(store: KbStore, entity: Iri) -> str | None:
     return store.label_of(cls) if cls is not None else None
 
 
-_LOOK_UP = object()
-
-
 def build_entity_structure(
     store: KbStore,
     question: str,
     entity: LinkedEntity,
-    similarity: Similarity | None = None,
-    type_label: str | None | object = _LOOK_UP,
+    similarity: Similarity | None,
+    type_label: str | None,
 ) -> EntityStructure:
-    """The entity's type label and its candidate relations, ranked.  A caller
-    that has the type label already passes it, and the type is not looked up
-    again."""
-    if type_label is _LOOK_UP:
-        type_label = _type_label(store, entity.entity)
+    """The entity's type label, as given, and its candidate relations, ranked."""
     # Typing predicates feed the type slot, not the relation candidates.
     skip = {store.profile.type_predicate, store.profile.subclass_predicate}
     labels = {
@@ -215,13 +197,11 @@ def build_encoder_input(
                 if excess <= 0:
                     break
             rendered = render(kept)
-        fitted = [
-            EntityStructure(s.mention, s.type_label, s.relations[:n])
-            for s, n in zip(structures, kept)
-        ]
-        return fitted, rendered
+        for s, n in zip(structures, kept):
+            del s.relations[n:]
+        return structures, rendered
 
-    return EncoderInput(question, fit=fit)
+    return EncoderInput(question, fit)
 
 
 @dataclass

@@ -613,6 +613,17 @@ class TestEval:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
         assert capsys.readouterr().err == "error: gold line 2: duplicate question_id 'q1'\n"
 
+    @pytest.mark.parametrize("empty_pred", [True, False], ids=["empty-pred", "one-pred"])
+    def test_empty_gold_file(self, tmp_path, capsys, empty_pred):
+        # Checked first, so the error names the gold file whatever the
+        # predictions hold.
+        gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])
+        gold.write_text("\n  \n")
+        if empty_pred:
+            pred.write_text("")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == "error: gold has no records\n"
+
     def test_malformed_predictions_line(self, tmp_path, capsys):
         gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])
         pred.write_text(pred.read_text() + "{not json\n")

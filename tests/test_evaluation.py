@@ -98,6 +98,12 @@ class TestAggregate:
         report = report_of([(GOLD, GOLD), (GOLD, set())])
         assert report.f1 == 0.5
 
+    def test_average_sums_left_to_right_on_every_interpreter(self):
+        # Ten 0.1s added one by one round to 0.9999999999999999; the builtin
+        # sum of CPython 3.12 and later compensates to 1.0.
+        report = build_report([(0.1, 0.1, 0.1)] * 10, [(1, 1)] * 10)
+        assert (report.precision, report.recall, report.f1) == (0.09999999999999999,) * 3
+
     def test_equal_bucket_full(self):
         report = report_of([(GOLD, iris("dbo:a", "dbo:b")), (GOLD, GOLD)])
         assert report.pct_equal == 100.0

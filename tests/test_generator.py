@@ -30,7 +30,6 @@ from rellink.knowledge_integration import (
     EncoderInput,
     EntityStructure,
     build_encoder_input,
-    build_entity_structure,
 )
 from rellink.sequence_grammar import (
     ArgRelPair,
@@ -40,11 +39,12 @@ from rellink.sequence_grammar import (
     PlaceholderArg,
 )
 from rellink.similarity import Similarity, TrigramSimilarity
-from test_knowledge_integration import _outcome, _random_case, _ref_shrink
+from test_knowledge_integration import _outcome, _random_case, _read, _ref_shrink, _structure
 
 
 def enc_input(question: str, structures=()) -> EncoderInput:
-    return EncoderInput(question, list(structures), question)
+    structures = list(structures)
+    return EncoderInput(question, lambda: (structures, question))
 
 
 class TestGeneratorConfig:
@@ -339,7 +339,7 @@ def _random_input(rng: random.Random) -> EncoderInput:
         EntityStructure(_random_text(rng), None, rng.sample(pool, rng.randint(0, min(8, len(pool)))))
         for _ in range(rng.randint(0, 8))
     ]
-    return EncoderInput(question, structures, question)
+    return EncoderInput(question, lambda: (structures, question))
 
 
 def test_baseline_matches_reference():
@@ -529,7 +529,7 @@ class TestRemoteGeneratorOverHttp:
             rng = random.Random(seed)
             store, question, entities = _random_case(rng)
             ordered = sorted(entities, key=lambda e: (e.start, e.end))
-            structures = [build_entity_structure(store, question, e) for e in ordered]
+            structures = [_structure(store, question, e) for e in ordered]
             floor = len(question.split())
             full = len(ref_render_input(question, structures).split())
             budget = rng.randint(floor, full + 2)
@@ -540,8 +540,8 @@ class TestRemoteGeneratorOverHttp:
                 outcomes["too long"] += 1
                 continue
             assert gen.generate(enc) == [OutputSequence("[A | r]", -0.5, 1)]
-            assert server.posted[-1] == {"input": expected.rendered, "beams": 5}
-            assert enc == expected
+            assert server.posted[-1] == {"input": expected[1], "beams": 5}
+            assert _read(enc) == expected
             outcomes["shrunk" if budget < full else "whole"] += 1
         assert len(server.posted) == outcomes["shrunk"] + outcomes["whole"]
         assert min(outcomes.values()) >= 5, outcomes

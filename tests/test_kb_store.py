@@ -46,31 +46,31 @@ VY = Variable("y")
 
 class TestNtParsing:
     def test_basic_line(self):
-        triple = parse_nt_line(nt(DBR + "A", DBO + "r", DBR + "B"), DBPEDIA)
+        triple = parse_nt_line(nt(DBR + "A", DBO + "r", DBR + "B"), DBPEDIA, {})
         assert triple == (Iri("dbr:A"), Iri("dbo:r"), Iri("dbr:B"))
 
     def test_literal_object_with_datatype(self):
         line = f'<{DBR}A> <{DBO}r> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .'
-        _, _, obj = parse_nt_line(line, DBPEDIA)
+        _, _, obj = parse_nt_line(line, DBPEDIA, {})
         assert obj == Literal("42")
 
     def test_literal_with_language_tag(self):
         line = f'<{DBR}A> <{DBO}r> "hello"@en .'
-        assert parse_nt_line(line, DBPEDIA)[2] == Literal("hello")
+        assert parse_nt_line(line, DBPEDIA, {})[2] == Literal("hello")
         typed = f'<{DBR}A> <{DBO}r> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .'
         tagged = f'<{DBR}A> <{DBO}r> "1"@en .'
         assert len(load_kb(typed + "\n" + tagged)) == 1
 
     def test_escaped_quote_in_literal(self):
         line = f'<{DBR}A> <{DBO}r> "say \\"hi\\"" .'
-        assert parse_nt_line(line, DBPEDIA)[2] == Literal('say "hi"')
+        assert parse_nt_line(line, DBPEDIA, {})[2] == Literal('say "hi"')
 
     def test_comment_and_blank_lines(self):
-        assert parse_nt_line("# comment", DBPEDIA) is None
-        assert parse_nt_line("   ", DBPEDIA) is None
+        assert parse_nt_line("# comment", DBPEDIA, {}) is None
+        assert parse_nt_line("   ", DBPEDIA, {}) is None
 
     def test_blank_node_subject(self):
-        subject, _, _ = parse_nt_line(f"_:b1 <{DBO}r> <{DBR}B> .", DBPEDIA)
+        subject, _, _ = parse_nt_line(f"_:b1 <{DBO}r> <{DBR}B> .", DBPEDIA, {})
         assert subject == Iri("_:b1")
 
     def test_error_carries_line_number(self):
@@ -94,7 +94,7 @@ class TestNtParsing:
 
 class TestNtEscapes:
     def literal(self, body: str) -> Literal:
-        return parse_nt_line(f'<{DBR}A> <{DBO}r> "{body}" .', DBPEDIA)[2]
+        return parse_nt_line(f'<{DBR}A> <{DBO}r> "{body}" .', DBPEDIA, {})[2]
 
     def test_uchar_in_literal(self):
         assert self.literal("Caf\\u00E9") == Literal("Caf\u00e9")
@@ -105,7 +105,7 @@ class TestNtEscapes:
         assert self.literal("\\'q\\' \\\\u0041") == Literal("'q' \\u0041")
 
     def test_uchar_in_iri(self):
-        subject, _, _ = parse_nt_line(f"<{DBR}Caf\\u00E9> <{DBO}r> <{DBR}B> .", DBPEDIA)
+        subject, _, _ = parse_nt_line(f"<{DBR}Caf\\u00E9> <{DBO}r> <{DBR}B> .", DBPEDIA, {})
         assert subject == Iri("dbr:Caf\u00e9")
 
     @pytest.mark.parametrize(
@@ -389,14 +389,14 @@ def test_term_table_load_matches_per_line_parsing(profile):
             error = None
         except KbLoadError as exc:
             error = str(exc)
-        # The reference parses every line with no table and rebuilds the
+        # The reference parses every line with a fresh table and rebuilds the
         # lexicon entries on every triple, not only on a predicate's first.
         expected = KbStore(profile)
         expected_error = None
         lexicon: dict = {}
         for lineno, line in enumerate(lines, start=1):
             try:
-                triple = parse_nt_line(line, profile)
+                triple = parse_nt_line(line, profile, {})
             except ValueError as exc:
                 expected_error = f"triples line {lineno}: {exc}"
                 break
