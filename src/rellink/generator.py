@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
-import requests
-
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import OutputSequence, render_group, serialize_target
 from .similarity import DEFAULT_SIMILARITY, Similarity
@@ -111,10 +109,15 @@ class RemoteGenerator:
     """POSTs the rendered input to a model server and maps the JSON reply.
 
     One HTTP session lives as long as the generator, so the questions of a
-    run share a keep-alive connection.
+    run share a keep-alive connection.  ``requests`` is imported here, not at
+    module level: no other generator and no other command needs it.
     """
 
     def __init__(self, endpoint: str, beam_width: int = DEFAULT_BEAM_WIDTH, timeout: float = 30.0):
+        try:
+            import requests
+        except ImportError as exc:
+            raise GeneratorError(f"remote generator needs the requests package: {exc}") from None
         self.endpoint = endpoint
         self.beam_width = beam_width
         self.timeout = timeout
@@ -124,6 +127,8 @@ class RemoteGenerator:
         # Reading ``rendered`` may rank and fit the input; a fault there is
         # not a remote one, so it stays outside the ``try``.
         payload = {"input": enc.rendered, "beams": self.beam_width}
+        import requests  # loaded by __init__, so this is a lookup
+
         try:
             reply = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             reply.raise_for_status()

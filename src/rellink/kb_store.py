@@ -220,7 +220,8 @@ class KbStore:
         return len(self._pos.get(self.profile.type_predicate, {}).get(cls, ()))
 
     def label_of(self, iri: Iri) -> str:
-        return self._labels.get(iri, local_name(iri))
+        label = self._labels.get(iri)
+        return local_name(iri) if label is None else label
 
     def relations_of(self, entity: Iri) -> set[Iri]:
         """All relation IRIs attached to an entity, in either direction.

@@ -182,13 +182,21 @@ class WordVectorSimilarity(Similarity):
 
 
 def _norm(vector: Iterable[float]) -> float:
-    return math.sqrt(sum(x * x for x in vector))
+    """Added left to right, as is ``_vector_cosine``'s dot product: the builtin
+    ``sum`` compensates float rounding from CPython 3.12 on, so a word-vector
+    score, and with it a ranking, would differ by interpreter."""
+    total = 0.0
+    for x in vector:
+        total += x * x
+    return math.sqrt(total)
 
 
 def _vector_cosine(a: list[float], norm_a: float, b: list[float], norm_b: float) -> float:
     if len(a) != len(b):
         return 0.0
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = 0.0
+    for x, y in zip(a, b):
+        dot += x * y
     if norm_a == 0 or norm_b == 0:
         return 0.0
     return dot / (norm_a * norm_b)

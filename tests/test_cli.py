@@ -6,9 +6,12 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -893,3 +896,48 @@ def test_malformed_line_is_located_without_traceback(ford_files, capsys, case):
     assert "Traceback" not in err
     if isinstance(text, bytes):
         assert err.startswith(f"error: {reader} line {lineno}: invalid UTF-8 byte 0xe9 at character ")
+
+
+# Runs each command line given as a JSON argument through ``cli.main`` in one
+# fresh interpreter, then builds a remote generator, and reports the exit
+# statuses and whether ``requests`` was loaded before and after the build.
+_IMPORT_PROBE = """
+import json, sys
+from rellink.cli import main
+from rellink.generator import RemoteGenerator
+
+statuses = [main(argv) for argv in map(json.loads, sys.argv[1:])]
+before = "requests" in sys.modules
+RemoteGenerator("http://x")
+print(json.dumps([statuses, before, "requests" in sys.modules]))
+"""
+
+
+def test_only_the_remote_generator_imports_requests(ford_files):
+    tmp, kb, ontology, questions, beams = ford_files
+    alma_kb = tmp / "alma.nt"
+    alma_kb.write_text(ALMA_TRIPLES + "\n")
+    gold = tmp / "gold.jsonl"
+    gold.write_text(json.dumps({"question_id": "q1", "question": ALMA_QUESTION,
+                                "relations": ["dbo:almaMater", "dbo:state"],
+                                "graph": ALMA_GOLD_GRAPH}) + "\n")
+    pred = tmp / "pred.jsonl"
+    pred.write_text(json.dumps({"question_id": "q1", "relations": ["dbp:almaMater", "dbo:state"]}) + "\n")
+    store = ["--kb", str(kb), "--ontology", str(ontology)]
+    commands = [
+        ["ingest", *store],
+        ["link", *store, "--generator", "baseline", "-o", str(tmp / "baseline.jsonl"), str(questions)],
+        ["link", *store, "--generator", "fixture", "--fixtures", str(beams),
+         "-o", str(tmp / "fixture.jsonl"), str(questions)],
+        ["eval", "--eval-mode", "relaxed", "--kb", str(alma_kb), "--gold", str(gold), "--pred", str(pred)],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *map(json.dumps, commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    statuses, before, after = json.loads(probe.stdout.splitlines()[-1])
+    assert statuses == [0, 0, 0, 0], probe.stderr
+    assert not before, "a command that never builds a remote generator imported requests"
+    assert after

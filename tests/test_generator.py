@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import product
 
 import pytest
+import requests
 
 import rellink.generator as generator_module
 from conftest import DBO, DBR, FORD_QUESTION, nt, ref_render_input
@@ -378,18 +380,12 @@ class _FakeResponse:
 
     def raise_for_status(self):
         if self.status_code >= 400:
-            raise requests_error("boom")
+            raise requests.HTTPError("boom")
 
     def json(self):
         if isinstance(self._payload, Exception):
             raise self._payload
         return self._payload
-
-
-def requests_error(message):
-    import requests
-
-    return requests.HTTPError(message)
 
 
 class TestRemoteGenerator:
@@ -402,7 +398,7 @@ class TestRemoteGenerator:
                 {"sequences": [{"text": "[A | r]", "score": -0.2}]}
             )
 
-        monkeypatch.setattr(generator_module.requests.Session, "post", fake_post)
+        monkeypatch.setattr(requests.Session, "post", fake_post)
         gen = RemoteGenerator("http://model/generate", beam_width=5, timeout=3.0)
         beams = gen.generate(enc_input("the question"), "q1")
         assert beams == [OutputSequence("[A | r]", -0.2, 1)]
@@ -411,7 +407,7 @@ class TestRemoteGenerator:
 
     def test_empty_reply(self, monkeypatch):
         monkeypatch.setattr(
-            generator_module.requests.Session,
+            requests.Session,
             "post",
             lambda *a, **k: _FakeResponse({"sequences": []}),
         )
@@ -419,7 +415,7 @@ class TestRemoteGenerator:
 
     def test_http_error_becomes_generator_error(self, monkeypatch):
         monkeypatch.setattr(
-            generator_module.requests.Session,
+            requests.Session,
             "post",
             lambda *a, **k: _FakeResponse({}, status=500),
         )
@@ -428,7 +424,7 @@ class TestRemoteGenerator:
 
     def test_malformed_reply_becomes_generator_error(self, monkeypatch):
         monkeypatch.setattr(
-            generator_module.requests.Session,
+            requests.Session,
             "post",
             lambda *a, **k: _FakeResponse({"unexpected": True}),
         )
@@ -436,14 +432,32 @@ class TestRemoteGenerator:
             RemoteGenerator("http://model").generate(enc_input("q"))
 
     def test_transport_error_becomes_generator_error(self, monkeypatch):
-        import requests
-
         def fail(*a, **k):
             raise requests.ConnectionError("no route")
 
-        monkeypatch.setattr(generator_module.requests.Session, "post", fail)
+        monkeypatch.setattr(requests.Session, "post", fail)
         with pytest.raises(GeneratorError):
             RemoteGenerator("http://model").generate(enc_input("q"))
+
+    def test_missing_requests_is_a_generator_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # import requests fails
+        with pytest.raises(GeneratorError, match="^remote generator needs the requests package: "):
+            RemoteGenerator("http://model")
+
+    def test_missing_requests_fails_link_with_one_error_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        kb = tmp_path / "kb.nt"
+        kb.write_text(nt(DBR + "A", DBO + "r", DBR + "B") + "\n")
+        questions = tmp_path / "q.jsonl"
+        questions.write_text(json.dumps({"question_id": "q1", "question": "q"}) + "\n")
+        out = tmp_path / "results.jsonl"
+        # A closed local port: should the generator be built, nothing leaves the host.
+        argv = ["link", "--kb", str(kb), "--generator", "remote", "--endpoint", "http://127.0.0.1:9/"]
+        assert main(argv + ["-o", str(out), str(questions)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: remote generator needs the requests package: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 class _StubModelHandler(BaseHTTPRequestHandler):

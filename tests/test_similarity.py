@@ -146,11 +146,19 @@ class TestWordVectorSimilarity:
         assert "3" not in sim.vectors
         assert "grave" in sim.vectors
 
+    def test_ranking_does_not_depend_on_the_interpreter(self):
+        # A compensated sum (the builtin from CPython 3.12 on) scores "b"
+        # first and "a" last; added left to right, every interpreter gives
+        # the ranking below.
+        sim = WordVectorSimilarity({"q": [1.0] * 10, "a": [1.0] * 10, "b": [0.1] * 10, "c": [0.3] * 10})
+        assert rank_candidate_relations("q", ["a", "b", "c"], sim) == ["c", "a", "b"]
+
 
 # -- bound scorers against the per-call scorers they replaced ---------------
 #
-# Reference: the earlier scorers, kept verbatim, which rebuilt the question's
-# vectors and norms on every call.  Ranking sorts by score, so a bound scorer
+# Reference: the earlier scorers, which rebuilt the question's vectors and
+# norms on every call, kept verbatim save that word-vector sums add left to
+# right.  Ranking sorts by score, so a bound scorer
 # must give the same bits, not merely close values.
 
 
@@ -186,6 +194,14 @@ class ReferenceTrigramSimilarity:
         return total / len(label_tokens)
 
 
+def _left_sum(values) -> float:
+    """The builtin ``sum`` before CPython 3.12, which compensates rounding."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class ReferenceWordVectorSimilarity:
     def __init__(self, vectors: dict[str, list[float]]):
         self.vectors = vectors
@@ -193,9 +209,9 @@ class ReferenceWordVectorSimilarity:
     def _vector_cosine(self, a: list[float], b: list[float]) -> float:
         if len(a) != len(b):
             return 0.0
-        dot = sum(x * y for x, y in zip(a, b))
-        norm_a = math.sqrt(sum(x * x for x in a))
-        norm_b = math.sqrt(sum(x * x for x in b))
+        dot = _left_sum(x * y for x, y in zip(a, b))
+        norm_a = math.sqrt(_left_sum(x * x for x in a))
+        norm_b = math.sqrt(_left_sum(x * x for x in b))
         if norm_a == 0 or norm_b == 0:
             return 0.0
         return dot / (norm_a * norm_b)
