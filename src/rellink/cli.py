@@ -139,7 +139,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     if args.vectors:
         with open_input(args.vectors) as handle:
             similarity = WordVectorSimilarity.load(handle)
-    generator = make_generator(config, similarity)
+    generator = make_generator(config)
     store = _load_store(args)
 
     with _opened(args.questions) as source, _opened(args.out, "w") as sink:

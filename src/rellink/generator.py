@@ -20,7 +20,6 @@ from typing import IO, Iterable
 
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import OutputSequence, render_group, serialize_target
-from .similarity import DEFAULT_SIMILARITY, Similarity
 from .terms import RECORD_ERRORS, expect_str, json_record, open_input, read_lines
 
 logger = logging.getLogger(__name__)
@@ -64,10 +63,14 @@ def _ranked(raw: Iterable[tuple[str, float]], width: int) -> list[OutputSequence
 
 
 def _beam(raw: dict) -> tuple[str, float]:
-    """One beam object as (text, score).  NaN has no place in the ranking and
-    no log-probability is ``+Infinity``, so both are rejected; ``-Infinity``
-    is a log-probability and is kept."""
-    score = float(raw["score"])
+    """One beam object as (text, score).  The score must be a JSON number: a
+    string or a bool is rejected, not converted.  NaN has no place in the
+    ranking and no log-probability is ``+Infinity``, so both are rejected;
+    ``-Infinity`` is a log-probability and is kept."""
+    score = raw["score"]
+    if type(score) not in (int, float):
+        raise TypeError(f"beam score must be a number, got {score!r}")
+    score = float(score)
     if math.isnan(score):
         raise ValueError("beam score is NaN")
     if score == math.inf:
@@ -173,14 +176,14 @@ class BaselineGenerator:
     """Deterministic lexical stand-in for a trained sequence model.
 
     Takes the top-k candidate labels per entity (k chosen so the product can
-    reach the beam width), scores each combination by the summed label
+    reach the beam width), scores each combination by the sum of its labels'
     similarities to the question, and returns the best ``beam_width`` of
-    them without building the rest.
+    them without building the rest.  Each label's similarity is read from
+    its entity structure, where the ranking left it.
     """
 
-    def __init__(self, beam_width: int = DEFAULT_BEAM_WIDTH, similarity: Similarity | None = None):
+    def __init__(self, beam_width: int = DEFAULT_BEAM_WIDTH):
         self.beam_width = beam_width
-        self.similarity = similarity or DEFAULT_SIMILARITY
 
     def generate(self, enc: EncoderInput, question_id: str | None = None) -> list[OutputSequence]:
         structures = [s for s in enc.structures if s.relations]
@@ -191,13 +194,10 @@ class BaselineGenerator:
         k = 1
         while k < longest and k ** len(structures) < self.beam_width:
             k += 1
-        tops = [s.relations[:k] for s in structures]
-        # Score each distinct label and render each group once per question.
-        score_of = self.similarity.for_question(enc.question)
-        scores = {label: score_of(label) for label in set().union(*tops)}
         choices = [
-            [(render_group(s.mention, label), scores[label]) for label in top]
-            for s, top in zip(structures, tops)
+            [(render_group(s.mention, label), score)
+             for label, score in zip(s.relations[:k], s.scores)]
+            for s in structures
         ]
         return _best_first(choices, self.beam_width)
 
@@ -205,11 +205,12 @@ class BaselineGenerator:
 Generator = FixtureGenerator | RemoteGenerator | BaselineGenerator
 
 
-def make_generator(config: GeneratorConfig, similarity: Similarity | None = None) -> Generator:
+# ``similarity`` is unused; perfbench/worker.py still passes it positionally.
+def make_generator(config: GeneratorConfig, similarity=None) -> Generator:
     if config.kind == "fixture":
         assert config.fixture_path is not None
         return FixtureGenerator(config.fixture_path, config.beam_width)
     if config.kind == "remote":
         assert config.endpoint is not None
         return RemoteGenerator(config.endpoint, config.beam_width, config.timeout)
-    return BaselineGenerator(config.beam_width, similarity)
+    return BaselineGenerator(config.beam_width)

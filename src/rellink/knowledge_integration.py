@@ -2,11 +2,12 @@
 
 Each pre-linked entity contributes one bracketed structure holding its
 mention, its most specific KB type, and its candidate relations ranked by
-similarity to the question.  The rendered line is kept within a whitespace
-token budget by dropping the lowest-ranked relations round-robin across
-entities; the question itself is never truncated.  A token count is a sum
-over parts, so each drop subtracts its relation's count: one rendering, and
-a second only if something was dropped.
+similarity to the question, with their scores: the fit scores each distinct
+label once, and the baseline generator reads the scores.  The rendered line
+is kept within a whitespace token budget by dropping the lowest-ranked
+relations round-robin across entities; the question itself is never
+truncated.  A token count is a sum over parts, so each drop subtracts its
+relation's count: one rendering, and a second only if something was dropped.
 
 Only the budget check runs when the input is built: the question is
 counted, then each entity's type is looked up and the minimal rendering is
@@ -20,6 +21,7 @@ The baseline generator reads ``structures`` and the remote one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import IO, Callable, Iterable, Iterator
 
 from . import brackets
@@ -59,6 +61,7 @@ class EntityStructure:
     mention: str
     type_label: str | None
     relations: list[str]
+    scores: list[float]  # each relation's similarity to the question
 
 
 class EncoderInput:
@@ -97,13 +100,12 @@ def token_count(text: str) -> int:
 
 
 def rank_candidate_relations(
-    question: str,
-    labels: Iterable[str],
-    similarity: Similarity | None = None,
-) -> list[str]:
-    """Labels in descending similarity to the question; ties lexicographic."""
-    score = (similarity or DEFAULT_SIMILARITY).for_question(question)
-    return sorted(set(labels), key=lambda lbl: (-score(lbl), lbl))
+    labels: Iterable[str], score: Callable[[str], float]
+) -> tuple[list[str], list[float]]:
+    """The distinct labels by descending ``score``, ties lexicographic, and their scores."""
+    ranked = sorted([(-score(label), label) for label in set(labels)])
+    # Negation is exact, so each score comes back bit for bit.
+    return [label for _, label in ranked], [-negated for negated, _ in ranked]
 
 
 def _type_label(store: KbStore, entity: Iri) -> str | None:
@@ -113,12 +115,12 @@ def _type_label(store: KbStore, entity: Iri) -> str | None:
 
 def build_entity_structure(
     store: KbStore,
-    question: str,
     entity: LinkedEntity,
-    similarity: Similarity | None,
+    score: Callable[[str], float],
     type_label: str | None,
 ) -> EntityStructure:
-    """The entity's type label, as given, and its candidate relations, ranked."""
+    """The entity's type label, as given, and its candidate relations ranked
+    by ``score``, the question's bound scorer."""
     # Typing predicates feed the type slot, not the relation candidates.
     skip = {store.profile.type_predicate, store.profile.subclass_predicate}
     labels = {
@@ -126,8 +128,7 @@ def build_entity_structure(
     }
     # A blank local name (``<http://example.org/rel/>``) labels nothing.
     labels.discard("")
-    ranked = rank_candidate_relations(question, labels, similarity)
-    return EntityStructure(entity.mention, type_label, ranked)
+    return EntityStructure(entity.mention, type_label, *rank_candidate_relations(labels, score))
 
 
 def _opening(mention: str, type_label: str | None) -> str:
@@ -164,10 +165,9 @@ def build_encoder_input(
         raise InputTooLongError(f"minimal rendering is {tokens} tokens, budget {budget}")
 
     def fit() -> tuple[list[EntityStructure], str]:
-        structures = [
-            build_entity_structure(store, question, e, similarity, t)
-            for e, t in zip(ordered, types)
-        ]
+        # One binding per question; a label two entities share is scored once.
+        score = cache((similarity or DEFAULT_SIMILARITY).for_question(question))
+        structures = [build_entity_structure(store, e, score, t) for e, t in zip(ordered, types)]
         relations = [[brackets.escape(r) for r in s.relations] for s in structures]
         kept = [len(r) for r in relations]
 
@@ -198,7 +198,7 @@ def build_encoder_input(
                     break
             rendered = render(kept)
         for s, n in zip(structures, kept):
-            del s.relations[n:]
+            del s.relations[n:], s.scores[n:]
         return structures, rendered
 
     return EncoderInput(question, fit)

@@ -7,11 +7,11 @@ and applies the same max-then-average scheme over embeddings.
 
 A scorer is bound to one question with ``for_question``: the question's
 vectors and norms are built once, and each label token's best match is
-remembered for the life of the bound scorer only.  A scorer keeps its last
-binding, so the callers that rank and score labels for one question share
-it; the next question replaces it.  Work that depends on a label alone (its
-tokens, and each token's trigrams and norm) is done once per process, in
-bounded caches.
+remembered for the life of the bound scorer only; the scorer itself keeps
+no per-question state.  The encoder input binds once per question and keeps
+each ranked label's score, so no label is scored twice.  Work that depends on
+a label alone (its tokens, and each token's trigrams and norm) is done once
+per process, in bounded caches.
 """
 
 from __future__ import annotations
@@ -66,32 +66,26 @@ class Similarity:
 
     ``for_question(q)`` returns a scorer of labels against ``q`` alone: a
     label scores the mean over its tokens of ``_best(q)(token)``, computed
-    once per distinct token.  The same question gets the last binding again.
-    ``score(q, label)`` is ``for_question(q)(label)``.
+    once per distinct token.  ``score(q, label)`` is ``for_question(q)(label)``.
     """
 
-    _last: tuple[str, Callable[[str], float]] | None = None
-
     def for_question(self, question: str) -> Callable[[str], float]:
-        last = self._last
-        if last is None or last[0] != question:
-            best = self._best(question)
-            memo: dict[str, float] = {}
+        best = self._best(question)
+        memo: dict[str, float] = {}
 
-            def score(label: str) -> float:
-                tokens = _label_tokens(label)
-                if not tokens:
-                    return 0.0
-                total = 0.0
-                for token in tokens:
-                    value = memo.get(token)
-                    if value is None:
-                        value = memo[token] = best(token)
-                    total += value
-                return total / len(tokens)
+        def score(label: str) -> float:
+            tokens = _label_tokens(label)
+            if not tokens:
+                return 0.0
+            total = 0.0
+            for token in tokens:
+                value = memo.get(token)
+                if value is None:
+                    value = memo[token] = best(token)
+                total += value
+            return total / len(tokens)
 
-            last = self._last = (question, score)
-        return last[1]
+        return score
 
     # perfbench/tracing.py wraps TrigramSimilarity.score; keep it.
     def score(self, question: str, label: str) -> float:

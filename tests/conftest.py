@@ -37,8 +37,15 @@ def entity(question: str, mention: str, iri: str) -> LinkedEntity:
     return LinkedEntity(mention, start, start + len(mention), Iri(iri))
 
 
-def parse_structures(text: str) -> list[EntityStructure]:
-    """Recover entity structures from their rendered bracket groups.
+def unscored(structures: list[EntityStructure]) -> list[tuple]:
+    """Each structure's (mention, type label, relations): what a rendering
+    holds, without the scores."""
+    return [(s.mention, s.type_label, s.relations) for s in structures]
+
+
+def parse_structures(text: str) -> list[tuple]:
+    """Recover entity structures, as :func:`unscored` gives them, from their
+    rendered bracket groups.
 
     The inverse of rendering, for round-trip tests.  The field count
     disambiguates: three fields are mention/type/relations, two are
@@ -62,7 +69,7 @@ def parse_structures(text: str) -> list[EntityStructure]:
             for r in brackets.split_unescaped(rel_field, ",")
             if r.strip()
         ]
-        out.append(EntityStructure(mention, type_label, relations))
+        out.append((mention, type_label, relations))
     return out
 
 

@@ -25,6 +25,7 @@ from conftest import (
     nt,
     parse_structures,
     ref_render_input,
+    unscored,
 )
 from oracle_link import (
     ASK_WINDOW,
@@ -263,7 +264,7 @@ def test_criterion_05_budget_safety():
             try:
                 enc = build_encoder_input(store, question, entities, budget)
             except InputTooLongError:
-                bare = [EntityStructure(s.mention, s.type_label, []) for s in full.structures]
+                bare = [EntityStructure(s.mention, s.type_label, [], []) for s in full.structures]
                 minimal = ref_render_input(question, bare)
                 assert (
                     token_count(question) > budget or token_count(minimal) > budget
@@ -272,11 +273,12 @@ def test_criterion_05_budget_safety():
                 continue
             assert token_count(enc.rendered) <= budget, case
             rendered_structs = parse_structures(enc.rendered[len(question):])
-            assert rendered_structs == enc.structures
+            assert rendered_structs == unscored(enc.structures)
             for got, ref in zip(enc.structures, full.structures, strict=True):
                 assert got.mention == ref.mention
                 assert got.type_label == ref.type_label
                 assert got.relations == ref.relations[: len(got.relations)], case
+                assert got.scores == ref.scores[: len(got.relations)], case
         assert over_budget >= 50, over_budget
 
 

@@ -32,6 +32,7 @@ from rellink.knowledge_integration import (
     EncoderInput,
     EntityStructure,
     build_encoder_input,
+    rank_candidate_relations,
 )
 from rellink.sequence_grammar import (
     ArgRelPair,
@@ -40,13 +41,23 @@ from rellink.sequence_grammar import (
     OutputSequence,
     PlaceholderArg,
 )
-from rellink.similarity import Similarity, TrigramSimilarity
+from rellink.similarity import Similarity, TrigramSimilarity, WordVectorSimilarity
 from test_knowledge_integration import _outcome, _random_case, _read, _ref_shrink, _structure
 
 
 def enc_input(question: str, structures=()) -> EncoderInput:
     structures = list(structures)
     return EncoderInput(question, lambda: (structures, question))
+
+
+def ranked_input(question: str, mentions, similarity: Similarity | None = None) -> EncoderInput:
+    """An input whose structures rank each (mention, labels) pair's labels,
+    and carry their scores, as the encoder input does."""
+    score = (similarity or TrigramSimilarity()).for_question(question)
+    return enc_input(question, [
+        EntityStructure(mention, None, *rank_candidate_relations(labels, score))
+        for mention, labels in mentions
+    ])
 
 
 class TestGeneratorConfig:
@@ -129,6 +140,18 @@ class TestFixtureGenerator:
         with pytest.raises(GeneratorError, match="^beam fixture line 2: beam score is NaN$"):
             FixtureGenerator(path)
 
+    @pytest.mark.parametrize(
+        "score, shown", [('"1e3"', "'1e3'"), ("true", "True")], ids=["string", "bool"]
+    )
+    def test_score_must_be_a_json_number(self, tmp_path, score, shown):
+        # float() would read "1e3" as 1000.0 and true as 1.0.
+        path = tmp_path / "beams.jsonl"
+        path.write_text('{"question_id": "q1", "beams": [{"text": "[a | r]", "score": %s}]}\n' % score)
+        with pytest.raises(
+            GeneratorError, match=f"^beam fixture line 1: beam score must be a number, got {shown}$"
+        ):
+            FixtureGenerator(path)
+
     def test_negative_infinity_score_ranks_last(self, tmp_path):
         path = self.write_fixture(
             tmp_path,
@@ -143,7 +166,7 @@ class TestFixtureGenerator:
 
 class TestBaselineGenerator:
     def test_single_entity_ranked_relations(self):
-        enc = enc_input("q", [EntityStructure("m", None, ["r1", "r2"])])
+        enc = ranked_input("q", [("m", ["r1", "r2"])])
         beams = BaselineGenerator(beam_width=2).generate(enc)
         assert [b.text for b in beams] == ["[m | r1]", "[m | r2]"]
 
@@ -160,13 +183,7 @@ class TestBaselineGenerator:
     def test_product_scores_descending(self):
         # Hand-computed: label scores against "alpha beta" are
         # alpha=1, beta=1, gamma=0, delta=0, so products rank by sum.
-        enc = enc_input(
-            "alpha beta",
-            [
-                EntityStructure("A", None, ["alpha", "gamma"]),
-                EntityStructure("B", None, ["beta", "delta"]),
-            ],
-        )
+        enc = ranked_input("alpha beta", [("A", ["alpha", "gamma"]), ("B", ["beta", "delta"])])
         beams = BaselineGenerator(beam_width=4).generate(enc)
         assert beams[0].text == "[A | alpha], [B | beta]"
         assert {beams[1].text, beams[2].text} == {
@@ -181,66 +198,61 @@ class TestBaselineGenerator:
         assert BaselineGenerator().generate(enc_input("q", [])) == []
 
     def test_entities_without_candidates_skipped(self):
-        enc = enc_input(
-            "q", [EntityStructure("A", None, []), EntityStructure("B", None, ["r"])]
-        )
+        enc = ranked_input("q", [("A", []), ("B", ["r"])])
         beams = BaselineGenerator(beam_width=2).generate(enc)
         assert beams[0].text == "[B | r]"
 
     def test_width_never_exceeded(self):
-        enc = enc_input(
-            "q",
-            [
-                EntityStructure("A", None, [f"r{i}" for i in range(10)]),
-                EntityStructure("B", None, [f"s{i}" for i in range(10)]),
-            ],
-        )
+        enc = ranked_input("q", [(m, [f"{m}{i}" for i in range(10)]) for m in "AB"])
         beams = BaselineGenerator(beam_width=7).generate(enc)
         assert len(beams) == 7
 
     def test_deterministic(self):
-        enc = enc_input(
-            "q", [EntityStructure("A", None, ["r1", "r2"]), EntityStructure("B", None, ["s"])]
-        )
+        enc = ranked_input("q", [("A", ["r1", "r2"]), ("B", ["s"])])
         first = BaselineGenerator(beam_width=5).generate(enc)
         second = BaselineGenerator(beam_width=5).generate(enc)
         assert first == second
 
-    def test_each_label_scored_once(self):
+    def test_each_label_scored_once(self, monkeypatch):
+        # Over building and generating, each question binds one scorer and
+        # scores each distinct candidate label once, however many of its
+        # entities share the label; the generator scores nothing.
         binds, scored = [], Counter()
+        bind = Similarity.for_question
 
-        class Counting(TrigramSimilarity):
-            def for_question(self, question):
-                binds.append(question)
-                bound = super().for_question(question)
+        def for_question(sim, question):
+            binds.append(question)
+            bound = bind(sim, question)
+            return lambda label: scored.update([label]) or bound(label)
 
-                def score(label):
-                    scored[label] += 1
-                    return bound(label)
-
-                return score
-
-        # Width 9 over two entities takes the top 3 labels of each; two
-        # labels appear under both, and every label is in 3 combinations.
-        question = "where was the birth place and the death place"
-        enc = enc_input(
-            question,
-            [
-                EntityStructure("A", None, ["birthPlace", "deathPlace", "spouse", "child"]),
-                EntityStructure("B", None, ["deathPlace", "birthPlace", "parent", "child"]),
-            ],
-        )
-        beams = BaselineGenerator(beam_width=9, similarity=Counting()).generate(enc)
-        assert binds == [question]
-        assert scored == Counter(["birthPlace", "deathPlace", "spouse", "parent"])
-        assert beams == BaselineGenerator(beam_width=9).generate(enc)
+        rng = random.Random(5)
+        words = ["birth", "place", "of", "year", "x", "a", "b", "c"]
+        vectors = WordVectorSimilarity({w: [rng.uniform(-1, 1) for _ in range(3)] for w in words})
+        shared = 0
+        for seed in range(100):
+            store, question, entities = _random_case(random.Random(seed))
+            candidates = [set(_structure(store, question, e).relations) for e in entities]
+            shared += any(a & b for i, a in enumerate(candidates) for b in candidates[i + 1 :])
+            once = Counter(set().union(*candidates))
+            for sim in (TrigramSimilarity(), vectors):
+                with monkeypatch.context() as patch:
+                    patch.setattr(Similarity, "for_question", for_question)
+                    enc = build_encoder_input(store, question, entities, 10**6, sim)
+                    structures = enc.structures
+                    assert binds == [question] and scored == once
+                    beams = BaselineGenerator(beam_width=9).generate(enc)
+                    assert binds == [question] and scored == once
+                expected = ReferenceBaselineGenerator(9, sim).generate(enc_input(question, structures))
+                assert beams == expected
+                binds.clear()
+                scored.clear()
+        assert shared >= 10, shared
 
     @pytest.mark.parametrize("lengths", [(3,), (3, 2)])
     def test_huge_width_costs_no_more_than_every_combination(self, lengths):
         # k stops at the longest list: past it a larger k takes no more labels.
-        enc = enc_input("birth place", [
-            EntityStructure(f"E{i}", None, ["birthPlace", "deathPlace", "spouse"][:n])
-            for i, n in enumerate(lengths)
+        enc = ranked_input("birth place", [
+            (f"E{i}", ["birthPlace", "deathPlace", "spouse"][:n]) for i, n in enumerate(lengths)
         ])
         beams = BaselineGenerator(beam_width=10**9).generate(enc)
         assert beams == BaselineGenerator(beam_width=10**5).generate(enc)
@@ -254,8 +266,8 @@ class TestBaselineGenerator:
         )
         # 20 entities with tied labels: k = 2 gives 2 ** 20 combinations, and
         # text ranks them as the binary numerals over the entities, b = 1.
-        structures = [EntityStructure(f"E{i}", None, ["a", "b", "c"]) for i in range(20)]
-        beams = BaselineGenerator(50, _Tied()).generate(enc_input("q", structures))
+        enc = ranked_input("q", [(f"E{i}", ["a", "b", "c"]) for i in range(20)], _Tied())
+        beams = BaselineGenerator(50).generate(enc)
         assert [b.text for b in beams] == [
             ", ".join(f"[E{j} | {'ab'[(i >> (19 - j)) & 1]}]" for j in range(20)) for i in range(50)
         ]
@@ -265,9 +277,10 @@ class TestBaselineGenerator:
 # -- the baseline against the generator it replaced ---------------------------
 #
 # Reference: the earlier baseline and its serializer, kept verbatim but for the
-# serializer's name, which built an ArgRelPair for every pair of every
-# combination and escaped each mention and label again per combination.  Beams
-# must match in text, score and rank.
+# serializer's name and the constructor the baseline no longer has, which
+# built an ArgRelPair for every pair of every combination, escaped each
+# mention and label again per combination, and scored the labels with its
+# own similarity.  Beams must match in text, score and rank.
 
 
 def _ref_argument_text(argument: Argument) -> str:
@@ -287,7 +300,11 @@ def _ref_serialize_target(pairs: list[ArgRelPair]) -> str:
     return ", ".join(rendered)
 
 
-class ReferenceBaselineGenerator(BaselineGenerator):
+class ReferenceBaselineGenerator:
+    def __init__(self, beam_width: int, similarity: Similarity):
+        self.beam_width = beam_width
+        self.similarity = similarity
+
     def generate(self, enc: EncoderInput, question_id: str | None = None) -> list[OutputSequence]:
         structures = [s for s in enc.structures if s.relations]
         if not structures:
@@ -334,14 +351,15 @@ def _random_text(rng: random.Random) -> str:
     return rng.choice(["", " "]).join(parts)
 
 
-def _random_input(rng: random.Random) -> EncoderInput:
+def _random_input(rng: random.Random) -> tuple[str, list[tuple[str, list[str]]]]:
+    """A question and its mentions, each with its candidate labels."""
     question = " ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 6)))
     pool = sorted({_random_text(rng) for _ in range(rng.randint(1, 12))})
-    structures = [
-        EntityStructure(_random_text(rng), None, rng.sample(pool, rng.randint(0, min(8, len(pool)))))
+    mentions = [
+        (_random_text(rng), rng.sample(pool, rng.randint(0, min(8, len(pool)))))
         for _ in range(rng.randint(0, 8))
     ]
-    return EncoderInput(question, lambda: (structures, question))
+    return question, mentions
 
 
 def test_baseline_matches_reference():
@@ -349,10 +367,10 @@ def test_baseline_matches_reference():
     shared = truncated = whole = 0
     escaped = Counter()
     for _ in range(500):
-        enc = _random_input(rng)
-        labels = [set(s.relations) for s in enc.structures]
+        question, mentions = _random_input(rng)
+        labels = [set(candidates) for _, candidates in mentions]
         shared += any(a & b for i, a in enumerate(labels) for b in labels[i + 1 :])
-        lengths = [len(s.relations) for s in enc.structures if s.relations]
+        lengths = [len(candidates) for candidates in labels if candidates]
         # Every label is taken, and no beam cut, once longest ** n reaches the
         # width; the reference's k rule would count up to 10**9 to see that.
         every = max(lengths, default=1) ** len(lengths)
@@ -360,11 +378,12 @@ def test_baseline_matches_reference():
         if math.prod(lengths) <= 512:
             widths.append(10**9)
             whole += len(lengths) >= 5
-        for width in widths:
-            for similarity in (TrigramSimilarity(), _Tied()):
-                beams = BaselineGenerator(width, similarity).generate(enc)
+        for similarity in (TrigramSimilarity(), _Tied()):
+            enc = ranked_input(question, mentions, similarity)
+            for width in widths:
+                beams = BaselineGenerator(width).generate(enc)
                 expected = ReferenceBaselineGenerator(min(width, every), similarity).generate(enc)
-                assert beams == expected, (enc, width)
+                assert beams == expected, (question, mentions, width)
                 truncated += len(beams) == width
                 escaped.update(c for b in beams for c in _RESERVED if "\\" + c in b.text)
     assert shared >= 100, shared
@@ -464,8 +483,9 @@ class _StubModelHandler(BaseHTTPRequestHandler):
     """A keep-alive model server: ``/ok`` answers, ``/fail`` and ``/garbled``
     reply with a 503 and with a body that is not JSON, ``/nan`` with a NaN
     score, ``/infinity`` with a ``+Infinity`` score, ``/bigint`` with a
-    401-digit integer score that no float holds, and ``/deep`` with JSON
-    nested past the parser's recursion limit."""
+    401-digit integer score that no float holds, ``/string`` and ``/bool``
+    with a score that is a JSON string or bool, not a number, and ``/deep``
+    with JSON nested past the parser's recursion limit."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -483,6 +503,10 @@ class _StubModelHandler(BaseHTTPRequestHandler):
             body = b'{"sequences": [{"text": "[A | r]", "score": Infinity}]}'
         elif self.path == "/bigint":
             body = b'{"sequences": [{"text": "[A | r]", "score": 1' + b"0" * 400 + b"}]}"
+        elif self.path == "/string":
+            body = b'{"sequences": [{"text": "[A | r]", "score": "1e3"}]}'
+        elif self.path == "/bool":
+            body = b'{"sequences": [{"text": "[A | r]", "score": true}]}'
         elif self.path == "/deep":
             body = b"[" * 100_000
         self.send_response(status)
@@ -573,13 +597,15 @@ class TestRemoteGeneratorOverHttp:
             RemoteGenerator(base + "/ok", timeout=5.0).generate(enc)
         assert server.posted == []
 
-    @pytest.mark.parametrize("path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/deep"])
+    @pytest.mark.parametrize(
+        "path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/string", "/bool", "/deep"]
+    )
     def test_bad_reply_becomes_generator_error(self, model_server, path):
         _, base = model_server
         with pytest.raises(GeneratorError, match="^remote generation failed: "):
             RemoteGenerator(base + path, timeout=5.0).generate(enc_input("q"))
 
-    @pytest.mark.parametrize("path", ["/nan", "/infinity", "/bigint", "/deep"])
+    @pytest.mark.parametrize("path", ["/nan", "/infinity", "/bigint", "/string", "/bool", "/deep"])
     def test_bad_reply_is_a_per_question_error(self, model_server, tmp_path, path):
         _, base = model_server
         kb = tmp_path / "kb.nt"
@@ -592,6 +618,9 @@ class TestRemoteGeneratorOverHttp:
         record = json.loads(out.read_text())
         assert record["error"].startswith("remote generation failed: ")
         assert record["relations"] == []
+        shown = {"/string": "'1e3'", "/bool": "True"}.get(path)
+        if shown:
+            assert record["error"].endswith(f"beam score must be a number, got {shown}")
 
 
 class TestMakeGenerator:

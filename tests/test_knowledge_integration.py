@@ -16,6 +16,7 @@ from conftest import (
     nt,
     parse_structures,
     ref_render_input,
+    unscored,
 )
 from rellink import knowledge_integration
 from rellink.kb_store import KbStore, load_kb
@@ -28,15 +29,16 @@ from rellink.knowledge_integration import (
     read_question_records,
     token_count,
 )
+from rellink.similarity import DEFAULT_SIMILARITY
 from rellink.terms import DBPEDIA, Iri
 
 
 def _structure(store, question, entity):
-    """The entity's structure, its type label looked up as
-    :func:`build_encoder_input` looks it up."""
+    """The entity's structure, its type label looked up and its relations
+    scored as :func:`build_encoder_input` does."""
     cls = store.most_specific_type(entity.entity)
     type_label = store.label_of(cls) if cls is not None else None
-    return build_entity_structure(store, question, entity, None, type_label)
+    return build_entity_structure(store, entity, DEFAULT_SIMILARITY.for_question(question), type_label)
 
 
 def _read(enc):
@@ -65,7 +67,7 @@ class TestBuildEntityStructure:
     def test_unknown_entity_mention_only(self, ford_store):
         unknown = LinkedEntity("Ghost", 0, 5, Iri("dbr:Ghost"))
         structure = _structure(ford_store, "Ghost question", unknown)
-        assert structure == EntityStructure("Ghost", None, [])
+        assert structure == EntityStructure("Ghost", None, [], [])
 
 
 def _encoder_input(question, mentions, triples, ontology=None):
@@ -87,7 +89,12 @@ class TestRendering:
                 nt(DBR + "Plant", RDF_TYPE, DBO + "Factory"),
             ],
         )
-        assert enc.structures == [EntityStructure("Plant", "Factory", ["owns", "builds"])]
+        assert unscored(enc.structures) == [("Plant", "Factory", ["owns", "builds"])]
+        # Each relation's score, in rank order: "owns" is a question token,
+        # and "builds" shares no trigram with one.
+        score = DEFAULT_SIMILARITY.for_question("Who owns the Plant?")
+        assert enc.structures[0].scores == [score("owns"), score("builds")]
+        assert score("owns") == pytest.approx(1.0) and score("builds") == 0.0
         assert enc.rendered == "Who owns the Plant? [Plant | Factory | owns, builds]"
 
     def test_no_type(self):
@@ -104,10 +111,10 @@ class TestRendering:
         with_rel = _encoder_input(question, [("m", "m")], related)
         assert with_type.rendered == "What is m? [m | Factory | ]"
         assert with_rel.rendered == "What is m? [m | Factory]"
-        assert with_type.structures == [EntityStructure("m", "Factory", [])]
-        assert with_rel.structures == [EntityStructure("m", None, ["Factory"])]
+        assert unscored(with_type.structures) == [("m", "Factory", [])]
+        assert unscored(with_rel.structures) == [("m", None, ["Factory"])]
         for enc in (with_type, with_rel):
-            assert parse_structures(enc.rendered[len(question):]) == enc.structures
+            assert parse_structures(enc.rendered[len(question):]) == unscored(enc.structures)
 
     def test_escaping_roundtrip(self):
         question = "Where is a | b [c] from?"
@@ -121,9 +128,9 @@ class TestRendering:
             ],
             f"label\t{DBO}T\tT,ype\nlabel\t{DBO}r1\tr,1\nlabel\t{DBO}r2\tr|2",
         )
-        assert enc.structures == [EntityStructure("a | b [c]", "T,ype", ["r,1", "r|2"])]
+        assert unscored(enc.structures) == [("a | b [c]", "T,ype", ["r,1", "r|2"])]
         assert enc.rendered == question + r" [a \| b \[c\] | T\,ype | r\,1, r\|2]"
-        assert parse_structures(enc.rendered[len(question):]) == enc.structures
+        assert parse_structures(enc.rendered[len(question):]) == unscored(enc.structures)
 
     def test_multiple_structures(self):
         question = "Is A next to B?"
@@ -133,10 +140,7 @@ class TestRendering:
             [nt(DBR + "A", DBO + "r1", DBR + "X"), nt(DBR + "A", RDF_TYPE, DBO + "T")],
         )
         assert enc.rendered == "Is A next to B? [A | T | r1] [B | ]"
-        assert parse_structures(enc.rendered[len(question):]) == [
-            EntityStructure("A", "T", ["r1"]),
-            EntityStructure("B", None, []),
-        ]
+        assert parse_structures(enc.rendered[len(question):]) == [("A", "T", ["r1"]), ("B", None, [])]
 
 
 class TestBuildEncoderInput:
@@ -209,9 +213,9 @@ class TestLazyFit:
         calls = []
         rank = knowledge_integration.rank_candidate_relations
 
-        def counted(question, labels, similarity=None):
-            calls.append(question)
-            return rank(question, labels, similarity)
+        def counted(labels, score):
+            calls.append(score)
+            return rank(labels, score)
 
         monkeypatch.setattr(knowledge_integration, "rank_candidate_relations", counted)
         return calls
@@ -291,8 +295,9 @@ class TestQuestionReader:
 
 # -- the budget loop against the one it replaced ----------------------------
 #
-# Reference: the earlier shrink loop, kept verbatim, which re-escaped and
-# re-rendered every relation after each drop.
+# Reference: the earlier shrink loop, which re-escaped and re-rendered every
+# relation after each drop, kept verbatim but for the scores each kept
+# relation carries.
 
 
 def _ref_shrink(question, structures, budget) -> tuple[list[EntityStructure], str]:
@@ -300,7 +305,7 @@ def _ref_shrink(question, structures, budget) -> tuple[list[EntityStructure], st
     cursor = 0
     while True:
         trial = [
-            EntityStructure(s.mention, s.type_label, kept[i])
+            EntityStructure(s.mention, s.type_label, kept[i], s.scores[: len(kept[i])])
             for i, s in enumerate(structures)
         ]
         rendered = ref_render_input(question, trial)

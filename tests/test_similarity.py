@@ -14,6 +14,7 @@ from rellink.generator import BaselineGenerator
 from rellink.kb_store import load_kb
 from rellink.knowledge_integration import build_encoder_input, rank_candidate_relations
 from rellink.similarity import (
+    DEFAULT_SIMILARITY,
     Similarity,
     TrigramSimilarity,
     WordVectorSimilarity,
@@ -56,11 +57,14 @@ class TestSimilarityBase:
         assert bound("burial_place") == 0.25
         assert sim.asked == ["grave", "of", "x", "place", "burial"]
 
-    def test_same_question_same_binding(self):
+    def test_each_call_binds_afresh(self):
+        # A scorer keeps no per-question state: each call builds the
+        # question's side again, and the two bindings score alike.
         sim = self.Exact()
         first = sim.for_question("Where is the grave?")
-        assert sim.for_question("Where is the grave?") is first
-        assert sim.bound == ["Where is the grave?"]
+        second = sim.for_question("Where is the grave?")
+        assert first is not second and sim.bound == ["Where is the grave?"] * 2
+        assert first("graveSite") == second("graveSite") == 0.625
 
     def test_score_is_bound_scorer(self):
         sim = self.Exact()
@@ -94,28 +98,32 @@ class TestTrigramSimilarity:
         assert 0.0 < score < 1.0
 
 
+def _rank(question, labels, sim=None):
+    """The labels ranked, and their scores, under the question's bound scorer."""
+    return rank_candidate_relations(labels, (sim or DEFAULT_SIMILARITY).for_question(question))
+
+
 class TestRanking:
     def test_grave_question_ranks_spouse_last(self):
-        ranked = rank_candidate_relations(
-            "Where is the grave of X?", ["placeOfBurial", "birthPlace", "spouse"]
-        )
+        question = "Where is the grave of X?"
+        ranked, scores = _rank(question, ["placeOfBurial", "birthPlace", "spouse"])
         assert ranked[0] == "placeOfBurial"
         assert ranked[-1] == "spouse"
+        assert scores == [TrigramSimilarity().score(question, label) for label in ranked]
 
     def test_permutation_of_input(self):
         labels = ["alpha", "beta", "gamma", "delta"]
-        ranked = rank_candidate_relations("unrelated question", labels)
+        ranked, _ = _rank("unrelated question", labels)
         assert sorted(ranked) == sorted(labels)
 
     def test_ties_lexicographic(self):
-        ranked = rank_candidate_relations("zzz", ["bbb", "aaa", "ccc"])
-        assert ranked == ["aaa", "bbb", "ccc"]
+        assert _rank("zzz", ["bbb", "aaa", "ccc"]) == (["aaa", "bbb", "ccc"], [0.0] * 3)
 
     def test_empty_labels(self):
-        assert rank_candidate_relations("question", []) == []
+        assert _rank("question", []) == ([], [])
 
     def test_single_label(self):
-        assert rank_candidate_relations("question", ["only"]) == ["only"]
+        assert _rank("question", ["only"])[0] == ["only"]
 
 
 class TestWordVectorSimilarity:
@@ -151,7 +159,7 @@ class TestWordVectorSimilarity:
         # first and "a" last; added left to right, every interpreter gives
         # the ranking below.
         sim = WordVectorSimilarity({"q": [1.0] * 10, "a": [1.0] * 10, "b": [0.1] * 10, "c": [0.3] * 10})
-        assert rank_candidate_relations("q", ["a", "b", "c"], sim) == ["c", "a", "b"]
+        assert _rank("q", ["a", "b", "c"], sim)[0] == ["c", "a", "b"]
 
 
 # -- bound scorers against the per-call scorers they replaced ---------------
@@ -308,18 +316,13 @@ class TestBoundScorersMatchReference:
         assert bound("grave") == 0.0
         assert bound("") == 0.0
 
-    def test_rank_binds_once_per_call(self):
-        binds = []
-
-        class Counting(TrigramSimilarity):
-            def for_question(self, question):
-                binds.append(question)
-                return super().for_question(question)
-
+    def test_rank_scores_each_label_once(self):
+        scored = Counter()
+        bound = TrigramSimilarity().for_question("Where is the grave of X?")
         labels = ["placeOfBurial", "birthPlace", "spouse", "burialPlace"]
-        ranked = rank_candidate_relations("Where is the grave of X?", labels, Counting())
-        assert binds == ["Where is the grave of X?"]
-        assert ranked == rank_candidate_relations("Where is the grave of X?", labels)
+        ranked = rank_candidate_relations(labels + labels[::-1], lambda l: scored.update([l]) or bound(l))
+        assert scored == Counter(labels)
+        assert ranked == _rank("Where is the grave of X?", labels)
 
 
 # -- one binding per question ------------------------------------------------
@@ -333,11 +336,13 @@ SHARED_QUESTION = (
 class TestOneBindingPerQuestion:
     @pytest.mark.parametrize("fresh", [True, False], ids=["instance", "default"])
     def test_question_postings_built_once(self, monkeypatch, fresh):
-        tokenized = []
+        tokenized, bound = [], []
         real = similarity.question_tokens
         monkeypatch.setattr(
             similarity, "question_tokens", lambda q: tokenized.append(q) or real(q)
         )
+        best = TrigramSimilarity._best
+        monkeypatch.setattr(TrigramSimilarity, "_best", lambda sim, q: bound.append(q) or best(sim, q))
         store = load_kb(FORD_TRIPLES, FORD_ONTOLOGY, "dbpedia")
         entities = [
             entity(SHARED_QUESTION, "Ford Motor Company", "dbr:Ford_Motor_Company"),
@@ -346,10 +351,10 @@ class TestOneBindingPerQuestion:
         ]
         sim = TrigramSimilarity() if fresh else None
         enc = build_encoder_input(store, SHARED_QUESTION, entities, similarity=sim)
-        beams = BaselineGenerator(beam_width=4, similarity=sim).generate(enc)
+        beams = BaselineGenerator(beam_width=4).generate(enc)
         assert [len(s.relations) for s in enc.structures] == [3, 2, 1]
         assert beams
-        assert tokenized == [SHARED_QUESTION]
+        assert tokenized == bound == [SHARED_QUESTION]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_interleaved_questions_bit_identical(self, seed):
@@ -363,10 +368,3 @@ class TestOneBindingPerQuestion:
                 for label in labels:
                     assert bound(label) == fresh(label), (question, label)
                     assert shared.score(question, label) == fresh(label), (question, label)
-
-    def test_same_question_returns_same_binding(self):
-        for sim in (TrigramSimilarity(), WordVectorSimilarity({"grave": [1.0, 0.0]})):
-            first = sim.for_question("Where is the grave?")
-            assert sim.for_question("Where is the grave?") is first
-            assert sim.for_question("Another question") is not first
-            assert sim.for_question("Where is the grave?") is not first
