@@ -102,6 +102,11 @@ def _unescape(raw: str, echars: bool) -> str:
     return _ESCAPE_RE.sub(decode, raw)
 
 
+def _unbound(pattern: TriplePattern) -> bool:
+    """Whether both ends of a pattern are variables."""
+    return isinstance(pattern.subject, Variable) and isinstance(pattern.object, Variable)
+
+
 def _add_to_leaf(index: dict, key: Term, term: Term) -> bool:
     """Add ``term`` to the leaf ``index[key]``; False when it is there already.
 
@@ -441,8 +446,12 @@ class KbStore:
     def match_graph(self, patterns: Sequence[TriplePattern]) -> dict[str, Term] | None:
         """First satisfying assignment for a conjunction of patterns, or None.
 
-        The first match is deterministic: indexes iterate in insertion order.
+        If the first pattern has two variables, the join starts from those with
+        a bound end (RDF-3X, Neumann & Weikum, VLDB 2008), not from a whole
+        predicate.  Callers read only ``is None``; the binding is deterministic.
         """
+        if patterns and _unbound(patterns[0]):
+            patterns = sorted(patterns, key=_unbound)
         return next(self._solutions(patterns, {}), None)
 
     def answers(self, patterns: Sequence[TriplePattern], var: Variable) -> set[Term]:

@@ -5,11 +5,11 @@ knows no namespace layout.  Every argument-relation pair expands into two
 triple patterns per route, one per orientation, all sharing the hub
 variable ?x (placeholder pairs use ?y for the argument position).
 Individually unsatisfiable patterns are pruned, the remaining choices are
-enumerated as a lazy cartesian product of pattern tuples, and the first
-candidate graph with a satisfying join wins.  Beams are scanned in rank
-order in one pass that parses each beam once and keeps the first parseable
-beam as the fallback; ASK questions are checked with fully bound triples
-instead.
+searched depth-first in pair order, never extending a prefix that has no
+solution, and the first candidate graph with a satisfying join wins.  Beams
+are scanned in rank order in one pass that parses each beam once and keeps
+the first parseable beam as the fallback; ASK questions are checked with
+fully bound triples instead.
 
 A pair's surviving patterns depend only on its argument (the resolved
 entity, or ?y) and its label, so :func:`link` keeps them per question in a
@@ -20,7 +20,7 @@ the store once, however many beams repeat it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .kb_store import KbStore
@@ -90,30 +90,21 @@ def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     return patterns
 
 
-def enumerate_graphs(
-    store: KbStore,
-    pairs: Sequence[ArgRelPair],
-    survivors: dict[PairKey, list[TriplePattern]],
-) -> Iterator[tuple[TriplePattern, ...]]:
-    """Stream candidate graphs: tuples of one pattern per pair.
-
-    Graphs come in lexicographic order of the per-pair choices.  Patterns
-    that match nothing on their own are pruned first; a pair left with no
-    patterns empties the whole product.  ``survivors`` holds the pruned
-    patterns of each pair already seen, and gains those of each new pair.
-    """
-    per_pair: list[list[TriplePattern]] = []
-    for pair in pairs:
-        key = _pair_key(pair)
-        surviving = survivors.get(key)
-        if surviving is None:
-            surviving = survivors[key] = [
-                p for p in expand_pair(store, pair) if store.pattern_satisfiable(p)
-            ]
-        if not surviving:
-            return
-        per_pair.append(surviving)
-    yield from product(*per_pair)
+def _first_graph(
+    store: KbStore, per_pair: list[list[TriplePattern]], graph: tuple[TriplePattern, ...] = ()
+) -> tuple[TriplePattern, ...] | None:
+    """The first graph, in lexicographic order of the per-pair choices, that
+    has a solution.  A one-pattern prefix has one, as its pattern survived
+    pruning; a longer one without is not extended, as no extension has one."""
+    last = len(graph) + 1 == len(per_pair)
+    for pattern in per_pair[len(graph)]:
+        extended = graph + (pattern,)
+        if graph and store.match_graph(extended) is None:
+            continue
+        found = extended if last else _first_graph(store, per_pair, extended)
+        if found is not None:
+            return found
+    return None
 
 
 def _parsed(
@@ -143,15 +134,25 @@ def validate_sequence(
     rank: int,
     survivors: dict[PairKey, list[TriplePattern]],
 ) -> LinkingResult | None:
-    """First matching candidate graph of one parsed beam, or None;
-    ``survivors`` is the question's, as in :func:`enumerate_graphs`."""
+    """First matching candidate graph of one parsed beam, or None; ``survivors``
+    holds the question's pruned patterns per pair, and gains each new pair's."""
     if not pairs or not _resolved(pairs):
         return None
-    for graph in enumerate_graphs(store, pairs, survivors):
-        if store.match_graph(graph) is not None:
-            relations = _unique(relation_uri(p.predicate) for p in graph)
-            return LinkingResult(relations, True, rank)
-    return None
+    per_pair: list[list[TriplePattern]] = []
+    for pair in pairs:
+        key = _pair_key(pair)
+        surviving = survivors.get(key)
+        if surviving is None:
+            surviving = survivors[key] = [
+                p for p in expand_pair(store, pair) if store.pattern_satisfiable(p)
+            ]
+        if not surviving:
+            return None
+        per_pair.append(surviving)
+    graph = _first_graph(store, per_pair)
+    if graph is None:
+        return None
+    return LinkingResult(_unique(relation_uri(p.predicate) for p in graph), True, rank)
 
 
 def _ask_hit(

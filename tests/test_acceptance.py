@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from itertools import product
 from random import Random
 
 from conftest import (
@@ -45,7 +46,7 @@ from rellink.knowledge_integration import (
     build_encoder_input,
     token_count,
 )
-from rellink.knowledge_validation import enumerate_graphs, expand_pair, link
+from rellink.knowledge_validation import expand_pair, link, validate_sequence
 from rellink.sequence_grammar import (
     WH_LEXICON,
     ArgRelPair,
@@ -178,9 +179,13 @@ def test_criterion_03_four_pattern_expansion():
                     "dbp:owner",
                     "dbp:owner",
                 ]
-            graphs = list(enumerate_graphs(store, pairs, {}))
+            graphs = list(product(*(expand_pair(store, pair) for pair in pairs)))
             assert len(graphs) == 4**k
             assert len(set(graphs)) == 4**k
+            # Every pattern holds alone, so validation keeps the whole space.
+            survivors = {}
+            assert validate_sequence(store, pairs, 1, survivors).validated
+            assert [len(patterns) for patterns in survivors.values()] == [4] * k
 
 
 # 4. parse(serialize(rendered groups)) is the identity on random pair lists.

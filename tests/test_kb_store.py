@@ -22,7 +22,12 @@ from rellink.kb_store import (
     load_triples,
     parse_nt_line,
 )
-from rellink.knowledge_validation import enumerate_graphs, expand_pair, fallback_result
+from rellink.knowledge_validation import (
+    _pair_key,
+    expand_pair,
+    fallback_result,
+    validate_sequence,
+)
 from rellink.sequence_grammar import ArgRelPair, EntityArg, OutputSequence, PlaceholderArg
 from rellink.terms import (
     DBPEDIA,
@@ -967,8 +972,9 @@ class TestRouteMemo:
 
 @pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
 def test_pruning_matches_first_match_filter(profile):
-    """``enumerate_graphs`` prunes patterns exactly as a first-match test
-    would, for entity and placeholder arguments over every route kind."""
+    """``validate_sequence`` prunes patterns exactly as a first-match test
+    would, for entity and placeholder arguments over every route kind, and
+    validates the first joining graph of the pruned product."""
     arguments = [EntityArg("m", e) for e in ENTITIES] + [PlaceholderArg("what")]
     kinds = set()
     for seed in range(200):
@@ -983,8 +989,15 @@ def test_pruning_matches_first_match_filter(profile):
                 [p for p in expand_pair(store, pair) if next(store.match_pattern(p), None) is not None]
                 for pair in pairs
             ]
-            expected = list(itertools.product(*surviving))
-            assert list(enumerate_graphs(store, pairs, {})) == expected, (seed, pairs)
+            survivors = {}
+            result = validate_sequence(store, pairs, 1, survivors)
+            # Pairs are pruned in order, up to the first that none survives.
+            kept = next((i + 1 for i, ps in enumerate(surviving) if not ps), len(pairs))
+            assert survivors == {
+                _pair_key(pair): patterns for pair, patterns in zip(pairs[:kept], surviving)
+            }, (seed, pairs)
+            holds = any(store.match_graph(g) is not None for g in itertools.product(*surviving))
+            assert (result is not None) == holds, (seed, pairs)
             for pair, patterns in zip(pairs, surviving):
                 kinds.update(
                     (type(pair.argument).__name__, namespace_of(relation_uri(p.predicate), profile))
@@ -1018,6 +1031,20 @@ class TestMatchGraph:
         graph = [TriplePattern(VY, Iri("dbo:foundedBy"), VX)]
         binding = ford_store.match_graph(graph)
         assert binding == {"y": Iri("dbr:Ford_Motor_Company"), "x": Iri("dbr:Henry_Ford")}
+
+    def test_empty_graph(self, ford_store):
+        assert ford_store.match_graph([]) == {}
+
+    def test_y_first_graph_binding_satisfies_every_pattern(self, ford_store):
+        graph = [
+            TriplePattern(VY, Iri("dbo:owningOrganisation"), VX),
+            TriplePattern(Iri("dbr:Ford_Y-block_engine"), Iri("dbo:manufacturer"), VX),
+        ]
+        binding = ford_store.match_graph(graph)
+        assert set(binding) == {"x", "y"}
+        for p in graph:
+            s, o = (binding[t.name] if isinstance(t, Variable) else t for t in (p.subject, p.object))
+            assert ford_store.pattern_satisfiable(TriplePattern(s, p.predicate, o))
 
     def test_answers_collects_all(self):
         triples = "\n".join(

@@ -1,4 +1,4 @@
-"""Pattern expansion, candidate graph enumeration, and beam validation."""
+"""Pattern expansion, the candidate graph search, and beam validation."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from rellink.knowledge_integration import LinkedEntity
 from rellink.knowledge_validation import (
     LinkingResult,
     ValidationConfig,
-    enumerate_graphs,
     expand_pair,
     fallback_result,
     link,
@@ -135,38 +134,123 @@ class TestWikidataExpansion:
 
 
 class TestEnumerateGraphs:
+    """Candidate graphs: one surviving pattern per pair, tried in
+    lexicographic order of the per-pair choices."""
+
     def test_lexicographic_choice_order(self):
-        store = load_kb(DUAL_NS_TRIPLES)
-        pairs = [pair("dbr:A", "owner"), pair("dbr:A", "owner")]
-        graphs = list(enumerate_graphs(store, pairs, {}))
-        options = expand_pair(store, pairs[0])
-        assert len(graphs) == 16
-        assert graphs[0] == (options[0], options[0])
-        assert graphs[1] == (options[0], options[1])
-        assert graphs[4] == (options[1], options[0])
-        assert graphs[-1] == (options[3], options[3])
+        # Each of A's four patterns binds ?x to one hub and each of B's to
+        # one, so graph (a, b) holds when their hubs agree: (a0, b2) is the
+        # first that does, ahead of (a0, b3) and (a1, b0).
+        store = load_kb(
+            "\n".join(
+                [
+                    nt(DBR + "A", DBO + "owner", DBR + "H1"),
+                    nt(DBR + "H2", DBO + "owner", DBR + "A"),
+                    nt(DBR + "A", DBP + "owner", DBR + "H3"),
+                    nt(DBR + "H4", DBP + "owner", DBR + "A"),
+                    nt(DBR + "B", DBO + "tenant", DBR + "H2"),
+                    nt(DBR + "H3", DBO + "tenant", DBR + "B"),
+                    nt(DBR + "B", DBP + "tenant", DBR + "H1"),
+                    nt(DBR + "H1", DBP + "tenant", DBR + "B"),
+                ]
+            )
+        )
+        pairs = [pair("dbr:A", "owner"), pair("dbr:B", "tenant")]
+        a, b = (expand_pair(store, p) for p in pairs)
+        tried = []
+        match_graph = store.match_graph
+
+        def recording(graph):
+            tried.append(tuple(graph))
+            return match_graph(graph)
+
+        store.match_graph = recording
+        result = validate_sequence(store, pairs, 1, {})
+        assert tried == [(a[0], b[0]), (a[0], b[1]), (a[0], b[2])]
+        assert result.relations == [Iri("dbo:owner"), Iri("dbp:tenant")]
 
     def test_pruning_unsatisfiable_patterns(self, ford_store):
         # Only (entity, r, ?x) holds in the Ford fixture; the reverse
-        # orientation is pruned before the product.
+        # orientation is pruned before any graph is tried.
         pairs = [pair("dbr:Kansas_City_Assembly", "owningOrganisation")]
-        graphs = list(enumerate_graphs(ford_store, pairs, {}))
-        assert len(graphs) == 1
-        assert graphs[0][0].subject == Iri("dbr:Kansas_City_Assembly")
+        survivors = {}
+        assert validate_sequence(ford_store, pairs, 1, survivors).validated
+        [surviving] = survivors.values()
+        assert len(surviving) == 1
+        assert surviving[0].subject == Iri("dbr:Kansas_City_Assembly")
 
     def test_empty_when_pair_dies(self, ford_store):
-        pairs = [
-            pair("dbr:Kansas_City_Assembly", "owningOrganisation"),
-            pair("dbr:Kansas_City_Assembly", "noSuchRel"),
-        ]
-        assert list(enumerate_graphs(ford_store, pairs, {})) == []
+        live = pair("dbr:Kansas_City_Assembly", "owningOrganisation")
+        dead = pair("dbr:Kansas_City_Assembly", "noSuchRel")
+        assert validate_sequence(ford_store, [live, dead], 1, {}) is None
+        # A dead pair fails the beam before later pairs are expanded.
+        survivors = {}
+        assert validate_sequence(ford_store, [dead, live], 1, survivors) is None
+        assert list(survivors.values()) == [[]]
 
     def test_shared_hub_variable(self):
         store = load_kb(DUAL_NS_TRIPLES)
-        graphs = list(enumerate_graphs(store, [pair("dbr:A", "owner")], {}))
-        for graph in graphs:
-            terms = {graph[0].subject, graph[0].object}
-            assert VAR_X in terms
+        survivors = {}
+        validate_sequence(store, [pair("dbr:A", "owner")], 1, survivors)
+        [surviving] = survivors.values()
+        assert len(surviving) == 4
+        for pattern in surviving:
+            assert VAR_X in {pattern.subject, pattern.object}
+
+
+class TestProbeCounts:
+    """Store probes grow with the prefixes that hold, not with the product
+    of the per-pair choices or the size of a predicate."""
+
+    def test_dead_prefix_is_not_extended(self):
+        # Seven labels, each in both namespaces and both orientations around
+        # its own entity, with every ?x a different hub: no two pairs join,
+        # so the 4^7 graphs all fail, and so do the 16 two-pattern prefixes.
+        lines = []
+        for i in range(7):
+            for ns, tag in ((DBO, "o"), (DBP, "p")):
+                lines.append(nt(f"{DBR}E{i}", f"{ns}rel{i}", f"{DBR}Out{i}{tag}"))
+                lines.append(nt(f"{DBR}In{i}{tag}", f"{ns}rel{i}", f"{DBR}E{i}"))
+        store = load_kb("\n".join(lines))
+        pairs = [pair(f"dbr:E{i}", f"rel{i}") for i in range(7)]
+        calls = 0
+        match_graph = store.match_graph
+
+        def counting(graph):
+            nonlocal calls
+            calls += 1
+            return match_graph(graph)
+
+        store.match_graph = counting
+        survivors = {}
+        assert validate_sequence(store, pairs, 1, survivors) is None
+        assert [len(patterns) for patterns in survivors.values()] == [4] * 7
+        assert calls <= 20, calls
+
+    def test_placeholder_join_starts_from_the_bound_pattern(self):
+        # [who | birthPlace] leads the beam; its (?y birthPlace ?x) pattern
+        # would walk all 10,000 birthPlace triples if the join started there.
+        lines = [nt(f"{DBR}P{i}", DBO + "birthPlace", f"{DBR}City{i}") for i in range(9_999)]
+        lines += [
+            nt(DBR + "Michelle_Obama", DBO + "birthPlace", DBR + "Chicago"),
+            nt(DBR + "Barack_Obama", DBO + "spouse", DBR + "Michelle_Obama"),
+        ]
+        store = load_kb("\n".join(lines))
+        taken = 0
+        walk = store._pairs
+
+        def counting(*args):
+            nonlocal taken
+            for item in walk(*args):
+                taken += 1
+                yield item
+
+        store._pairs = counting
+        entities = [LinkedEntity("Obama", 0, 5, Iri("dbr:Barack_Obama"))]
+        pairs = parse_output("[who | birthPlace], [Obama | spouse]", entities)
+        result = validate_sequence(store, pairs, 1, {})
+        assert result.relations == [Iri("dbo:birthPlace"), Iri("dbo:spouse")]
+        assert taken <= 10, taken
 
 
 class TestValidateSequence:
@@ -375,7 +459,8 @@ class TestParsesEachBeamOnce:
 # Reference: ``enumerate_graphs``, ``validate_sequence`` and ``link`` as they
 # were before a question kept each distinct pair's surviving patterns, kept
 # verbatim but for their names and the module prefix on private helpers: every
-# beam expanded and tested every one of its pairs again.
+# beam expanded and tested every one of its pairs again, and joined every
+# member of the product of its choices from scratch.
 
 
 def _ref_enumerate_graphs(store, pairs):
@@ -430,10 +515,10 @@ SURVIVOR_ARGUMENTS = ("E0", "E1", "E2", "E3", "what", "nobody")
 SURVIVOR_LABELS = ("P1", "P2", "P9")
 
 
-def _random_question(rng: random.Random, profile):
+def _random_question(rng: random.Random, profile, max_groups: int):
     """A store with flat (dbo:, dbp:, wdt:) edges, p:/ps: statements and pq:
     qualifiers over small pools, a plain or ASK question about E0-E3, and
-    up to eight beams."""
+    up to eight beams of up to ``max_groups`` groups."""
     store = KbStore(profile)
     values = [*SURVIVOR_ENTITIES, Literal("0")]
     for _ in range(rng.randint(0, 10)):
@@ -457,19 +542,27 @@ def _random_question(rng: random.Random, profile):
     ]
     beams = []
     for rank in range(1, rng.randint(1, 8) + 1):
-        groups = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        groups = [rng.choice(pool) for _ in range(rng.randint(1, max_groups))]
         text = "garbage" if rng.random() < 0.1 else serialize_target(groups)
         beams.append(OutputSequence(text, -0.1 * rank, rank))
     config = ValidationConfig(beam_limit=rng.choice([1, 3, 50]), ask_limit=rng.choice([1, 10]))
     return store, question, beams, entities, config
 
 
-@pytest.mark.parametrize("profile", [DBPEDIA, WIKIDATA], ids=lambda p: p.name)
-def test_link_matches_reference_and_tests_each_pattern_once(profile):
+# Three groups keep the seeded inputs this test was written with; six reach
+# prefixes of depth three and more that mix ?y and entity pairs.
+@pytest.mark.parametrize(
+    "profile, max_groups",
+    [pytest.param(p, 3, id=p.name) for p in (DBPEDIA, WIKIDATA)]
+    + [pytest.param(p, 6, id=f"{p.name}-6-groups") for p in (DBPEDIA, WIKIDATA)],
+)
+def test_link_matches_reference_and_tests_each_pattern_once(profile, max_groups):
     kinds, ask_true = set(), 0
     calls_before = calls_after = 0
     for seed in range(400):
-        store, question, beams, entities, config = _random_question(random.Random(seed), profile)
+        store, question, beams, entities, config = _random_question(
+            random.Random(seed), profile, max_groups
+        )
         tested = Counter()
         satisfiable = store.pattern_satisfiable
 
