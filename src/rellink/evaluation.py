@@ -22,6 +22,7 @@ from .terms import (
     VAR_X,
     VAR_Y,
     Variable,
+    expect_list,
     json_record,
     local_name,
     parse_term,
@@ -186,7 +187,7 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
 
     def parse(line: str) -> GoldRecord:
         qid, raw = json_record(line, seen)
-        relations = {record_iri(r, profile) for r in raw["relations"]}
+        relations = {record_iri(r, profile) for r in expect_list(raw["relations"], "relations")}
         graph = None
         if raw.get("graph"):
             patterns = []

@@ -243,20 +243,6 @@ class KbStore:
                     found.add(sp)
         return found
 
-    def is_ancestor(self, ancestor: Iri, cls: Iri) -> bool:
-        """True when ``ancestor`` is a strict transitive superclass of ``cls``."""
-        seen = {cls}
-        frontier = [cls]
-        while frontier:
-            node = frontier.pop()
-            for parent in self._parents.get(node, {}):
-                if parent == ancestor:
-                    return True
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return False
-
     def _is_class(self, iri: Iri) -> bool:
         """Whether ``iri`` is typed to, in a subclass edge, or counted."""
         return (
@@ -271,23 +257,25 @@ class KbStore:
 
         Strict ancestors of other asserted classes are pruned; among the
         remainder the largest instance count wins, then the lexicographically
-        smallest IRI.
+        smallest IRI.  One upward walk from the parents of every asserted
+        class reaches exactly their strict ancestors, since ``check_hierarchy``
+        keeps the hierarchy acyclic; one asserted class has nothing to prune.
         """
-        asserted = [
+        classes = {
             o
-            for o in self._spo.get(entity, {}).get(self.profile.type_predicate, {})
+            for o in self._spo.get(entity, {}).get(self.profile.type_predicate, ())
             if isinstance(o, Iri)
-        ]
-        if not asserted:
-            return None
-        classes = set(asserted)
-        leaves = [
-            c
-            for c in classes
-            if not any(c != d and self.is_ancestor(c, d) for d in classes)
-        ]
-        leaves.sort(key=lambda c: (-self.instance_count(c), c))
-        return leaves[0]
+        }
+        if len(classes) > 1:
+            seen = {parent for c in classes for parent in self._parents.get(c, ())}
+            frontier = list(seen)
+            while frontier:
+                for parent in self._parents.get(frontier.pop(), ()):
+                    if parent not in seen:
+                        seen.add(parent)
+                        frontier.append(parent)
+            classes -= seen
+        return min(classes, key=lambda c: (-self.instance_count(c), c), default=None)
 
     def routes(self, label: str) -> list[Predicate]:
         """Ordered relation routes a label can take in this store.

@@ -215,6 +215,15 @@ def expect_str(value: object, what: str) -> str:
     return value
 
 
+def expect_list(value: object, what: str) -> list:
+    """``value`` itself when it is a JSON array; otherwise a TypeError naming
+    ``what``, so an object is not read as its keys nor a string as its
+    characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 # Huge or infinite numbers raise OverflowError, JSON nested too deep RecursionError.
 RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 

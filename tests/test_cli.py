@@ -837,6 +837,19 @@ MALFORMED_LINES = {
     "fixture-not-object": ("beam fixture", 1, "[1]"),
     "gold-not-object": ("gold", 1, '"q1"'),
     "predictions-not-object": ("predictions", 1, "null"),
+    # A relations object was read as its keys, a string as its characters.
+    "gold-relations-object": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": {"dbo:spouse": 1}}
+    )),
+    "gold-relations-string": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": "dbo:spouse"}
+    )),
+    "predictions-relations-object": ("predictions", 1, json.dumps(
+        {"question_id": "q1", "relations": {"dbo:spouse": 1}}
+    )),
+    "predictions-relations-null": ("predictions", 1, json.dumps(
+        {"question_id": "q1", "relations": None}
+    )),
     "vectors-nan": ("vectors", 2, "q 1 0\nbad nan 1\nlow 0.1 1\nhigh 1 0.1"),
     "vectors-infinity": ("vectors", 1, "w Infinity 1"),
     "vectors-huge-int": ("vectors", 1, f"w {HUGE} 1"),
@@ -871,6 +884,10 @@ MALFORMED_LINES = {
 # not show which check caught the line.
 MALFORMED_LINE_ERRORS = {
     "question-iri-newline": "not a valid IRI or prefixed name: 'dbr:Ford\\n'\n",
+    "gold-relations-object": "relations must be an array, got {'dbo:spouse': 1}\n",
+    "gold-relations-string": "relations must be an array, got 'dbo:spouse'\n",
+    "predictions-relations-object": "relations must be an array, got {'dbo:spouse': 1}\n",
+    "predictions-relations-null": "relations must be an array, got None\n",
 }
 
 

@@ -11,7 +11,9 @@ from itertools import product
 
 import pytest
 
-from conftest import ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR, PS, WD, WDT, nt
+from conftest import (
+    ALMA_GOLD_GRAPH, ALMA_QUESTION, ALMA_TRIPLES, DBO, DBP, DBR, PS, RDF_TYPE, WD, WDT, nt,
+)
 from rellink.evaluation import (
     GoldRecord,
     _answer_variable,
@@ -220,6 +222,27 @@ class TestRelaxedScore:
         # A graph with no variable is only matched, once for each of the four
         # combinations, the gold graph included.
         assert calls == {"match_graph": 4}
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_swappable_patterns_cost_two_to_the_k_queries(self, k, monkeypatch):
+        # Each swappable pattern doubles the variants, each variant is queried
+        # once, and a pattern outside the property namespaces doubles nothing.
+        lines = [nt(DBR + "E", RDF_TYPE, DBR + "V")]
+        for i in range(k):
+            lines += [nt(DBR + "E", ns + f"r{i}", DBR + "V") for ns in (DBO, DBP)]
+        store = load_kb("\n".join(lines))
+        calls = Counter()
+        for name in ("match_graph", "answers"):
+            def counted(*args, _name=name, _method=getattr(store, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(store, name, counted)
+        predicates = [Iri(f"dbo:r{i}") for i in range(k)] + [Iri("rdf:type")]
+        graph = tuple(TriplePattern(Iri("dbr:E"), p, Variable("x")) for p in predicates)
+        gold = GoldRecord("q", "q", set(predicates), graph)
+        assert relaxed_score(store, gold, set())[2] == 0.0
+        assert calls == {"answers": 2**k}
 
     def test_missing_graph_errors(self, alma_store, caplog):
         gold = GoldRecord("q4", "q", set(GOLD), None)

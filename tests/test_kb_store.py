@@ -9,10 +9,12 @@ import itertools
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from conftest import DBO, DBP, DBR, P, PS, RDF_TYPE, RDFS_SUBCLASS, WD, WDS, WDT, nt
+from rellink import kb_store
 from rellink.kb_store import (
     HierarchyCycleError,
     KbLoadError,
@@ -280,6 +282,44 @@ class TestTermSharing:
         for term in occurrences:
             assert first.setdefault(term, term) is term, term
         assert {Iri("dbr:A"), Iri("_:b1"), Literal("shared"), Iri("dbo:r")} <= set(first)
+
+
+class _CountingRegex:
+    """A compiled pattern's ``match``, counted."""
+
+    def __init__(self, regex):
+        self.regex = regex
+        self.calls = 0
+
+    def match(self, line):
+        self.calls += 1
+        return self.regex.match(line)
+
+
+def test_triple_regex_runs_once_per_line_with_a_new_token(monkeypatch):
+    # Distinct tokens in load_triples: a line whose tokens all appeared on
+    # earlier lines takes the split path, so the regex calls are the lines
+    # that hold a token seen nowhere before.
+    subjects = [f"<{DBR}S{i}>" for i in range(6)]
+    predicates = [f"<{DBO}p{i}>" for i in range(3)]
+    objects = subjects + ['"v"', '"w"@en', "_:b0", "_:b1"]
+    regex = kb_store._TRIPLE_RE
+    for seed in range(50):
+        rng = random.Random(seed)
+        lines = [
+            f"{rng.choice(subjects)} {rng.choice(predicates)} {rng.choice(objects)} ."
+            for _ in range(rng.randint(1, 60))
+        ]
+        seen: set = set()
+        expected = 0
+        for line in lines:
+            tokens = set(line.split()[:3])
+            expected += not tokens <= seen
+            seen |= tokens
+        counting = _CountingRegex(regex)
+        monkeypatch.setattr(kb_store, "_TRIPLE_RE", counting)
+        load_triples(KbStore(DBPEDIA), lines)
+        assert counting.calls == expected, seed
 
 
 # -- differential check of the term-table load against table-free parsing ----
@@ -708,6 +748,140 @@ class TestMostSpecificType:
         )
         store = load_kb(triples)
         assert store.most_specific_type(Iri("dbr:E")) == Iri("dbo:Alpha")
+
+
+class _CountingDict(dict):
+    """A dict that counts its ``get`` and ``[]`` lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def _hierarchy_store(depth: int, k: int, shape: str) -> tuple[KbStore, list[Iri]]:
+    """A chain ``dbo:C0 <- ... <- dbo:C{depth-1}`` and an entity ``dbr:E``
+    typed to ``k`` classes at its bottom: the chain's last ``k`` classes, or
+    ``k`` sibling leaves under its last class.  Returns the store and the
+    asserted classes."""
+    store = KbStore(DBPEDIA)
+    chain = [Iri(f"dbo:C{i}") for i in range(depth)]
+    for parent, child in zip(chain, chain[1:]):
+        store.add_subclass(child, parent)
+    if shape == "chain":
+        asserted = chain[depth - k:]
+    else:
+        asserted = [Iri(f"dbo:L{i}") for i in range(k)]
+        for leaf in asserted:
+            store.add_subclass(leaf, chain[-1])
+    for cls in asserted:
+        store.add_triple(Iri("dbr:E"), Iri("rdf:type"), cls)
+    store.check_hierarchy()
+    return store, asserted
+
+
+@pytest.mark.parametrize("shape", ["chain", "siblings"])
+@pytest.mark.parametrize("k", [1, 2, 32])
+@pytest.mark.parametrize("depth", [100, 1000])
+def test_most_specific_type_walks_each_ancestor_once(depth, k, shape):
+    # Hierarchy depth x asserted classes: the parent lookups grow with the
+    # ancestors reached plus the classes asserted, not with their product,
+    # and one asserted class walks nothing.
+    store, asserted = _hierarchy_store(depth, k, shape)
+    store._parents = _CountingDict(store._parents)
+    expected = asserted[-1] if shape == "chain" else Iri("dbo:L0")
+    assert store.most_specific_type(Iri("dbr:E")) == expected
+    lookups = store._parents.lookups
+    if k == 1:
+        assert lookups == 0
+    else:
+        assert lookups <= depth + k + 2, lookups
+
+
+# -- differential check of most_specific_type against a brute force ---------
+
+
+def _random_hierarchy_case(rng: random.Random) -> tuple[list[str], list[str], dict]:
+    """N-Triples and ontology lines over a random class DAG, plus the facts
+    the reference reads: ``edges`` (child, parent), ``typed`` (subject,
+    class IRI) and ``counts`` (class, override).
+
+    A class only takes parents of a lower index, so the DAG is acyclic; each
+    edge is an ontology row, a triple, or both.  Entities take 0-5 classes,
+    some take literal ``rdf:type`` objects, and some carry no type at all.
+    """
+    classes = [f"K{i}" for i in range(rng.randint(1, 9))]
+    triples, ontology = [], []
+    edges = []
+    for j in range(1, len(classes)):
+        for i in rng.sample(range(j), rng.randint(0, min(j, 3))):
+            edges.append((f"dbo:{classes[j]}", f"dbo:{classes[i]}"))
+            where = rng.choice(["ontology", "triple", "both"])
+            if where != "triple":
+                ontology.append(f"subclass\t{DBO}{classes[j]}\t{DBO}{classes[i]}")
+            if where != "ontology":
+                triples.append(nt(DBO + classes[j], RDFS_SUBCLASS, DBO + classes[i]))
+    typed = []
+    for e in range(6):
+        for name in rng.sample(classes, rng.randint(0, min(5, len(classes)))):
+            typed.append((f"dbr:E{e}", f"dbo:{name}"))
+            triples.append(nt(f"{DBR}E{e}", RDF_TYPE, DBO + name))
+        if rng.random() < 0.3:
+            triples.append(nt(f"{DBR}E{e}", RDF_TYPE, ("lit", rng.choice(classes))))
+        if rng.random() < 0.5:
+            triples.append(nt(f"{DBR}E{e}", DBO + "rel", f"{DBR}E{rng.randrange(6)}"))
+    counts = {}
+    for name in rng.sample(classes, rng.randint(0, len(classes))):
+        counts[f"dbo:{name}"] = rng.randint(0, 4)
+        ontology.append(f"count\t{DBO}{name}\t{counts[f'dbo:{name}']}")
+    rng.shuffle(triples)
+    return triples, ontology, {"edges": edges, "typed": typed, "counts": counts}
+
+
+def _reference_most_specific_type(facts: dict, entity: str) -> str | None:
+    """Each asserted class's transitive closure, a pairwise prune of the
+    classes in another's closure, then the order (-count, IRI)."""
+    parents: dict = {}
+    for child, parent in facts["edges"]:
+        parents.setdefault(child, set()).add(parent)
+
+    def closure(cls: str) -> set:
+        found, frontier = set(), [cls]
+        while frontier:
+            for parent in parents.get(frontier.pop(), ()):
+                if parent not in found:
+                    found.add(parent)
+                    frontier.append(parent)
+        return found
+
+    asserted = {cls for s, cls in facts["typed"] if s == entity}
+    leaves = [c for c in asserted if not any(c in closure(d) for d in asserted if d != c)]
+
+    def count(cls: str) -> int:
+        if cls in facts["counts"]:
+            return facts["counts"][cls]
+        return len({s for s, c in facts["typed"] if c == cls})
+
+    leaves.sort(key=lambda c: (-count(c), c))
+    return leaves[0] if leaves else None
+
+
+def test_most_specific_type_matches_brute_force():
+    seen = Counter()
+    for seed in range(500):
+        triples, ontology, facts = _random_hierarchy_case(random.Random(seed))
+        store = load_kb("\n".join(triples), "\n".join(ontology))
+        for entity in [f"dbr:E{e}" for e in range(6)]:
+            expected = _reference_most_specific_type(facts, entity)
+            assert store.most_specific_type(Iri(entity)) == expected, (seed, entity)
+            asserted = {c for s, c in facts["typed"] if s == entity}
+            seen["untyped" if expected is None else "several" if len(asserted) > 1 else "one"] += 1
+    assert min(seen[key] for key in ("untyped", "several", "one")) > 0, seen
 
 
 class TestRoutes:
