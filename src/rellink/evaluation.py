@@ -23,6 +23,7 @@ from .terms import (
     VAR_Y,
     Variable,
     expect_list,
+    expect_str,
     json_record,
     local_name,
     parse_term,
@@ -180,25 +181,25 @@ def label_sets(relations: set[Iri]) -> set[str]:
 def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[GoldRecord]:
     """Gold JSON Lines: id, question, relation URIs, optional pattern graph.
 
-    Graph patterns are triple arrays of term strings (``?x``, quoted
-    literals, or IRIs).  A question id may appear once per source.
+    Graph patterns are arrays of three term strings (``?x``, quoted
+    literals, or IRIs); an absent, null or empty graph means none.  A
+    question id may appear once per source.
     """
     seen: set[str] = set()
 
     def parse(line: str) -> GoldRecord:
         qid, raw = json_record(line, seen)
+        question = expect_str(raw["question"], "question")
         relations = {record_iri(r, profile) for r in expect_list(raw["relations"], "relations")}
-        graph = None
-        if raw.get("graph"):
-            patterns = []
-            for spo in raw["graph"]:
-                s, p, o = (parse_term(t, profile) for t in spo)
+        patterns = []
+        if raw.get("graph") is not None:
+            for spo in expect_list(raw["graph"], "graph"):
+                s, p, o = (parse_term(t, profile) for t in expect_list(spo, "graph pattern"))
                 if not isinstance(p, Iri):
                     raise ValueError("graph predicate must be an IRI")
                 patterns.append(TriplePattern(s, p, o))
-            graph = tuple(patterns)
         seen.add(qid)
-        return GoldRecord(qid, raw["question"], relations, graph)
+        return GoldRecord(qid, question, relations, tuple(patterns) or None)
 
     return read_lines(source, "gold", parse)
 

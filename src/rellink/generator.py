@@ -20,7 +20,7 @@ from typing import IO, Iterable
 
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import OutputSequence, render_group, serialize_target
-from .terms import RECORD_ERRORS, expect_str, json_record, open_input, read_lines
+from .terms import RECORD_ERRORS, expect_list, expect_str, json_record, open_input, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[s
 
     def parse(line: str) -> tuple[str, list[tuple[str, float]]]:
         qid, raw = json_record(line, beams)
-        return qid, [_beam(b) for b in raw["beams"]]
+        return qid, [_beam(b) for b in expect_list(raw["beams"], "beams")]
 
     for qid, ranked in read_lines(source, "beam fixture", parse, GeneratorError):
         beams[qid] = ranked
@@ -136,7 +136,7 @@ class RemoteGenerator:
             reply = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             reply.raise_for_status()
             body = reply.json()
-            raw = [_beam(s) for s in body["sequences"]]
+            raw = [_beam(s) for s in expect_list(body["sequences"], "sequences")]
         except (requests.RequestException, *RECORD_ERRORS) as exc:
             raise GeneratorError(f"remote generation failed: {exc}") from None
         return _ranked(sorted(raw), self.beam_width)

@@ -27,7 +27,7 @@ from typing import IO, Callable, Iterable, Iterator
 from . import brackets
 from .kb_store import KbStore
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import DBPEDIA, Iri, Profile, expect_str, json_record, read_lines, record_iri
+from .terms import DBPEDIA, Iri, Profile, expect_list, expect_str, json_record, read_lines, record_iri
 
 DEFAULT_BUDGET = 512
 
@@ -232,7 +232,7 @@ def read_question_records(
                 end=_offset(e, "end"),
                 entity=record_iri(e["iri"], profile),
             )
-            for e in raw.get("entities", [])
+            for e in expect_list(raw.get("entities", []), "entities")
         ]
         question = expect_str(raw["question"], "question")
         for entity in entities:

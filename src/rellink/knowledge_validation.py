@@ -11,10 +11,12 @@ are scanned in rank order in one pass that parses each beam once and keeps
 the first parseable beam as the fallback; ASK questions are checked with
 fully bound triples instead.
 
-A pair's surviving patterns depend only on its argument (the resolved
-entity, or ?y) and its label, so :func:`link` keeps them per question in a
-dict keyed by that pair: each distinct pair is expanded and tested against
-the store once, however many beams repeat it.
+Parsing yields each pair as the ``(argument, relation label)`` key its
+patterns depend on: the resolved entity's IRI, ?y for a placeholder, or None
+for an unresolved mention, which rejects the beam.  :func:`link` keeps each
+pair's surviving patterns per question in a dict keyed by the pair itself:
+each distinct pair is expanded and tested against the store once, however
+many beams repeat it.
 """
 
 from __future__ import annotations
@@ -24,16 +26,8 @@ from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .kb_store import KbStore
-from .sequence_grammar import (
-    ArgRelPair,
-    EntityArg,
-    OutputParseError,
-    OutputSequence,
-    PlaceholderArg,
-    detect_ask,
-    parse_output,
-)
-from .terms import Iri, TriplePattern, VAR_X, VAR_Y, Variable, relation_uri
+from .sequence_grammar import ArgRelPair, OutputParseError, OutputSequence, detect_ask, parse_output
+from .terms import Iri, TriplePattern, VAR_X, VAR_Y, relation_uri
 
 DEFAULT_BEAM_LIMIT = 50
 DEFAULT_ASK_LIMIT = 10
@@ -64,17 +58,6 @@ class ValidationConfig:
                 raise ValueError(f"{name} must not be negative, got {value}")
 
 
-# What a pair's patterns depend on: its argument term and its relation label.
-PairKey = tuple[Iri | Variable, str]
-
-
-def _pair_key(pair: ArgRelPair) -> PairKey:
-    """The resolved entity, or the unbound ?y for a placeholder, and the label."""
-    arg = VAR_Y if isinstance(pair.argument, PlaceholderArg) else pair.argument.entity
-    assert arg is not None, "unresolved entity argument"
-    return arg, pair.relation_label
-
-
 def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     """Patterns connecting the pair's argument to ?x over its label.
 
@@ -83,7 +66,7 @@ def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
     namespaces of a flat profile therefore yields four patterns.  Unknown
     labels yield none.
     """
-    arg, label = _pair_key(pair)
+    arg, label = pair
     patterns: list[TriplePattern] = []
     for route in store.routes(label):
         patterns += [TriplePattern(arg, route, VAR_X), TriplePattern(VAR_X, route, arg)]
@@ -120,30 +103,21 @@ def _parsed(
         yield seq, pairs
 
 
-def _resolved(pairs: Sequence[ArgRelPair]) -> bool:
-    """Whether every entity argument resolved to a linked entity."""
-    return all(
-        not isinstance(pair.argument, EntityArg) or pair.argument.entity is not None
-        for pair in pairs
-    )
-
-
 def validate_sequence(
     store: KbStore,
     pairs: Sequence[ArgRelPair],
     rank: int,
-    survivors: dict[PairKey, list[TriplePattern]],
+    survivors: dict[ArgRelPair, list[TriplePattern]],
 ) -> LinkingResult | None:
     """First matching candidate graph of one parsed beam, or None; ``survivors``
     holds the question's pruned patterns per pair, and gains each new pair's."""
-    if not pairs or not _resolved(pairs):
+    if not pairs or any(arg is None for arg, _ in pairs):
         return None
     per_pair: list[list[TriplePattern]] = []
     for pair in pairs:
-        key = _pair_key(pair)
-        surviving = survivors.get(key)
+        surviving = survivors.get(pair)
         if surviving is None:
-            surviving = survivors[key] = [
+            surviving = survivors[pair] = [
                 p for p in expand_pair(store, pair) if store.pattern_satisfiable(p)
             ]
         if not surviving:
@@ -159,12 +133,12 @@ def _ask_hit(
     store: KbStore, pairs: Sequence[ArgRelPair], rank: int
 ) -> LinkingResult | None:
     """A true answer when a bound triple holds between two same-label args."""
-    if not _resolved(pairs):
-        return None
     by_label: dict[str, list[Iri]] = {}
-    for pair in pairs:
-        if isinstance(pair.argument, EntityArg):
-            by_label.setdefault(pair.relation_label, []).append(pair.argument.entity)
+    for arg, label in pairs:
+        if arg is None:
+            return None
+        if arg != VAR_Y:
+            by_label.setdefault(label, []).append(arg)
     for label, args in by_label.items():
         if len(args) < 2:
             continue
@@ -180,8 +154,8 @@ def _best_effort(
 ) -> LinkingResult:
     """A parsed beam mapped label-by-label to first routes, flagged unvalidated."""
     relations = []
-    for pair in pairs:
-        routes = store.routes(pair.relation_label)
+    for _, label in pairs:
+        routes = store.routes(label)
         if routes:
             relations.append(relation_uri(routes[0]))
     return LinkingResult(_unique(relations), False, seq.rank)
@@ -216,7 +190,7 @@ def link(
     config = config or ValidationConfig()
     is_ask = detect_ask(question)
     limit = config.ask_limit if is_ask else config.beam_limit
-    survivors: dict[PairKey, list[TriplePattern]] = {}
+    survivors: dict[ArgRelPair, list[TriplePattern]] = {}
     first = None
     for seq, pairs in _parsed(beams[:limit], entities):
         if is_ask:

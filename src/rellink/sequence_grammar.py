@@ -1,9 +1,11 @@
 """The structured output format: ``[Arg1 | Rel1], [Arg2 | Rel2], ...``
 
 Target text is written only here: one escaped group per argument and relation,
-then the groups joined.  Generator output is parsed back, classifying each
-argument as a question-entity mention or a Wh-term placeholder.  A lone ``-``
-separator (surrounded by spaces) is accepted as an alias for ``|`` when parsing.
+then the groups joined.  Generator output is parsed straight into the
+``(argument, relation label)`` pairs validation keys on: a Wh-term argument
+becomes the placeholder ``?y``, and any other argument the IRI of the question
+entity its mention names, or None when none does.  A lone ``-`` separator
+(surrounded by spaces) is accepted as an alias for ``|`` when parsing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 from . import brackets
 from .brackets import OutputParseError
 from .knowledge_integration import LinkedEntity
-from .terms import Iri
+from .terms import Iri, VAR_Y, Variable
 
 WH_LEXICON = frozenset(
     {"who", "what", "where", "when", "which", "whom", "whose", "how"}
@@ -26,34 +28,9 @@ ASK_LEAD_TOKENS = frozenset(
 
 FUZZY_OVERLAP_THRESHOLD = 0.5
 
-
-@dataclass(frozen=True)
-class EntityArg:
-    """An argument naming a question entity; resolution is best-effort."""
-
-    mention: str
-    entity: Iri | None = None
-    fuzzy: bool = False
-
-
-@dataclass(frozen=True)
-class PlaceholderArg:
-    """A Wh-term argument standing in for an unknown answer entity."""
-
-    wh_term: str
-
-
-Argument = EntityArg | PlaceholderArg
-
-
-@dataclass(frozen=True)
-class ArgRelPair:
-    argument: Argument
-    relation_label: str
-
-    def __post_init__(self):
-        if not self.relation_label:
-            raise ValueError("relation label must be non-empty")
+# One parsed pair: the linked entity's IRI, ?y for a Wh-term, or None for a
+# mention no linked entity matches; then the non-empty relation label.
+ArgRelPair = tuple[Iri | Variable | None, str]
 
 
 @dataclass(frozen=True)
@@ -79,17 +56,15 @@ def serialize_target(groups: Sequence[str]) -> str:
     return ", ".join(groups)
 
 
-def _resolve_mention(
-    mention: str, question_entities: list[LinkedEntity] | tuple[LinkedEntity, ...]
-) -> EntityArg:
+def _resolve_mention(mention: str, question_entities: Sequence[LinkedEntity]) -> Iri | None:
     for ent in question_entities:
         if ent.mention == mention:
-            return EntityArg(mention, ent.entity)
+            return ent.entity
     folded = mention.casefold()
     for ent in question_entities:
         if ent.mention.casefold() == folded:
-            return EntityArg(mention, ent.entity)
-    arg_tokens = set(mention.casefold().split())
+            return ent.entity
+    arg_tokens = set(folded.split())
     if arg_tokens:
         best: LinkedEntity | None = None
         best_overlap = 0.0
@@ -99,8 +74,8 @@ def _resolve_mention(
             if overlap > best_overlap:
                 best, best_overlap = ent, overlap
         if best is not None and best_overlap >= FUZZY_OVERLAP_THRESHOLD:
-            return EntityArg(mention, best.entity, fuzzy=True)
-    return EntityArg(mention)
+            return best.entity
+    return None
 
 
 def _split_pair(group: str) -> tuple[str, str]:
@@ -116,23 +91,20 @@ def _split_pair(group: str) -> tuple[str, str]:
     raise OutputParseError("pair has more than one '|' separator", group)
 
 
-def parse_output(
-    text: str,
-    question_entities: list[LinkedEntity] | tuple[LinkedEntity, ...] = (),
-) -> list[ArgRelPair]:
-    """Parse decoder text into argument-relation pairs.
+def parse_output(text: str, question_entities: Sequence[LinkedEntity] = ()) -> list[ArgRelPair]:
+    """Parse decoder text into ``(argument, relation label)`` pairs.
 
     Raises :class:`OutputParseError` on any structural problem; arbitrary
-    text never produces a partial result.  Entity arguments are matched
-    against the question's linked mentions exactly, then case-insensitively,
-    then by best token overlap at or above 50% (marked fuzzy); unmatched
-    arguments keep ``entity=None`` for the caller to reject.
+    text never produces a partial result.  A Wh-term argument, in any case,
+    becomes ``?y``.  Any other argument is matched against the question's
+    linked mentions exactly, then case-insensitively, then by best token
+    overlap at or above 50%, and becomes the matched entity's IRI; an
+    unmatched one becomes None, for the caller to reject.
     """
     groups = brackets.bracket_groups(text)
     if not groups:
         raise OutputParseError("no bracketed pairs found", text)
-    entities = list(question_entities)
-    pairs = []
+    pairs: list[ArgRelPair] = []
     for group in groups:
         raw_arg, raw_rel = _split_pair(group)
         arg_text = brackets.unescape(raw_arg.strip())
@@ -141,12 +113,11 @@ def parse_output(
             raise OutputParseError("empty argument", group)
         if not rel_text:
             raise OutputParseError("empty relation label", group)
-        argument: Argument
         if arg_text.casefold() in WH_LEXICON:
-            argument = PlaceholderArg(arg_text)
+            argument = VAR_Y
         else:
-            argument = _resolve_mention(arg_text, entities)
-        pairs.append(ArgRelPair(argument, rel_text))
+            argument = _resolve_mention(arg_text, question_entities)
+        pairs.append((argument, rel_text))
     return pairs
 
 

@@ -49,10 +49,7 @@ from rellink.knowledge_integration import (
 from rellink.knowledge_validation import expand_pair, link, validate_sequence
 from rellink.sequence_grammar import (
     WH_LEXICON,
-    ArgRelPair,
-    EntityArg,
     OutputSequence,
-    PlaceholderArg,
     parse_output,
     render_group,
     serialize_target,
@@ -167,9 +164,7 @@ def test_criterion_03_four_pattern_expansion():
     store = load_kb("\n".join(lines))
     with criterion("3 four-pattern expansion and 4^k products", budget_s=1.0):
         for k in (1, 2, 3):
-            pairs = [
-                ArgRelPair(EntityArg(f"A{i}", Iri(f"dbr:A{i}")), "owner") for i in range(k)
-            ]
+            pairs = [(Iri(f"dbr:A{i}"), "owner") for i in range(k)]
             for pair in pairs:
                 patterns = expand_pair(store, pair)
                 assert len(patterns) == 4, patterns
@@ -188,7 +183,8 @@ def test_criterion_03_four_pattern_expansion():
             assert [len(patterns) for patterns in survivors.values()] == [4] * k
 
 
-# 4. parse(serialize(rendered groups)) is the identity on random pair lists.
+# 4. parse(serialize(rendered groups)) gives back random pair lists: each
+# escaped mention parses to its own text, so resolves exactly to its entity.
 def _random_chunk(rng: Random, allow_reserved: bool) -> str:
     while True:
         chars = []
@@ -211,22 +207,23 @@ def test_criterion_04_grammar_roundtrip():
     reserved_seen = {c: 0 for c in "|[],\\"}
     with criterion("4 grammar roundtrip, 10000 pair lists", budget_s=10.0):
         for _ in range(10_000):
-            pairs, groups = [], []
+            pairs, groups, iri_of = [], [], {}
             for _ in range(rng.randint(1, 4)):
                 if rng.random() < 0.2:
                     term = rng.choice(wh_terms)
                     argument = term.title() if rng.random() < 0.5 else term
-                    arg = PlaceholderArg(argument)
+                    arg = VAR_Y
                 else:
                     argument = _random_chunk(rng, allow_reserved=True)
-                    arg = EntityArg(argument)
+                    arg = iri_of.setdefault(argument, Iri(f"dbr:E{len(iri_of)}"))
                 label = _random_chunk(rng, rng.random() < 0.3)
-                pairs.append(ArgRelPair(arg, label))
+                pairs.append((arg, label))
                 groups.append(render_group(argument, label))
             text = serialize_target(groups)
             for char in reserved_seen:
                 reserved_seen[char] += text.count("\\" + char)
-            assert parse_output(text) == pairs, text
+            entities = [LinkedEntity(m, 0, len(m), iri) for m, iri in iri_of.items()]
+            assert parse_output(text, entities) == pairs, text
         assert all(count >= 500 for count in reserved_seen.values()), reserved_seen
 
 
@@ -401,8 +398,7 @@ def test_criterion_09_wikidata_profile(wikidata_store):
             "label\thttp://www.wikidata.org/prop/direct/P31\tinstance of\n",
             profile="wikidata",
         )
-        pair = ArgRelPair(EntityArg("Douglas", Iri("wd:Q42")), "instance of")
-        patterns = expand_pair(p31_store, pair)
+        patterns = expand_pair(p31_store, (Iri("wd:Q42"), "instance of"))
         assert patterns == [
             TriplePattern(Iri("wd:Q42"), Iri("wdt:P31"), VAR_X),
             TriplePattern(VAR_X, Iri("wdt:P31"), Iri("wd:Q42")),

@@ -850,6 +850,29 @@ MALFORMED_LINES = {
     "predictions-relations-null": ("predictions", 1, json.dumps(
         {"question_id": "q1", "relations": None}
     )),
+    # A field of the wrong JSON type was read as empty, or accepted as it was.
+    "gold-question-int": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": 5, "relations": ["dbo:spouse"]}
+    )),
+    "gold-graph-object": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": ["dbo:spouse"], "graph": {}}
+    )),
+    "gold-graph-string": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": ["dbo:spouse"], "graph": ""}
+    )),
+    "gold-graph-pattern-object": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": ["dbo:spouse"],
+         "graph": [{"s": "?x", "p": "dbo:spouse", "o": "?y"}]}
+    )),
+    "gold-graph-pattern-two-terms": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": ["dbo:spouse"],
+         "graph": [["?x", "dbo:spouse"]]}
+    )),
+    "question-entities-object": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Ford?", "entities": {}}
+    )),
+    "fixture-beams-object": ("beam fixture", 2, '{"question_id": "q0", "beams": []}\n'
+                             + json.dumps({"question_id": "q1", "beams": {}})),
     "vectors-nan": ("vectors", 2, "q 1 0\nbad nan 1\nlow 0.1 1\nhigh 1 0.1"),
     "vectors-infinity": ("vectors", 1, "w Infinity 1"),
     "vectors-huge-int": ("vectors", 1, f"w {HUGE} 1"),
@@ -888,6 +911,13 @@ MALFORMED_LINE_ERRORS = {
     "gold-relations-string": "relations must be an array, got 'dbo:spouse'\n",
     "predictions-relations-object": "relations must be an array, got {'dbo:spouse': 1}\n",
     "predictions-relations-null": "relations must be an array, got None\n",
+    "gold-question-int": "question must be a string, got 5\n",
+    "gold-graph-object": "graph must be an array, got {}\n",
+    "gold-graph-string": "graph must be an array, got ''\n",
+    "gold-graph-pattern-object": "graph pattern must be an array, got {",
+    "gold-graph-pattern-two-terms": "not enough values to unpack (expected 3, got 2)\n",
+    "question-entities-object": "entities must be an array, got {}\n",
+    "fixture-beams-object": "beams must be an array, got {}\n",
 }
 
 

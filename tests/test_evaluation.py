@@ -428,6 +428,12 @@ class TestReadGold:
         gold = list(read_gold(io.StringIO(json.dumps(record)), DBPEDIA))[0]
         assert gold.graph is None
 
+    @pytest.mark.parametrize("graph", [None, []])
+    def test_null_or_empty_graph_means_none(self, graph):
+        record = {"question_id": "q1", "question": "q", "relations": ["dbo:state"], "graph": graph}
+        gold = list(read_gold(io.StringIO(json.dumps(record)), DBPEDIA))[0]
+        assert gold.graph is None
+
     def test_malformed_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
             list(read_gold(io.StringIO('{"question_id": "a", "question": "q", "relations": []}\n{"bad": 1}'), DBPEDIA))

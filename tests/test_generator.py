@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import product
 
@@ -34,13 +35,7 @@ from rellink.knowledge_integration import (
     build_encoder_input,
     rank_candidate_relations,
 )
-from rellink.sequence_grammar import (
-    ArgRelPair,
-    Argument,
-    EntityArg,
-    OutputSequence,
-    PlaceholderArg,
-)
+from rellink.sequence_grammar import OutputSequence
 from rellink.similarity import Similarity, TrigramSimilarity, WordVectorSimilarity
 from test_knowledge_integration import _outcome, _random_case, _read, _ref_shrink, _structure
 
@@ -280,7 +275,28 @@ class TestBaselineGenerator:
 # serializer's name and the constructor the baseline no longer has, which
 # built an ArgRelPair for every pair of every combination, escaped each
 # mention and label again per combination, and scored the labels with its
-# own similarity.  Beams must match in text, score and rank.
+# own similarity.  Beams must match in text, score and rank.  The pair
+# classes it built are local stand-ins holding the fields it read; parsing
+# yields (argument, label) tuples.
+
+
+@dataclass(frozen=True)
+class EntityArg:
+    mention: str
+
+
+@dataclass(frozen=True)
+class PlaceholderArg:
+    wh_term: str
+
+
+Argument = EntityArg | PlaceholderArg
+
+
+@dataclass(frozen=True)
+class ArgRelPair:
+    argument: Argument
+    relation_label: str
 
 
 def _ref_argument_text(argument: Argument) -> str:
@@ -392,6 +408,41 @@ def test_baseline_matches_reference():
     assert set(escaped) == set(_RESERVED), escaped
 
 
+# Each push comes from expanding a popped prefix, which pushes one child per
+# label of the next list.  Only a proper prefix of a returned beam is
+# expanded, and ``width`` beams of n groups have at most 1 + (n - 1) * width
+# distinct proper prefixes: so at most labels * (1 + (n - 1) * width) pushes.
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "random"])
+def test_best_first_pushes_are_linear_in_width(monkeypatch, n, tied):
+    labels = 20
+    rng = random.Random(n)
+    choices = [
+        [(f"[E{i} | l{j:02d}]", 0.0 if tied else -rng.random()) for j in range(labels)]
+        for i in range(n)
+    ]
+    push = generator_module.heapq.heappush
+    expanded = set()
+
+    def counting(heap, item):
+        expanded.add(item[1][:-1])
+        counts[-1] += 1
+        push(heap, item)
+
+    monkeypatch.setattr(generator_module.heapq, "heappush", counting)
+    counts = []
+    for width in (10, 20, 40, 80, 160):
+        counts.append(0)
+        beams = generator_module._best_first(choices, width)
+        assert len(beams) == width
+        prefixes = {tuple(b.text.split(", "))[:d] for b in beams for d in range(n)}
+        assert expanded <= prefixes, (width, expanded - prefixes)
+        assert counts[-1] <= labels * (1 + (n - 1) * width), (width, counts)
+        expanded.clear()
+    # A product of every list would push labels ** n nodes whatever the width.
+    assert counts[-1] < labels**n
+
+
 class _FakeResponse:
     def __init__(self, payload, status=200):
         self._payload = payload
@@ -484,8 +535,9 @@ class _StubModelHandler(BaseHTTPRequestHandler):
     reply with a 503 and with a body that is not JSON, ``/nan`` with a NaN
     score, ``/infinity`` with a ``+Infinity`` score, ``/bigint`` with a
     401-digit integer score that no float holds, ``/string`` and ``/bool``
-    with a score that is a JSON string or bool, not a number, and ``/deep``
-    with JSON nested past the parser's recursion limit."""
+    with a score that is a JSON string or bool, not a number, ``/object``
+    with an object for the array of sequences, and ``/deep`` with JSON
+    nested past the parser's recursion limit."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -507,6 +559,8 @@ class _StubModelHandler(BaseHTTPRequestHandler):
             body = b'{"sequences": [{"text": "[A | r]", "score": "1e3"}]}'
         elif self.path == "/bool":
             body = b'{"sequences": [{"text": "[A | r]", "score": true}]}'
+        elif self.path == "/object":
+            body = b'{"sequences": {}}'
         elif self.path == "/deep":
             body = b"[" * 100_000
         self.send_response(status)
@@ -598,14 +652,14 @@ class TestRemoteGeneratorOverHttp:
         assert server.posted == []
 
     @pytest.mark.parametrize(
-        "path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/string", "/bool", "/deep"]
+        "path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/string", "/bool", "/object", "/deep"]
     )
     def test_bad_reply_becomes_generator_error(self, model_server, path):
         _, base = model_server
         with pytest.raises(GeneratorError, match="^remote generation failed: "):
             RemoteGenerator(base + path, timeout=5.0).generate(enc_input("q"))
 
-    @pytest.mark.parametrize("path", ["/nan", "/infinity", "/bigint", "/string", "/bool", "/deep"])
+    @pytest.mark.parametrize("path", ["/nan", "/infinity", "/bigint", "/string", "/bool", "/object", "/deep"])
     def test_bad_reply_is_a_per_question_error(self, model_server, tmp_path, path):
         _, base = model_server
         kb = tmp_path / "kb.nt"
@@ -618,9 +672,12 @@ class TestRemoteGeneratorOverHttp:
         record = json.loads(out.read_text())
         assert record["error"].startswith("remote generation failed: ")
         assert record["relations"] == []
-        shown = {"/string": "'1e3'", "/bool": "True"}.get(path)
-        if shown:
-            assert record["error"].endswith(f"beam score must be a number, got {shown}")
+        ending = {
+            "/string": "beam score must be a number, got '1e3'",
+            "/bool": "beam score must be a number, got True",
+            "/object": "sequences must be an array, got {}",
+        }.get(path, "")
+        assert record["error"].endswith(ending)
 
 
 class TestMakeGenerator:

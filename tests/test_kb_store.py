@@ -24,13 +24,8 @@ from rellink.kb_store import (
     load_triples,
     parse_nt_line,
 )
-from rellink.knowledge_validation import (
-    _pair_key,
-    expand_pair,
-    fallback_result,
-    validate_sequence,
-)
-from rellink.sequence_grammar import ArgRelPair, EntityArg, OutputSequence, PlaceholderArg
+from rellink.knowledge_validation import expand_pair, fallback_result, validate_sequence
+from rellink.sequence_grammar import OutputSequence
 from rellink.terms import (
     DBPEDIA,
     WIKIDATA,
@@ -1149,16 +1144,13 @@ def test_pruning_matches_first_match_filter(profile):
     """``validate_sequence`` prunes patterns exactly as a first-match test
     would, for entity and placeholder arguments over every route kind, and
     validates the first joining graph of the pruned product."""
-    arguments = [EntityArg("m", e) for e in ENTITIES] + [PlaceholderArg("what")]
+    arguments = [*ENTITIES, VY]
     kinds = set()
     for seed in range(200):
         rng = random.Random(seed)
         _, store = _random_store(rng, profile)
         for _ in range(10):
-            pairs = [
-                ArgRelPair(rng.choice(arguments), rng.choice(PROPS))
-                for _ in range(rng.randint(1, 2))
-            ]
+            pairs = [(rng.choice(arguments), rng.choice(PROPS)) for _ in range(rng.randint(1, 2))]
             surviving = [
                 [p for p in expand_pair(store, pair) if next(store.match_pattern(p), None) is not None]
                 for pair in pairs
@@ -1167,18 +1159,16 @@ def test_pruning_matches_first_match_filter(profile):
             result = validate_sequence(store, pairs, 1, survivors)
             # Pairs are pruned in order, up to the first that none survives.
             kept = next((i + 1 for i, ps in enumerate(surviving) if not ps), len(pairs))
-            assert survivors == {
-                _pair_key(pair): patterns for pair, patterns in zip(pairs[:kept], surviving)
-            }, (seed, pairs)
+            assert survivors == dict(zip(pairs[:kept], surviving)), (seed, pairs)
             holds = any(store.match_graph(g) is not None for g in itertools.product(*surviving))
             assert (result is not None) == holds, (seed, pairs)
-            for pair, patterns in zip(pairs, surviving):
+            for (arg, _), patterns in zip(pairs, surviving):
                 kinds.update(
-                    (type(pair.argument).__name__, namespace_of(relation_uri(p.predicate), profile))
+                    (arg == VY, namespace_of(relation_uri(p.predicate), profile))
                     for p in patterns
                 )
     routed = set(profile.property_namespaces) - {profile.statement_namespace}
-    assert kinds == {(arg, ns) for arg in ("EntityArg", "PlaceholderArg") for ns in routed}
+    assert kinds == {(placeholder, ns) for placeholder in (False, True) for ns in routed}
 
 
 class TestMatchGraph:

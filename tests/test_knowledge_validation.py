@@ -22,9 +22,7 @@ from rellink.knowledge_validation import (
 )
 from rellink.sequence_grammar import (
     ArgRelPair,
-    EntityArg,
     OutputSequence,
-    PlaceholderArg,
     detect_ask,
     parse_output,
     render_group,
@@ -54,7 +52,7 @@ DUAL_NS_TRIPLES = "\n".join(
 
 
 def pair(mention_iri: str, label: str) -> ArgRelPair:
-    return ArgRelPair(EntityArg("m", Iri(mention_iri)), label)
+    return Iri(mention_iri), label
 
 
 class TestEntityExpansion:
@@ -83,16 +81,13 @@ class TestEntityExpansion:
 class TestPlaceholderExpansion:
     def test_uses_y_variable(self):
         store = load_kb(DUAL_NS_TRIPLES)
-        patterns = expand_pair(
-            store, ArgRelPair(PlaceholderArg("Who"), "owner")
-        )
+        patterns = expand_pair(store, (VAR_Y, "owner"))
         assert len(patterns) == 4
         assert patterns[0] == TriplePattern(VAR_Y, Iri("dbo:owner"), VAR_X)
         assert patterns[1] == TriplePattern(VAR_X, Iri("dbo:owner"), VAR_Y)
 
     def test_unknown_label_empty(self, ford_store):
-        pairs = ArgRelPair(PlaceholderArg("Who"), "noSuchRel")
-        assert expand_pair(ford_store, pairs) == []
+        assert expand_pair(ford_store, (VAR_Y, "noSuchRel")) == []
 
 
 class TestWikidataExpansion:
@@ -474,7 +469,7 @@ def _ref_enumerate_graphs(store, pairs):
 
 
 def _ref_validate_sequence(store, pairs, rank):
-    if not pairs or not knowledge_validation._resolved(pairs):
+    if not pairs or any(arg is None for arg, _ in pairs):
         return None
     for graph in _ref_enumerate_graphs(store, pairs):
         if store.match_graph(graph) is not None:
@@ -584,9 +579,9 @@ def test_link_matches_reference_and_tests_each_pattern_once(profile, max_groups)
         if result.validated and result.ask_answer is None:
             pairs = parse_output(beams[result.source_rank - 1].text, entities)
             kinds.update(namespace_of(r, profile) for r in result.relations)
-            kinds.update(type(p.argument).__name__ for p in pairs)
+            kinds.update("placeholder" if arg == VAR_Y else "entity" for arg, _ in pairs)
         ask_true += result.ask_answer is True
     routed = set(profile.property_namespaces) - {profile.statement_namespace}
-    assert kinds == routed | {"EntityArg", "PlaceholderArg"}
+    assert kinds == routed | {"entity", "placeholder"}
     assert ask_true >= 5, ask_true
     assert calls_after < calls_before, (calls_after, calls_before)
