@@ -4,8 +4,9 @@ The baseline synthesizes beams from the encoder input alone, pairing each
 entity mention with its candidate relation labels; it exists so the whole
 pipeline runs with no network and no trained model.  It searches the label
 combinations best-first, so its work grows with the beams it returns, not
-with the number of combinations.  All kinds return beams in a total order:
-descending score, ties broken by text.
+with the number of combinations.  All kinds return beams by descending
+score; the remote and baseline kinds break ties by text, and fixture replay
+keeps file order among equal scores.
 """
 
 from __future__ import annotations

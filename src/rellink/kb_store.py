@@ -17,9 +17,9 @@ label's routes until the next mutator call.  ``pattern_satisfiable``
 answers a flat pattern with one bound end by index membership: an entity's
 predicate keys in ``_spo`` are its characteristic set (Neumann & Moerkotte,
 ICDE 2011), and ``_op`` lists the predicates reaching each object.  Every
-other shape takes the first pair of ``_pairs``, the one walk over the
-indexes that matching also takes.  The statement-entry predicates are kept
-as a set when first loaded.
+other shape takes the first solution of ``_solutions``, the store's one
+join, which ``match_graph`` and ``answers`` enter through one bound-first
+guard.  The statement-entry predicates are kept as a set when first loaded.
 
 A load validates each distinct N-Triples token once, skips the line regex
 for a line whose tokens are all known, and pauses the cyclic garbage
@@ -383,11 +383,30 @@ class KbStore:
                 for subj in subjects:
                     yield subj, obj
 
-    def match_pattern(
-        self, pattern: TriplePattern, binding: dict[str, Term] | None = None
+    def pattern_satisfiable(self, pattern: TriplePattern) -> bool:
+        """Whether one pattern holds under some binding.
+
+        A flat pattern with one bound end is answered by index membership:
+        ``(e p ?)`` is ``p`` in ``_spo[e]``, ``(? p e)`` is ``p`` in
+        ``_op[e]``.  Every other shape takes the first solution of
+        :meth:`_solutions`.
+        """
+        subj, pred, obj = pattern.subject, pattern.predicate, pattern.object
+        if not isinstance(pred, PropertyPath):
+            if isinstance(obj, Variable) and not isinstance(subj, Variable):
+                return pred in self._spo.get(subj, ())
+            if isinstance(subj, Variable) and not isinstance(obj, Variable):
+                return pred in self._op.get(obj, ())
+        return next(self._solutions((pattern,), {}), None) is not None
+
+    def _solutions(
+        self, patterns: Sequence[TriplePattern], binding: dict[str, Term]
     ) -> Iterator[dict[str, Term]]:
-        """Bindings (extending ``binding``) under which one pattern holds."""
-        binding = binding or {}
+        """Bindings extending ``binding`` under which every pattern holds, in order."""
+        if not patterns:
+            yield binding
+            return
+        pattern, rest = patterns[0], patterns[1:]
         subj, obj = pattern.subject, pattern.object
         s = binding.get(subj.name) if isinstance(subj, Variable) else subj
         o = binding.get(obj.name) if isinstance(obj, Variable) else obj
@@ -395,56 +414,29 @@ class KbStore:
         for ps, po in self._pairs(pattern.predicate, s, o):
             if same and ps != po:
                 continue
-            out = dict(binding)
+            extended = dict(binding)
             if s is None:
-                out[subj.name] = ps
+                extended[subj.name] = ps
             if o is None:
-                out[obj.name] = po
-            yield out
+                extended[obj.name] = po
+            yield from self._solutions(rest, extended)
 
-    def pattern_satisfiable(self, pattern: TriplePattern) -> bool:
-        """Whether one pattern holds under some binding; makes no binding.
-
-        A flat pattern with one bound end is answered by index membership:
-        ``(e p ?)`` is ``p`` in ``_spo[e]``, ``(? p e)`` is ``p`` in
-        ``_op[e]``.  Every other shape takes the first pair of
-        :meth:`_pairs`, one with equal ends for ``?x p ?x``.
-        """
-        subj, pred, obj = pattern.subject, pattern.predicate, pattern.object
-        s = None if isinstance(subj, Variable) else subj
-        o = None if isinstance(obj, Variable) else obj
-        if not isinstance(pred, PropertyPath):
-            if o is None and s is not None:
-                return pred in self._spo.get(s, ())
-            if s is None and o is not None:
-                return pred in self._op.get(o, ())
-        if s is None and subj == obj:  # ?x p ?x
-            return any(ps == po for ps, po in self._pairs(pred, None, None))
-        return next(self._pairs(pred, s, o), None) is not None
-
-    def _solutions(
-        self, patterns: Sequence[TriplePattern], binding: dict[str, Term]
-    ) -> Iterator[dict[str, Term]]:
-        if not patterns:
-            yield binding
-            return
-        for extended in self.match_pattern(patterns[0], binding):
-            yield from self._solutions(patterns[1:], extended)
-
-    def match_graph(self, patterns: Sequence[TriplePattern]) -> dict[str, Term] | None:
-        """First satisfying assignment for a conjunction of patterns, or None.
-
-        If the first pattern has two variables, the join starts from those with
-        a bound end (RDF-3X, Neumann & Weikum, VLDB 2008), not from a whole
-        predicate.  Callers read only ``is None``; the binding is deterministic.
-        """
+    def _join(self, patterns: Sequence[TriplePattern]) -> Iterator[dict[str, Term]]:
+        """Every solution of ``patterns``.  If the first has two variables, the
+        join starts from those with a bound end (RDF-3X, Neumann & Weikum,
+        VLDB 2008), not from a whole predicate."""
         if patterns and _unbound(patterns[0]):
             patterns = sorted(patterns, key=_unbound)
-        return next(self._solutions(patterns, {}), None)
+        return self._solutions(patterns, {})
+
+    def match_graph(self, patterns: Sequence[TriplePattern]) -> dict[str, Term] | None:
+        """The first solution of :meth:`_join`, or None.  Callers read only
+        ``is None``; the binding is deterministic."""
+        return next(self._join(patterns), None)
 
     def answers(self, patterns: Sequence[TriplePattern], var: Variable) -> set[Term]:
-        """All values a variable takes over every solution of the patterns."""
-        return {sol[var.name] for sol in self._solutions(patterns, {}) if var.name in sol}
+        """All values a variable takes over the solutions of :meth:`_join`."""
+        return {sol[var.name] for sol in self._join(patterns) if var.name in sol}
 
 
 # -- loading ---------------------------------------------------------------
@@ -570,9 +562,7 @@ def load_kb(
     if ontology is not None:
         load_ontology(store, ontology)
     store.check_hierarchy()
-    logger.info(
-        "loaded %d triples, %d classes with instances", len(store), len(store.instance_counts())
-    )
+    logger.info("loaded %d triples", len(store))
     return store
 
 

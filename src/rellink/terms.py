@@ -265,11 +265,11 @@ def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable
 
 
 def json_record(line: str, seen: Container[str] = ()) -> tuple[str, dict]:
-    """A JSON Lines object record and its question id as text, which ``seen`` must not hold."""
+    """A JSON Lines object record and its question id, a JSON string ``seen`` must not hold."""
     raw = json.loads(line)
     if not isinstance(raw, dict):
         raise TypeError("record must be a JSON object")
-    qid = str(raw["question_id"])
+    qid = expect_str(raw["question_id"], "question_id")
     if qid in seen:
         raise ValueError(f"duplicate question_id {qid!r}")
     return qid, raw

@@ -799,6 +799,26 @@ def test_deeply_nested_record_is_located(ford_files, capsys, reader):
     assert capsys.readouterr().err.startswith(f"error: {reader} line 1: ")
 
 
+# Every field of a valid record of each JSON Lines reader but its question id.
+ID_LESS_RECORDS = {
+    "questions": {"question": "Who?", "entities": []},
+    "beam fixture": {"beams": [{"text": "[Who | owner]", "score": -0.1}]},
+    "gold": {"question": "Who?", "relations": ["dbo:owner"]},
+    "predictions": {"relations": ["dbo:owner"]},
+}
+
+
+@pytest.mark.parametrize("qid", [1, None, ["q", 1]], ids=["number", "null", "array"])
+@pytest.mark.parametrize("reader", list(ID_LESS_RECORDS))
+def test_question_id_must_be_a_string(ford_files, capsys, reader, qid):
+    # Made text by str(), these ids read "1", "None" and "['q', 1]", and the
+    # ids 1 and "1" were one id.
+    record = {"question_id": qid, **ID_LESS_RECORDS[reader]}
+    assert _status_with_line(ford_files, reader, json.dumps(record)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {reader} line 1: question_id must be a string, got {qid!r}\n"
+
+
 HUGE = 10**400  # an integer too large for a float; json writes and reads it
 
 # (reader, line number of the fault, file text): numbers that json or float()

@@ -33,6 +33,8 @@ from rellink.terms import (
     Literal,
     PropertyPath,
     TriplePattern,
+    VAR_X,
+    VAR_Y,
     Variable,
     parse_term,
     relation_uri,
@@ -399,6 +401,38 @@ def test_reified_profile_swaps_nothing():
     graph = (TriplePattern(Iri("wd:Q1"), Iri("wdt:P1"), Variable("x")),)
     gold = GoldRecord("q", "q", {Iri("wdt:P1")}, graph)
     assert relaxed_score(store, gold, {Iri("ps:P1")}) == (0.0, 0.0, 0.0)
+
+
+class TestProbeCounts:
+    """Relaxed scoring's store probes do not grow with the size of a predicate."""
+
+    def test_placeholder_led_gold_graph_starts_from_the_bound_pattern(self):
+        # (?y dbo:p ?x) leads the gold graph; joined first, it would walk all
+        # 10,000 dbo:p triples for the answers and again for each variant.
+        lines = [nt(f"{DBR}P{i}", DBO + "p", f"{DBR}X{i}") for i in range(10_000)]
+        lines += [nt(DBR + "P0", DBP + "p", DBR + "X0"), nt(DBR + "E", DBO + "q", DBR + "X0")]
+        store = load_kb("\n".join(lines))
+        taken = 0
+        walk = store._pairs
+
+        def counting(*args):
+            nonlocal taken
+            for item in walk(*args):
+                taken += 1
+                yield item
+
+        store._pairs = counting
+        graph = (
+            TriplePattern(VAR_Y, Iri("dbo:p"), VAR_X),
+            TriplePattern(Iri("dbr:E"), Iri("dbo:q"), VAR_X),
+        )
+        assert store.answers(graph, VAR_Y) == {Iri("dbr:P0")}
+        assert taken <= 10, taken
+        taken = 0
+        # The dbp:p variant keeps the answers, so it scores the prediction.
+        gold = GoldRecord("q1", "Who?", iris("dbo:p", "dbo:q"), graph)
+        assert relaxed_score(store, gold, iris("dbp:p", "dbo:q")) == (1.0, 1.0, 1.0)
+        assert taken <= 10, taken
 
 
 class TestLabelSets:

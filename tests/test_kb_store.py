@@ -1152,7 +1152,7 @@ def test_pruning_matches_first_match_filter(profile):
         for _ in range(10):
             pairs = [(rng.choice(arguments), rng.choice(PROPS)) for _ in range(rng.randint(1, 2))]
             surviving = [
-                [p for p in expand_pair(store, pair) if next(store.match_pattern(p), None) is not None]
+                [p for p in expand_pair(store, pair) if next(store._solutions((p,), {}), None) is not None]
                 for pair in pairs
             ]
             survivors = {}
@@ -1259,8 +1259,8 @@ class TestMatchGraph:
             nt(DBR + "A", "http://ex.org/foo", DBR + "S") + "\n" + nt(DBR + "S", DBO + "bar", DBR + "O")
         )
         path = PropertyPath(None, Iri("dbo:bar"))
-        assert list(store.match_pattern(TriplePattern(Iri("dbr:A"), path, VX))) == []
-        assert list(store.match_pattern(TriplePattern(VY, path, Iri("dbr:O")))) == []
+        assert list(store._solutions((TriplePattern(Iri("dbr:A"), path, VX),), {})) == []
+        assert list(store._solutions((TriplePattern(VY, path, Iri("dbr:O")),), {})) == []
 
 
 # -- differential check of the matcher against a scan of the raw triples ---
@@ -1371,7 +1371,7 @@ class TestMatcherDifferential:
             for shape in shapes:
                 pattern = _random_pattern(rng, *shape)
                 expected = _as_set(_scan_solutions(triples, profile, pattern))
-                assert _as_set(store.match_pattern(pattern)) == expected, (seed, str(pattern))
+                assert _as_set(store._solutions((pattern,), {})) == expected, (seed, str(pattern))
                 assert store.pattern_satisfiable(pattern) == bool(expected), (seed, str(pattern))
 
     def test_two_pattern_graphs(self, profile):
