@@ -16,6 +16,8 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -146,30 +148,31 @@ class RemoteGenerator:
 def _best_first(choices: list[list[tuple[str, float]]], width: int) -> list[OutputSequence]:
     """The top ``width`` combinations of one ``(group, score)`` per choice
     list, as :func:`_ranked` would order all of them: by descending score,
-    the builtin ``sum`` of the combination's scores, ties broken by text.
+    the combination's scores added left to right, ties broken by text.
 
-    A node is a prefix of a combination, keyed by (-bound, groups so far).
-    Its bound is the ``sum`` of its scores and of each remaining list's best
-    score.  ``sum`` is monotone in every argument (left-to-right addition
-    before Python 3.12; the compensated sum since is near enough to exact
-    that the reference tests find no inversion), so the bound is at least
-    every completion's sum, and a child's key never precedes its parent's:
-    complete nodes pop in order.  No group is a proper prefix of another, so
-    among equal sums the order of group tuples is the order of texts.
+    A node is a prefix of a combination, keyed by (-bound, groups so far),
+    and carries its running total.  Its bound is that total plus each
+    remaining list's best score, added left to right.  Float addition is
+    monotone in each argument, so the bound is at least every completion's
+    total, and a child's key never precedes its parent's: complete nodes pop
+    in order.  No group is a proper prefix of another, so among equal totals
+    the order of group tuples is the order of texts.  The builtin ``sum``
+    compensates float rounding from CPython 3.12 on, so it would rank exact
+    ties by interpreter.
     """
     best = tuple(max(score for _, score in options) for options in choices)
-    heap: list[tuple[float, tuple[str, ...], tuple[float, ...]]] = [(-sum(best), (), ())]
+    heap: list[tuple[float, tuple[str, ...], float]] = [(-reduce(add, best, 0), (), 0)]
     beams: list[OutputSequence] = []
     while heap and len(beams) < width:
-        _, groups, scores = heapq.heappop(heap)
+        _, groups, total = heapq.heappop(heap)
         depth = len(groups)
         if depth == len(choices):
-            beams.append(OutputSequence(serialize_target(groups), sum(scores), len(beams) + 1))
+            beams.append(OutputSequence(serialize_target(groups), total, len(beams) + 1))
             continue
         rest = best[depth + 1 :]
         for group, score in choices[depth]:
-            taken = (*scores, score)
-            heapq.heappush(heap, (-sum(taken + rest), (*groups, group), taken))
+            taken = total + score
+            heapq.heappush(heap, (-reduce(add, rest, taken), (*groups, group), taken))
     return beams
 
 

@@ -17,9 +17,9 @@ label's routes until the next mutator call.  ``pattern_satisfiable``
 answers a flat pattern with one bound end by index membership: an entity's
 predicate keys in ``_spo`` are its characteristic set (Neumann & Moerkotte,
 ICDE 2011), and ``_op`` lists the predicates reaching each object.  Every
-other shape takes the first solution of ``_solutions``, the store's one
-join, which ``match_graph`` and ``answers`` enter through one bound-first
-guard.  The statement-entry predicates are kept as a set when first loaded.
+other shape takes the first binding of ``_extend``, the step of the store's
+one join: a ``depth_first`` loop, entered by ``match_graph`` and ``answers``
+through one bound-first guard; statement-entry predicates are kept as a set.
 
 A load validates each distinct N-Triples token once, skips the line regex
 for a line whose tokens are all known, and pauses the cyclic garbage
@@ -124,6 +124,24 @@ def _add_to_leaf(index: dict, key: Term, term: Term) -> bool:
     else:
         leaf[term] = None
     return True
+
+
+def depth_first(levels: Sequence, extend: Callable, root) -> Iterator:
+    """Each node ``len(levels)`` steps below ``root``, in pre-order: step ``i``
+    takes a node to the iterator ``extend(levels[i], node)``, kept on a list."""
+    if len(levels) < 2:
+        yield from (extend(levels[0], root) if levels else (root,))
+        return
+    stack = [extend(levels[0], root)]
+    while stack:
+        for node in stack[-1]:
+            children = extend(levels[len(stack)], node)
+            if len(stack) + 1 < len(levels):
+                stack.append(children)
+                break
+            yield from children
+        else:
+            stack.pop()
 
 
 class KbStore:
@@ -388,8 +406,8 @@ class KbStore:
 
         A flat pattern with one bound end is answered by index membership:
         ``(e p ?)`` is ``p`` in ``_spo[e]``, ``(? p e)`` is ``p`` in
-        ``_op[e]``.  Every other shape takes the first solution of
-        :meth:`_solutions`.
+        ``_op[e]``.  Every other shape takes the first binding of
+        :meth:`_extend`.
         """
         subj, pred, obj = pattern.subject, pattern.predicate, pattern.object
         if not isinstance(pred, PropertyPath):
@@ -397,16 +415,10 @@ class KbStore:
                 return pred in self._spo.get(subj, ())
             if isinstance(subj, Variable) and not isinstance(obj, Variable):
                 return pred in self._op.get(obj, ())
-        return next(self._solutions((pattern,), {}), None) is not None
+        return next(self._extend(pattern, {}), None) is not None
 
-    def _solutions(
-        self, patterns: Sequence[TriplePattern], binding: dict[str, Term]
-    ) -> Iterator[dict[str, Term]]:
-        """Bindings extending ``binding`` under which every pattern holds, in order."""
-        if not patterns:
-            yield binding
-            return
-        pattern, rest = patterns[0], patterns[1:]
+    def _extend(self, pattern: TriplePattern, binding: dict) -> Iterator[dict]:
+        """Each binding that extends ``binding`` under one pattern, in index order."""
         subj, obj = pattern.subject, pattern.object
         s = binding.get(subj.name) if isinstance(subj, Variable) else subj
         o = binding.get(obj.name) if isinstance(obj, Variable) else obj
@@ -419,7 +431,7 @@ class KbStore:
                 extended[subj.name] = ps
             if o is None:
                 extended[obj.name] = po
-            yield from self._solutions(rest, extended)
+            yield extended
 
     def _join(self, patterns: Sequence[TriplePattern]) -> Iterator[dict[str, Term]]:
         """Every solution of ``patterns``.  If the first has two variables, the
@@ -427,7 +439,7 @@ class KbStore:
         VLDB 2008), not from a whole predicate."""
         if patterns and _unbound(patterns[0]):
             patterns = sorted(patterns, key=_unbound)
-        return self._solutions(patterns, {})
+        return depth_first(patterns, self._extend, {})
 
     def match_graph(self, patterns: Sequence[TriplePattern]) -> dict[str, Term] | None:
         """The first solution of :meth:`_join`, or None.  Callers read only

@@ -6,10 +6,11 @@ triple patterns per route, one per orientation, all sharing the hub
 variable ?x (placeholder pairs use ?y for the argument position).
 Individually unsatisfiable patterns are pruned, the remaining choices are
 searched depth-first in pair order, never extending a prefix that has no
-solution, and the first candidate graph with a satisfying join wins.  Beams
-are scanned in rank order in one pass that parses each beam once and keeps
-the first parseable beam as the fallback; ASK questions are checked with
-fully bound triples instead.
+solution, and the first candidate graph with a satisfying join wins; like
+the join, the search is a ``depth_first`` loop, and it joins each prefix
+anew.  Beams are scanned in rank order in one pass that parses each beam once
+and keeps the first parseable beam as the fallback; ASK questions are checked
+with fully bound triples instead.
 
 Parsing yields each pair as the ``(argument, relation label)`` key its
 patterns depend on: the resolved entity's IRI, ?y for a placeholder, or None
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .kb_store import KbStore
+from .kb_store import KbStore, depth_first
 from .sequence_grammar import ArgRelPair, OutputParseError, OutputSequence, detect_ask, parse_output
 from .terms import Iri, TriplePattern, VAR_X, VAR_Y, relation_uri
 
@@ -74,20 +75,17 @@ def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
 
 
 def _first_graph(
-    store: KbStore, per_pair: list[list[TriplePattern]], graph: tuple[TriplePattern, ...] = ()
+    store: KbStore, per_pair: list[list[TriplePattern]]
 ) -> tuple[TriplePattern, ...] | None:
     """The first graph, in lexicographic order of the per-pair choices, that
     has a solution.  A one-pattern prefix has one, as its pattern survived
     pruning; a longer one without is not extended, as no extension has one."""
-    last = len(graph) + 1 == len(per_pair)
-    for pattern in per_pair[len(graph)]:
-        extended = graph + (pattern,)
-        if graph and store.match_graph(extended) is None:
-            continue
-        found = extended if last else _first_graph(store, per_pair, extended)
-        if found is not None:
-            return found
-    return None
+
+    def extend(choices: list[TriplePattern], graph: tuple) -> Iterator[tuple]:
+        grown = (graph + (pattern,) for pattern in choices)
+        return (g for g in grown if not graph or store.match_graph(g) is not None)
+
+    return next(depth_first(per_pair, extend, ()), None)
 
 
 def _parsed(

@@ -155,6 +155,37 @@ class TestLink:
         assert records[0]["source_rank"] == 1
         assert records[0]["ask_answer"] is None
 
+    def test_long_beam_keeps_the_questions_after_it(self, tmp_path):
+        # A 1,000-group beam, every prefix of which holds, is followed by an
+        # ordinary question; both are linked and written.
+        kb = tmp_path / "kb.nt"
+        kb.write_text(
+            nt(DBR + "Ada", DBO + "owner", DBR + "Hub") + "\n"
+            + nt(DBR + "Hub", DBO + "founder", DBR + "Ada") + "\n"
+        )
+        question = "What did Ada own?"
+        entities = [{"mention": "Ada", "start": 9, "end": 12, "iri": DBR + "Ada"}]
+        long_text = ", ".join(["[Ada | owner], [Ada | founder]"] * 500)
+        questions = tmp_path / "q.jsonl"
+        beams = tmp_path / "beams.jsonl"
+        questions.write_text("".join(
+            json.dumps({"question_id": qid, "question": question, "entities": entities}) + "\n"
+            for qid in ("long", "short")
+        ))
+        beams.write_text("".join(
+            json.dumps({"question_id": qid, "beams": [{"text": text, "score": -0.1}]}) + "\n"
+            for qid, text in (("long", long_text), ("short", "[Ada | owner]"))
+        ))
+        out = tmp_path / "results.jsonl"
+        argv = ["link", "--kb", str(kb), "--generator", "fixture", "--fixtures", str(beams),
+                "-o", str(out), str(questions)]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["question_id"], r["relations"], r["validated"]) for r in records] == [
+            ("long", ["dbo:owner", "dbo:founder"], True),
+            ("short", ["dbo:owner"], True),
+        ]
+
     def test_deterministic_reruns(self, ford_files, tmp_path):
         _, out1 = run_link(*ford_files)
         first = out1.read_bytes()

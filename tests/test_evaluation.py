@@ -435,6 +435,19 @@ class TestProbeCounts:
         assert taken <= 10, taken
 
 
+class TestLongGoldGraph:
+    def test_five_thousand_pattern_graph(self):
+        # The predicate lies outside the swappable namespaces, so the gold
+        # graph is its only variant; joining it walks 5,000 patterns deep.
+        near = "http://example.org/near"
+        store = load_kb("\n".join(nt(f"{DBR}E{i}", near, DBR + "Hub") for i in range(5000)))
+        graph = tuple(TriplePattern(Iri(f"dbr:E{i}"), Iri(near), VAR_X) for i in range(5000))
+        assert store.answers(graph, VAR_X) == {Iri("dbr:Hub")}
+        gold = GoldRecord("q1", "Near what?", iris(near), graph)
+        assert relaxed_score(store, gold, iris(near)) == (1.0, 1.0, 1.0)
+        assert relaxed_score(store, gold, iris("dbo:near")) == (0.0, 0.0, 0.0)
+
+
 class TestLabelSets:
     def test_namespace_stripped(self):
         assert label_sets(iris("dbo:almaMater", "dbp:almaMater")) == {"almamater"}

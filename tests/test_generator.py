@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -338,7 +339,11 @@ class ReferenceBaselineGenerator:
         raw = []
         for combo in product(*choices):
             pairs = [ArgRelPair(EntityArg(mention), label) for mention, label in combo]
-            score = sum(scores[label] for _, label in combo)
+            # Added left to right, as the builtin ``sum`` does before CPython
+            # 3.12, so the expected bytes are the same on every interpreter.
+            score = 0
+            for _, label in combo:
+                score += scores[label]
             raw.append((_ref_serialize_target(pairs), score))
         return _ranked(sorted(raw), self.beam_width)
 
@@ -441,6 +446,45 @@ def test_best_first_pushes_are_linear_in_width(monkeypatch, n, tied):
         expanded.clear()
     # A product of every list would push labels ** n nodes whatever the width.
     assert counts[-1] < labels**n
+
+
+def test_best_first_adds_left_to_right():
+    # 0.3 + 0.2 + 0.1 is 0.6 but 0.1 + 0.2 + 0.3 is 0.6000000000000001, so
+    # the later text ranks first; a compensated sum would tie them at 0.6.
+    choices = [
+        [("[a | p]", 0.3), ("[a | q]", 0.1)],
+        [("[b | r]", 0.2)],
+        [("[c | s]", 0.1), ("[c | t]", 0.3)],
+    ]
+    beams = generator_module._best_first(choices, 4)
+    assert [(b.text, b.score) for b in beams] == [
+        ("[a | p], [b | r], [c | t]", 0.8),
+        ("[a | q], [b | r], [c | t]", 0.6000000000000001),
+        ("[a | p], [b | r], [c | s]", 0.6),
+        ("[a | q], [b | r], [c | s]", 0.4),
+    ]
+
+
+# Recorded under CPython 3.11, where the builtin ``sum`` adds left to right;
+# it must hold on every interpreter.
+TIED_BEAMS_SHA256 = "aa70b36a95a9c95c896870401a89476e7d099ada6d13de58b49b38791f78e950"
+
+
+def test_best_first_bytes_do_not_depend_on_the_interpreter():
+    """Seeded inputs whose scores come from a few one-decimal floats, so many
+    combinations have equal exact sums that float rounding splits."""
+    pool = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9]
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        choices = [
+            [(f"[e{i} | {label}]", rng.choice(pool)) for label in rng.sample("pqrstu", rng.randint(1, 4))]
+            for i in range(rng.randint(2, 4))
+        ]
+        beams = generator_module._best_first(choices, rng.choice([1, 3, 10, 50]))
+        for b in beams:
+            digest.update(f"{seed}\t{b.rank}\t{b.text}\t{b.score!r}\n".encode())
+    assert digest.hexdigest() == TIED_BEAMS_SHA256
 
 
 class _FakeResponse:

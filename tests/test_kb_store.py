@@ -1152,7 +1152,7 @@ def test_pruning_matches_first_match_filter(profile):
         for _ in range(10):
             pairs = [(rng.choice(arguments), rng.choice(PROPS)) for _ in range(rng.randint(1, 2))]
             surviving = [
-                [p for p in expand_pair(store, pair) if next(store._solutions((p,), {}), None) is not None]
+                [p for p in expand_pair(store, pair) if next(store._extend(p, {}), None) is not None]
                 for pair in pairs
             ]
             survivors = {}
@@ -1259,8 +1259,8 @@ class TestMatchGraph:
             nt(DBR + "A", "http://ex.org/foo", DBR + "S") + "\n" + nt(DBR + "S", DBO + "bar", DBR + "O")
         )
         path = PropertyPath(None, Iri("dbo:bar"))
-        assert list(store._solutions((TriplePattern(Iri("dbr:A"), path, VX),), {})) == []
-        assert list(store._solutions((TriplePattern(VY, path, Iri("dbr:O")),), {})) == []
+        assert list(store._extend(TriplePattern(Iri("dbr:A"), path, VX), {})) == []
+        assert list(store._extend(TriplePattern(VY, path, Iri("dbr:O")), {})) == []
 
 
 # -- differential check of the matcher against a scan of the raw triples ---
@@ -1357,6 +1357,35 @@ def _scan_join(triples, profile, patterns) -> list[dict]:
     return solutions
 
 
+def _ref_solutions(self, patterns, binding):
+    """The store's recursive join before it became one loop, kept verbatim
+    but for the self-call, as the reference for solution order."""
+    if not patterns:
+        yield binding
+        return
+    pattern, rest = patterns[0], patterns[1:]
+    subj, obj = pattern.subject, pattern.object
+    s = binding.get(subj.name) if isinstance(subj, Variable) else subj
+    o = binding.get(obj.name) if isinstance(obj, Variable) else obj
+    same = s is None and subj == obj  # ?x p ?x
+    for ps, po in self._pairs(pattern.predicate, s, o):
+        if same and ps != po:
+            continue
+        extended = dict(binding)
+        if s is None:
+            extended[subj.name] = ps
+        if o is None:
+            extended[obj.name] = po
+        yield from _ref_solutions(self, rest, extended)
+
+
+def _ref_join(store, patterns):
+    """The bound-first guard of ``KbStore._join`` over the recursive join."""
+    if patterns and kb_store._unbound(patterns[0]):
+        patterns = sorted(patterns, key=kb_store._unbound)
+    return _ref_solutions(store, patterns, {})
+
+
 def _as_set(bindings) -> set[frozenset]:
     return {frozenset(b.items()) for b in bindings}
 
@@ -1371,10 +1400,10 @@ class TestMatcherDifferential:
             for shape in shapes:
                 pattern = _random_pattern(rng, *shape)
                 expected = _as_set(_scan_solutions(triples, profile, pattern))
-                assert _as_set(store._solutions((pattern,), {})) == expected, (seed, str(pattern))
+                assert _as_set(store._extend(pattern, {})) == expected, (seed, str(pattern))
                 assert store.pattern_satisfiable(pattern) == bool(expected), (seed, str(pattern))
 
-    def test_two_pattern_graphs(self, profile):
+    def test_graphs_of_one_to_four_patterns(self, profile):
         for seed in range(150):
             rng = random.Random(seed)
             triples, store = _random_store(rng, profile)
@@ -1383,12 +1412,16 @@ class TestMatcherDifferential:
                     _random_pattern(
                         rng, rng.choice(TERM_KINDS), rng.choice(PREDICATE_KINDS), rng.choice(TERM_KINDS)
                     )
-                    for _ in range(2)
+                    for _ in range(rng.randint(1, 4))
                 ]
                 expected = _scan_join(triples, profile, graph)
                 first = store.match_graph(graph)
                 assert (first is None) == (not expected), (seed, [str(p) for p in graph])
                 assert first is None or first in expected
+                # The same solutions, in the same order, as the recursive join.
+                assert list(store._join(graph)) == list(_ref_join(store, graph)), (
+                    seed, [str(p) for p in graph]
+                )
                 for var in (VX, VY):
                     assert store.answers(graph, var) == {
                         sol[var.name] for sol in expected if var.name in sol

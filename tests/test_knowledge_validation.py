@@ -248,6 +248,29 @@ class TestProbeCounts:
         assert taken <= 10, taken
 
 
+class TestLongBeam:
+    """A beam's length is bounded by memory, not by the call stack: neither
+    the search over its pairs nor the join of a prefix recurses."""
+
+    def test_thousand_group_beam_validates(self):
+        # Ada owns, rents and founded the same hub, so every prefix of the
+        # 1,000 groups holds, and the search reaches the full depth.
+        store = load_kb(
+            "\n".join(
+                [
+                    nt(DBR + "Ada", DBO + "owner", DBR + "Hub"),
+                    nt(DBR + "Ada", DBO + "tenant", DBR + "Hub"),
+                    nt(DBR + "Hub", DBO + "founder", DBR + "Ada"),
+                ]
+            )
+        )
+        labels = ["owner", "tenant", "founder"]
+        text = ", ".join(render_group("Ada", labels[i % 3]) for i in range(1000))
+        entities = [LinkedEntity("Ada", 9, 12, Iri("dbr:Ada"))]
+        result = link(store, "What did Ada own?", [OutputSequence(text, -0.1, 1)], entities)
+        assert result == LinkingResult([Iri(f"dbo:{label}") for label in labels], True, 1)
+
+
 class TestValidateSequence:
     def test_fig3_first_beam_validates(self, ford_store, ford_entities):
         pairs = parse_output(
