@@ -17,6 +17,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .evaluation import (
+    OVERLAP_MODES,
     build_report,
     label_sets,
     read_gold,
@@ -180,12 +181,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"missing from gold: {', '.join(missing_gold)}", file=sys.stderr)
         return 2
 
-    store: KbStore | None = None
-    overlap = os.environ.get(ENV_PREFIX + "RELAXED_OVERLAP", "equal")
     if args.eval_mode == "relaxed":
         if not args.kb:
             print("relaxed mode requires --kb", file=sys.stderr)
             return 2
+        overlap = os.environ.get(ENV_PREFIX + "RELAXED_OVERLAP", "equal")
+        if overlap not in OVERLAP_MODES:
+            raise ValueError(f"unknown overlap mode {overlap!r}")
         store = _load_store(args)
 
     gold_records.sort(key=lambda g: g.question_id)

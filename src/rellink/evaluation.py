@@ -2,9 +2,10 @@
 
 Strict scoring compares URI sets.  Relaxed scoring re-scores against every
 variant of the gold graph, swapped among a flat profile's property namespaces,
-that yields the same answers, keeping the best F1.  Aggregation is macro
-(per-question average) and also buckets questions by predicted-versus-gold
-relation count.
+that yields the same answers, keeping the first best F1 in product order; a
+variant's answers are asked only when its F1 would raise the best.
+Aggregation is macro (per-question average) and also buckets questions by
+predicted-versus-gold relation count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .terms import (
 )
 
 logger = logging.getLogger(__name__)
+
+OVERLAP_MODES = ("equal", "any")
 
 
 @dataclass
@@ -110,11 +113,7 @@ def _namespace_options(pattern: TriplePattern, swappable: tuple[str, ...]) -> li
 def _answer_variable(patterns: Iterable[TriplePattern]) -> Variable | None:
     """?y when any pattern uses it, else ?x when present."""
     terms = [t for p in patterns for t in (p.subject, p.object)]
-    if any(t == VAR_Y for t in terms):
-        return VAR_Y
-    if any(t == VAR_X for t in terms):
-        return VAR_X
-    return None
+    return next((v for v in (VAR_Y, VAR_X) if v in terms), None)
 
 
 def relaxed_score(
@@ -130,41 +129,30 @@ def relaxed_score(
     graph's answer set, ``any`` one shared answer.  A missing or
     unsatisfiable gold graph gives the strict score and a warning.
     """
-    if overlap not in ("equal", "any"):
+    if overlap not in OVERLAP_MODES:
         raise ValueError(f"unknown overlap mode {overlap!r}")
-    base = score_sets(gold.relations, pred)
+    best = score_sets(gold.relations, pred)
     if gold.graph is None:
         logger.warning("gold %s has no graph; scoring strictly", gold.question_id)
-        return base
+        return best
     var = _answer_variable(gold.graph)
-
-    def answers(graph: tuple[TriplePattern, ...]) -> set:
-        # A graph with no variable answers {None} when it is satisfiable.
-        if var is None:
-            return set() if store.match_graph(graph) is None else {None}
-        return store.answers(graph, var)
-
     # Every solution binds ``var``: an unsatisfiable graph has no answers.
-    original = answers(gold.graph)
+    original = store.answers(gold.graph, var)
     if not original:
         logger.warning(
             "gold graph for %s is unsatisfiable; falling back to strict score",
             gold.question_id,
         )
-        return base
+        return best
 
     profile = store.profile
     swappable = profile.property_namespaces if profile.statement_namespace is None else ()
-    best = base
-    options = (_namespace_options(p, swappable) for p in gold.graph)
-    for index, combo in enumerate(product(*options)):
-        # The first combination is the gold graph itself, queried above.
-        if index:
-            found = answers(combo)
-            if not (found == original if overlap == "equal" else found & original):
-                continue
+    for combo in product(*(_namespace_options(p, swappable) for p in gold.graph)):
         candidate = score_sets({p.predicate for p in combo}, pred)
-        if candidate[2] > best[2]:
+        if candidate[2] <= best[2]:
+            continue
+        found = original if combo == gold.graph else store.answers(combo, var)
+        if found == original if overlap == "equal" else found & original:
             best = candidate
     return best
 

@@ -446,8 +446,11 @@ class KbStore:
         ``is None``; the binding is deterministic."""
         return next(self._join(patterns), None)
 
-    def answers(self, patterns: Sequence[TriplePattern], var: Variable) -> set[Term]:
-        """All values a variable takes over the solutions of :meth:`_join`."""
+    def answers(self, patterns: Sequence[TriplePattern], var: Variable | None) -> set[Term | None]:
+        """All values ``var`` takes over the solutions of :meth:`_join`; with no
+        ``var``, ``{None}`` if there is a first solution (one ``next``), else ``set()``."""
+        if var is None:
+            return set() if next(self._join(patterns), None) is None else {None}
         return {sol[var.name] for sol in self._join(patterns) if var.name in sol}
 
 

@@ -20,6 +20,7 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import count
 from typing import IO, Callable, Iterable
 
 from .terms import read_lines
@@ -131,7 +132,7 @@ class TrigramSimilarity(Similarity):
 class WordVectorSimilarity(Similarity):
     """Same scoring scheme over vectors from a word2vec-style text file.
 
-    Each line is ``word v1 v2 ...`` of finite values; a numeric header line is skipped.
+    Each line is ``word v1 v2 ...`` of finite values after an optional first-line header.
     Out-of-vocabulary tokens contribute zero.
     """
 
@@ -141,12 +142,15 @@ class WordVectorSimilarity(Similarity):
     @classmethod
     def load(cls, source: str | IO[str] | Iterable[str]) -> "WordVectorSimilarity":
         vectors: dict[str, list[float]] = {}
+        parsed = count()
 
         def parse(line: str) -> tuple[str, list[float]] | None:
             parts = line.split()
-            if len(parts) < 2 or len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-                return None  # a lone word, or the word2vec header: vocab size, dimension
+            if next(parsed) == 0 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+                return None  # the word2vec header, first line only: vocab size, dimension
             vector = [float(x) for x in parts[1:]]
+            if not vector:
+                raise ValueError(f"{parts[0]!r} has no values")
             if not all(map(math.isfinite, vector)):
                 raise ValueError(f"{parts[0]!r} has a value that is not a finite number")
             dimension = len(next(iter(vectors.values()), vector))

@@ -12,6 +12,7 @@ import string
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 from random import Random
@@ -33,6 +34,7 @@ from oracle_link import (
     ask_hit,
     build_ask_fixture,
     build_fixture,
+    build_reified_fixture,
     oracle_ask,
     oracle_link,
 )
@@ -90,7 +92,7 @@ def test_criterion_01_metric_oracle():
 
 
 def _link_fixture(fx):
-    store = load_kb(fx.nt_text())
+    store = load_kb(fx.nt_text(), fx.ontology_text(), fx.profile)
     entities = [
         LinkedEntity(m, fx.question.index(m), fx.question.index(m) + len(m), Iri(c))
         for m, c in fx.mentions
@@ -145,12 +147,45 @@ def test_criterion_02_ask_oracle_equivalence():
                 true_answers += 1
             else:
                 false_answers += 1
-                if any(ask_hit(b, fx.triples) for b in fx.beams[ASK_WINDOW:]):
+                if any(ask_hit(b, fx) for b in fx.beams[ASK_WINDOW:]):
                     past_window += 1
         # Both answers, and hits that only a beam past the window holds.
         assert true_answers >= 300, true_answers
         assert false_answers >= 700, false_answers
         assert past_window >= 10, past_window
+
+
+# 2c. Reified link, open and ASK questions alike, agrees with the oracle's
+# scan of the raw wikidata triples.
+def test_criterion_02_reified_oracle_equivalence():
+    rng = Random(20261020)
+    seen = Counter()
+    with criterion("2c reified oracle equivalence, 2000 random fixtures", budget_s=60.0):
+        for case in range(2000):
+            ask = case % 2 == 1
+            fx = build_reified_fixture(rng, ask)
+            got = _link_fixture(fx)
+            actual = (tuple(got.relations), got.validated, got.source_rank)
+            if ask:
+                actual += (got.ask_answer,)
+            expected = oracle_ask(fx) if ask else oracle_link(fx)
+            assert actual == expected, f"fixture {case}: {actual} != {expected}"
+            outcome = "validated" if got.validated else "fallback" if got.relations else "empty"
+            seen["ask" if ask else "open", outcome] += 1
+            if got.validated:
+                seen.update(("ask" if ask else "open", r.partition(":")[0]) for r in got.relations)
+            if not ask and got.validated and len(got.relations) > 1:
+                seen["open", "joined"] += 1
+            if ask and not got.validated and any(ask_hit(b, fx) for b in fx.beams[ASK_WINDOW:]):
+                seen["ask", "past window"] += 1
+    # Every outcome, and every route kind (direct wdt:, statement ps:,
+    # qualifier pq:) in a validated graph and in a true ASK answer.
+    for key in [(q, o) for q in ("open", "ask") for o in ("validated", "fallback", "empty")]:
+        assert seen[key] >= 10, (key, seen)
+    for key in [(q, ns) for q in ("open", "ask") for ns in ("wdt", "ps", "pq")]:
+        assert seen[key] >= 10, (key, seen)
+    assert seen["open", "joined"] >= 10, seen
+    assert seen["ask", "past window"] >= 5, seen
 
 
 # 3. Dual-namespace pairs expand to 4 patterns; k pairs to 4^k graphs.

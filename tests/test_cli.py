@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -20,6 +22,7 @@ from conftest import (
     ALMA_QUESTION,
     ALMA_TRIPLES,
     DBO,
+    DBP,
     DBR,
     FORD_BEAM_1,
     FORD_ONTOLOGY,
@@ -635,6 +638,24 @@ class TestEval:
         assert main(argv) == 1
         assert "unknown overlap mode 'some'" in capsys.readouterr().err
 
+    def test_unknown_overlap_mode_fails_before_the_kb_loads(self, tmp_path, capsys, monkeypatch):
+        # The --kb does not exist, so the mode is checked before the load.
+        argv = self.write_relaxed_files(
+            tmp_path,
+            ({"question_id": "q1", "question": "q", "relations": ["dbo:state"]}, ["dbo:state"]),
+        )
+        argv[argv.index("--kb") + 1] = str(tmp_path / "missing.nt")
+        monkeypatch.setenv("RELLINK_RELAXED_OVERLAP", "some")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown overlap mode 'some'\n"
+
+    @pytest.mark.parametrize("mode", ["strict", "label-level"])
+    def test_other_modes_ignore_the_overlap_mode(self, tmp_path, capsys, monkeypatch, mode):
+        gold, pred = self.write_eval_files(tmp_path, ["dbp:almaMater", "dbo:state"])
+        monkeypatch.setenv("RELLINK_RELAXED_OVERLAP", "some")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--eval-mode", mode]) == 0
+        assert "1.000" in capsys.readouterr().out
+
     def test_duplicate_prediction_id(self, tmp_path, capsys):
         gold, pred = self.write_eval_files(tmp_path, ["dbo:state"])
         pred.write_text(pred.read_text() * 2)
@@ -663,6 +684,72 @@ class TestEval:
         pred.write_text(pred.read_text() + "{not json\n")
         assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
         assert capsys.readouterr().err.startswith("error: predictions line 2: ")
+
+
+# Recorded under CPython 3.11; it must hold on every interpreter.
+TIED_RELAXED_REPORTS_SHA256 = "48738b8fa9633c43cfac0f2c031984f4713dc7aeb55c399103bf40288b02c3c9"
+
+
+def _tie_heavy_relaxed_eval(tmp_path: Path) -> list[str]:
+    """The relaxed ``eval --json`` command line for 300 seeded gold graphs over a
+    KB of dbo:/dbp: twins.  Each graph is cut from stored triples, its
+    entities renamed to ?x and ?y alike, and each prediction mixes hits,
+    swaps and strays, so scores come from a few fractions, variants tie on
+    F1 with different precision and recall, and the macro sums round."""
+    rng = random.Random(20261020)
+    entities, locals_ = [f"E{i}" for i in range(5)], ("a", "b", "c", "d")
+    triples = []
+    for _ in range(40):
+        s, o = rng.sample(entities, 2)
+        local = rng.choice(locals_)
+        triples += [(s, f"{ns}:{local}", o) for ns in rng.choice([("dbo",), ("dbp",), ("dbo", "dbp")])]
+    namespaces = {"dbo": DBO, "dbp": DBP}
+    kb = tmp_path / "kb.nt"
+    kb.write_text("".join(
+        nt(DBR + s, namespaces[p[:3]] + p[4:], DBR + o) + "\n" for s, p, o in triples
+    ))
+    every = [f"{ns}:{local}" for ns in ("dbo", "dbp") for local in locals_]
+    gold_lines, pred_lines = [], []
+    for i in range(300):
+        rename = dict(zip(rng.sample(entities, 2), ("?x", "?y")))
+        graph = [
+            [rename.get(s, f"dbr:{s}"), p, rename.get(o, f"dbr:{o}")]
+            for s, p, o in rng.sample(triples, rng.randint(1, 3))
+        ]
+        relations = sorted({p for _, p, _ in graph} | set(rng.sample(every, rng.randint(0, 1))))
+        twins = [("dbp:" if r.startswith("dbo:") else "dbo:") + r[4:] for r in relations]
+        pred = set(rng.sample(relations, rng.randint(0, len(relations))))
+        pred |= set(rng.sample(twins, rng.randint(0, len(twins))))
+        pred |= set(rng.sample(every, rng.randint(0, 2)))
+        qid = f"q{i:03d}"
+        gold_lines.append(json.dumps(
+            {"question_id": qid, "question": "q", "relations": relations, "graph": graph}
+        ))
+        pred_lines.append(json.dumps({"question_id": qid, "relations": sorted(pred)}))
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text("\n".join(gold_lines) + "\n")
+    pred.write_text("\n".join(pred_lines) + "\n")
+    return ["eval", "--eval-mode", "relaxed", "--json",
+            "--kb", str(kb), "--gold", str(gold), "--pred", str(pred)]
+
+
+def test_relaxed_report_bytes_do_not_depend_on_the_interpreter(tmp_path, capsys, monkeypatch):
+    argv = _tie_heavy_relaxed_eval(tmp_path)
+    digest = hashlib.sha256()
+    rounded = 0
+    for overlap in ("equal", "any"):
+        monkeypatch.setenv("RELLINK_RELAXED_OVERLAP", overlap)
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        digest.update(report.encode())
+        # A compensated sum (the builtin from CPython 3.12 on) would change
+        # some macro average: the digest sees how they are added.
+        data = json.loads(report)
+        for key in ("precision", "recall", "f1"):
+            column = [q[key] for q in data["per_question"]]
+            rounded += math.fsum(column) / len(column) != data[key]
+    assert rounded
+    assert digest.hexdigest() == TIED_RELAXED_REPORTS_SHA256
 
 
 class TestProfileFlag:
@@ -927,6 +1014,8 @@ MALFORMED_LINES = {
     "vectors-nan": ("vectors", 2, "q 1 0\nbad nan 1\nlow 0.1 1\nhigh 1 0.1"),
     "vectors-infinity": ("vectors", 1, "w Infinity 1"),
     "vectors-huge-int": ("vectors", 1, f"w {HUGE} 1"),
+    "vectors-late-header": ("vectors", 2, "a 0.1 0.2 0.3\n12 34\nb 0.3 0.1 0.2"),
+    "vectors-lone-word": ("vectors", 3, "a 0.1 0.2 0.3\nb 0.3 0.1 0.2\nlonely"),
     "triples-not-a-triple": ("triples", 1, "not a triple"),
     "triples-literal-subject": ("triples", 1, f'"A" <{DBO}b> <{DBO}c> .'),
     "triples-blank-node-predicate": ("triples", 1, f"<{DBO}a> _:b <{DBO}c> ."),
@@ -963,6 +1052,8 @@ MALFORMED_LINE_ERRORS = {
     "predictions-relations-object": "relations must be an array, got {'dbo:spouse': 1}\n",
     "predictions-relations-null": "relations must be an array, got None\n",
     "gold-question-int": "question must be a string, got 5\n",
+    "vectors-late-header": "1 values, expected 3\n",
+    "vectors-lone-word": "'lonely' has no values\n",
     "gold-graph-object": "graph must be an array, got {}\n",
     "gold-graph-string": "graph must be an array, got ''\n",
     "gold-graph-pattern-object": "graph pattern must be an array, got {",
@@ -972,7 +1063,9 @@ MALFORMED_LINE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("case", ["fixture-score-infinity", "vectors-nan"])
+@pytest.mark.parametrize(
+    "case", ["fixture-score-infinity", "vectors-nan", "vectors-late-header", "vectors-lone-word"]
+)
 def test_bad_beams_or_vectors_fail_before_the_kb_loads(ford_files, capsys, case):
     # A --kb that does not exist shows the file is read first.
     reader, lineno, text = MALFORMED_LINES[case]

@@ -133,6 +133,30 @@ class TestAggregate:
             build_report([score_sets(GOLD, GOLD)], [])
 
 
+def count_queries(store: KbStore, monkeypatch) -> Counter:
+    """Counts of the store's ``match_graph`` and ``answers`` calls, by name."""
+    calls = Counter()
+    for name in ("match_graph", "answers"):
+        def counted(*args, _name=name, _method=getattr(store, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(store, name, counted)
+    return calls
+
+
+def swappable_gold(k: int) -> tuple[KbStore, GoldRecord]:
+    """A store holding dbo: and dbp: twins of k relations between the same
+    two entities, and a gold graph of the k dbo: patterns plus one pattern
+    outside the property namespaces, which doubles nothing."""
+    lines = [nt(DBR + "E", RDF_TYPE, DBR + "V")]
+    for i in range(k):
+        lines += [nt(DBR + "E", ns + f"r{i}", DBR + "V") for ns in (DBO, DBP)]
+    predicates = [Iri(f"dbo:r{i}") for i in range(k)] + [Iri("rdf:type")]
+    graph = tuple(TriplePattern(Iri("dbr:E"), p, Variable("x")) for p in predicates)
+    return load_kb("\n".join(lines)), GoldRecord("q", "q", set(predicates), graph)
+
+
 class TestRelaxedScore:
     def gold_record(self, alma_store):
         graph = tuple(
@@ -189,62 +213,65 @@ class TestRelaxedScore:
 
     def test_gold_graph_is_not_queried_twice(self, monkeypatch):
         store = load_kb(ALMA_TRIPLES)
-        calls = Counter()
-        for name in ("match_graph", "answers"):
-            def counted(*args, _name=name, _method=getattr(store, name)):
-                calls[_name] += 1
-                return _method(*args)
-
-            monkeypatch.setattr(store, name, counted)
+        calls = count_queries(store, monkeypatch)
         # The gold relations hold one relation the graph lacks, so only the
         # gold graph's own relations give a perfect score: it is still scored.
         gold = self.gold_record(store)
         gold.relations = GOLD | iris("dbo:extra")
         assert relaxed_score(store, gold, set(GOLD)) == (1.0, 1.0, 1.0)
-        # Four combinations: the gold graph, one satisfiable swap, two
-        # unsatisfiable ones.  Each is queried once, the gold graph up front,
-        # and a graph with an answer variable only through ``answers``.
-        assert calls == {"answers": 4}
+        # Four combinations, the gold graph first.  It is asked up front, and
+        # its perfect score leaves no other combination anything to win.
+        assert calls == {"answers": 1}
 
-    def test_constant_graph_is_queried_once_per_combination(self, monkeypatch):
+    def test_constant_graph_is_asked_only_for_a_better_score(self, monkeypatch):
         store = load_kb(ALMA_TRIPLES)
-        calls = Counter()
-        for name in ("match_graph", "answers"):
-            def counted(*args, _name=name, _method=getattr(store, name)):
-                calls[_name] += 1
-                return _method(*args)
-
-            monkeypatch.setattr(store, name, counted)
+        calls = count_queries(store, monkeypatch)
         graph = tuple(
             TriplePattern(Iri("dbr:Ben_Ysursa"), Iri(p), Iri("dbr:Gonzaga_University"))
             for p in ("dbp:almaMater", "dbo:almaMater")
         )
         gold = GoldRecord("q5", "q", iris("dbp:almaMater", "dbo:almaMater"), graph)
         assert relaxed_score(store, gold, iris("dbo:almaMater")) == (1.0, 1.0, 1.0)
-        # A graph with no variable is only matched, once for each of the four
-        # combinations, the gold graph included.
-        assert calls == {"match_graph": 4}
+        # A graph with no variable is asked through ``answers`` too: the gold
+        # graph up front, then only the (dbo:, dbo:) combination, the one of
+        # the other three whose F1 beats the strict 2/3.
+        assert calls == {"answers": 2}
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_swappable_patterns_cost_two_to_the_k_queries(self, k, monkeypatch):
-        # Each swappable pattern doubles the variants, each variant is queried
-        # once, and a pattern outside the property namespaces doubles nothing.
-        lines = [nt(DBR + "E", RDF_TYPE, DBR + "V")]
-        for i in range(k):
-            lines += [nt(DBR + "E", ns + f"r{i}", DBR + "V") for ns in (DBO, DBP)]
-        store = load_kb("\n".join(lines))
-        calls = Counter()
-        for name in ("match_graph", "answers"):
-            def counted(*args, _name=name, _method=getattr(store, name)):
-                calls[_name] += 1
-                return _method(*args)
+    @pytest.mark.parametrize("twins", [False, True], ids=["empty", "twins"])
+    def test_swappable_patterns_are_asked_only_when_the_score_rises(self, k, twins, monkeypatch):
+        # Each swappable pattern doubles the variants, and each variant is
+        # scored; the store is asked for the gold graph up front and for a
+        # variant only when its F1 beats the best so far.  An empty
+        # prediction scores 0 everywhere.  A prediction of every dbp: twin
+        # rises each time a combination, in product order, swaps one more
+        # pattern than any before it: k times.
+        store, gold = swappable_gold(k)
+        calls = count_queries(store, monkeypatch)
+        pred = {Iri(f"dbp:r{i}") for i in range(k)} if twins else set()
+        # The best variant swaps every pattern: k hits of k + 1 relations.
+        best = score_sets(pred | {Iri("rdf:type")}, pred) if twins else (0.0, 0.0, 0.0)
+        assert relaxed_score(store, gold, pred) == best
+        assert calls == {"answers": k + 1 if twins else 1}
 
-            monkeypatch.setattr(store, name, counted)
-        predicates = [Iri(f"dbo:r{i}") for i in range(k)] + [Iri("rdf:type")]
-        graph = tuple(TriplePattern(Iri("dbr:E"), p, Variable("x")) for p in predicates)
-        gold = GoldRecord("q", "q", set(predicates), graph)
-        assert relaxed_score(store, gold, set())[2] == 0.0
-        assert calls == {"answers": 2**k}
+    def test_a_tie_keeps_the_earlier_score(self):
+        # The strict score (P 1/2, R 1) and the dbp:r1 variant's (P 1, R 1/2)
+        # have the same F1 to the last bit; the strict score comes first.
+        store, gold = swappable_gold(3)
+        gold.relations = iris("dbo:r0")
+        pred = iris("dbo:r0", "dbp:r1")
+        variant = score_sets(iris("dbo:r0", "dbp:r1", "dbo:r2", "rdf:type"), pred)
+        assert variant[2] == score_sets(gold.relations, pred)[2]
+        assert relaxed_score(store, gold, pred) == (0.5, 1.0, 2 / 3)
+        assert relaxed_score(store, gold, pred) == reference_relaxed_score(store, gold, pred)
+
+    def test_perfect_prediction_asks_only_for_the_gold_graph(self, monkeypatch):
+        # 2**14 variants are scored, but none can beat the gold relations'
+        # own perfect score.
+        store, gold = swappable_gold(14)
+        calls = count_queries(store, monkeypatch)
+        assert relaxed_score(store, gold, set(gold.relations)) == (1.0, 1.0, 1.0)
+        assert calls == {"answers": 1}
 
     def test_missing_graph_errors(self, alma_store, caplog):
         gold = GoldRecord("q4", "q", set(GOLD), None)
@@ -368,27 +395,76 @@ def _random_relaxed_case(rng: random.Random):
     return store, GoldRecord("q", "q", gold_relations, graph), pred
 
 
+LONG_LOCALS = tuple(f"r{i}" for i in range(8))
+
+
+def _long_relaxed_case(rng: random.Random):
+    """A dbpedia store whose dbo:/dbp: twins often share triples, a graph of
+    4-8 swappable patterns mostly cut from stored triples, and a prediction
+    mixing hits, swaps to the other namespace and strays outside the graph."""
+    store = KbStore(DBPEDIA)
+    triples = []
+    for _ in range(rng.randint(6, 20)):
+        s, o = rng.choice(RELAXED_ENTITIES), rng.choice(RELAXED_ENTITIES)
+        local = rng.choice(LONG_LOCALS)
+        for ns in rng.choice([("dbo",), ("dbp",), ("dbo", "dbp"), ("dbo", "dbp")]):
+            triples.append((s, Iri(f"{ns}:{local}"), o))
+    for s, p, o in triples:
+        store.add_triple(s, p, o)
+    # Entities become ?x and ?y alike in every pattern, so a graph cut from
+    # stored triples keeps a solution; one in ten patterns is made up.
+    hidden = rng.sample(RELAXED_ENTITIES, rng.choice([0, 1, 1, 2, 2]))
+    rename = dict(zip(hidden, (Variable("x"), Variable("y"))))
+    graph = []
+    for _ in range(rng.randint(4, 8)):
+        if rng.random() < 0.9:
+            s, p, o = rng.choice(triples)
+        else:
+            s, o = rng.choice(RELAXED_ENTITIES), rng.choice(RELAXED_ENTITIES)
+            p = Iri(f"{rng.choice(('dbo', 'dbp'))}:{rng.choice(LONG_LOCALS)}")
+        graph.append(TriplePattern(rename.get(s, s), p, rename.get(o, o)))
+    gold_relations = {p.predicate for p in graph if rng.random() < 0.9}
+    if rng.random() < 0.5:
+        # One gold relation: the strict score's precision and recall then
+        # differ from a variant's, so the two can tie on F1 alone.
+        gold_relations = {rng.choice(graph).predicate}
+    twins = {Iri(("dbp:" if r.startswith("dbo:") else "dbo:") + r[4:]) for r in gold_relations}
+    strays = {Iri(f"{ns}:{local}") for ns in ("dbo", "dbp") for local in LONG_LOCALS}
+    strays -= gold_relations | twins
+    pred = set()
+    for pool in (gold_relations, twins, strays):
+        pool = sorted(pool)
+        pred.update(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+    return store, GoldRecord("q", "q", gold_relations, tuple(graph)), pred
+
+
 def test_relaxed_score_matches_reference():
     seen = Counter()
-    for seed in range(1500):
-        store, gold, pred = _random_relaxed_case(random.Random(seed))
+    cases = [(_random_relaxed_case, seed) for seed in range(1500)]
+    cases += [(_long_relaxed_case, seed) for seed in range(300)]
+    for make, seed in cases:
+        store, gold, pred = make(random.Random(seed))
         for overlap in ("equal", "any"):
             expected = reference_relaxed_score(store, gold, pred, overlap)
-            assert relaxed_score(store, gold, pred, overlap) == expected, (seed, overlap)
+            assert relaxed_score(store, gold, pred, overlap) == expected, (make, seed, overlap)
         satisfiable = store.match_graph(gold.graph) is not None
         variable = _answer_variable(gold.graph) is not None
         seen["satisfiable" if satisfiable else "unsatisfiable", variable] += 1
         strict = score_sets(gold.relations, pred)
         if reference_relaxed_score(store, gold, pred, "equal") != strict:
             seen["relaxed above strict", variable] += 1
+            seen["raised at length", len(gold.graph)] += 1
         if reference_relaxed_score(store, gold, pred, "any") != reference_relaxed_score(
             store, gold, pred, "equal"
         ):
             seen["any above equal"] += 1
-    # Every branch was reached, with and without an answer variable.
+    # Every branch was reached, with and without an answer variable, and
+    # relaxing raised the score of graphs of every length up to 8.
     for key in [(a, v) for a in ("satisfiable", "unsatisfiable", "relaxed above strict")
                 for v in (True, False)] + ["any above equal"]:
         assert seen[key] > 0, (key, seen)
+    for k in range(1, 9):
+        assert seen["raised at length", k] > 0, (k, seen)
 
 
 def test_reified_profile_swaps_nothing():

@@ -1221,6 +1221,36 @@ class TestMatchGraph:
         graph = [TriplePattern(Iri("dbr:A"), Iri("dbo:child"), VX)]
         assert store.answers(graph, VX) == {Iri("dbr:B"), Iri("dbr:C")}
 
+    def test_answers_without_a_variable_takes_one_solution(self, ford_store, monkeypatch):
+        # Two statements link wd:Q1 to wd:Q2, so the reified graph has two
+        # solutions, yet ``answers`` draws only the first from the join.
+        reified = load_kb(
+            "\n".join(
+                [nt(WD + "Q1", P + "P1", WDS + s) for s in ("S1", "S2")]
+                + [nt(WDS + s, PS + "P1", WD + "Q2") for s in ("S1", "S2")]
+            ),
+            profile="wikidata",
+        )
+        path = PropertyPath(Iri("p:P1"), Iri("ps:P1"))
+        owner = TriplePattern(Iri("dbr:Kansas_City_Assembly"), Iri("dbo:owningOrganisation"),
+                              Iri("dbr:Ford_Motor_Company"))
+        cases = [
+            (ford_store, [owner], {None}),
+            (ford_store, [owner, TriplePattern(Iri("dbr:Ford_Motor_Company"),
+                                               Iri("dbo:owningOrganisation"), Iri("dbr:Henry_Ford"))],
+             set()),
+            (reified, [TriplePattern(Iri("wd:Q1"), path, Iri("wd:Q2"))], {None}),
+            (reified, [TriplePattern(Iri("wd:Q2"), path, Iri("wd:Q1"))], set()),
+        ]
+        assert len(list(reified._join(cases[2][1]))) == 2
+        for store, graph, expected in cases:
+            drawn = []
+            join = store._join
+            monkeypatch.setattr(store, "_join", lambda p: (drawn.append(s) or s for s in join(p)))
+            assert store.answers(graph, None) == expected, graph
+            assert len(drawn) == len(expected), graph
+            monkeypatch.undo()
+
     def test_literal_object_exact_match(self):
         store = load_kb(nt(DBR + "A", DBP + "pop", ("lit", "5")))
         holds = TriplePattern(Iri("dbr:A"), Iri("dbp:pop"), Literal("5"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -154,12 +155,68 @@ class TestWordVectorSimilarity:
         assert "3" not in sim.vectors
         assert "grave" in sim.vectors
 
+    def test_blank_lines_before_the_header(self):
+        sim = WordVectorSimilarity.load("\n  \n2 2\ngrave 1.0 0.0\nplace 0.7 0.3\n")
+        assert list(sim.vectors) == ["grave", "place"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a 0.1 0.2 0.3\n12 34\nb 0.3 0.1 0.2\n", "vectors line 2: 1 values, expected 3"),
+            ("2 2\na 0.1 0.2\n3 3\n", "vectors line 3: 1 values, expected 2"),
+            ("a 0.1 0.2 0.3\nb 0.3 0.1 0.2\nlonely\n", "vectors line 3: 'lonely' has no values"),
+            ("\nlonely\na 0.1\n", "vectors line 2: 'lonely' has no values"),
+        ],
+        ids=["late-header", "second-header", "lone-word", "lone-first-word"],
+    )
+    def test_header_only_first_and_no_lone_word(self, text, message):
+        # A count-dimension header is allowed on the first non-blank line
+        # alone, and every other line needs a word and its values.
+        with pytest.raises(ValueError) as caught:
+            WordVectorSimilarity.load(text)
+        assert str(caught.value) == message
+
     def test_ranking_does_not_depend_on_the_interpreter(self):
         # A compensated sum (the builtin from CPython 3.12 on) scores "b"
         # first and "a" last; added left to right, every interpreter gives
         # the ranking below.
         sim = WordVectorSimilarity({"q": [1.0] * 10, "a": [1.0] * 10, "b": [0.1] * 10, "c": [0.3] * 10})
         assert _rank("q", ["a", "b", "c"], sim)[0] == ["c", "a", "b"]
+
+
+# Recorded under CPython 3.11; it must hold on every interpreter.
+TIED_VECTOR_RANKINGS_SHA256 = "8de33aee74902c863105949e23ea704cf85b0a6e1e663eb7c14da9f6363ce049"
+VECTOR_WORDS = ("grave", "burial", "place", "spouse", "birth", "death", "owner", "maker", "city")
+
+
+def _vector_rankings_digest() -> str:
+    """SHA-256 of seeded word-vector rankings.  The vectors hold a few
+    one-decimal values, so many labels tie or nearly tie, and a score's
+    last bits depend on the order its sums are added in."""
+    pool = ("-0.9", "-0.3", "0.1", "0.2", "0.3", "0.7", "1.0")
+    digest = hashlib.sha256()
+    for seed in range(200):
+        rng = random.Random(seed)
+        dim = rng.randint(2, 12)
+        rows = [f"{len(VECTOR_WORDS)} {dim}"]
+        rows += [f"{w} {' '.join(rng.choice(pool) for _ in range(dim))}" for w in VECTOR_WORDS]
+        sim = WordVectorSimilarity.load("\n".join(rows))
+        question = " ".join(rng.sample(VECTOR_WORDS, rng.randint(1, 4)))
+        words = VECTOR_WORDS + ("unknown",)
+        labels = [
+            "_".join(rng.sample(words, rng.randint(1, 3))) for _ in range(rng.randint(1, 8))
+        ]
+        for label, score in zip(*_rank(question, labels, sim)):
+            digest.update(f"{seed}\t{label}\t{score!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_vector_rankings_do_not_depend_on_the_interpreter(monkeypatch):
+    assert _vector_rankings_digest() == TIED_VECTOR_RANKINGS_SHA256
+    # A compensated norm (the builtin ``sum`` from CPython 3.12 on) changes
+    # the digest: it sees how the sums are added.
+    monkeypatch.setattr(similarity, "_norm", lambda v: math.sqrt(math.fsum(x * x for x in v)))
+    assert _vector_rankings_digest() != TIED_VECTOR_RANKINGS_SHA256
 
 
 # -- bound scorers against the per-call scorers they replaced ---------------
