@@ -145,13 +145,14 @@ def count_queries(store: KbStore, monkeypatch) -> Counter:
     return calls
 
 
-def swappable_gold(k: int) -> tuple[KbStore, GoldRecord]:
-    """A store holding dbo: and dbp: twins of k relations between the same
-    two entities, and a gold graph of the k dbo: patterns plus one pattern
-    outside the property namespaces, which doubles nothing."""
+def swappable_gold(k: int, stored: tuple[str, ...] = (DBO, DBP)) -> tuple[KbStore, GoldRecord]:
+    """A store holding the ``stored`` namespaces' twins (dbo: and dbp: by
+    default) of k relations between the same two entities, and a gold graph
+    of the k dbo: patterns plus one pattern outside the property namespaces,
+    which doubles nothing."""
     lines = [nt(DBR + "E", RDF_TYPE, DBR + "V")]
     for i in range(k):
-        lines += [nt(DBR + "E", ns + f"r{i}", DBR + "V") for ns in (DBO, DBP)]
+        lines += [nt(DBR + "E", ns + f"r{i}", DBR + "V") for ns in stored]
     predicates = [Iri(f"dbo:r{i}") for i in range(k)] + [Iri("rdf:type")]
     graph = tuple(TriplePattern(Iri("dbr:E"), p, Variable("x")) for p in predicates)
     return load_kb("\n".join(lines)), GoldRecord("q", "q", set(predicates), graph)
@@ -253,6 +254,19 @@ class TestRelaxedScore:
         best = score_sets(pred | {Iri("rdf:type")}, pred) if twins else (0.0, 0.0, 0.0)
         assert relaxed_score(store, gold, pred) == best
         assert calls == {"answers": k + 1 if twins else 1}
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_swappable_patterns_cost_two_to_the_k_queries(self, k, monkeypatch):
+        # The worst case: the store lacks every dbp: twin and the prediction
+        # names them all.  Each of the 2**k - 1 swapped variants beats the
+        # strict score of 0, so each is asked, and none has the gold graph's
+        # answers, so the best never rises.  With the gold graph asked up
+        # front that is 2**k queries, each variant asked once.
+        store, gold = swappable_gold(k, stored=(DBO,))
+        calls = count_queries(store, monkeypatch)
+        pred = {Iri(f"dbp:r{i}") for i in range(k)}
+        assert relaxed_score(store, gold, pred) == (0.0, 0.0, 0.0)
+        assert calls == {"answers": 2**k}
 
     def test_a_tie_keeps_the_earlier_score(self):
         # The strict score (P 1/2, R 1) and the dbp:r1 variant's (P 1, R 1/2)
