@@ -46,7 +46,7 @@ from .knowledge_validation import (
 )
 from .similarity import WordVectorSimilarity
 from .terms import (
-    PROFILES, Profile, expect_list, get_profile, json_record, open_input, read_lines, record_iri,
+    PROFILES, Profile, expect, get_profile, json_record, open_input, read_lines, record_iri,
 )
 
 logger = logging.getLogger(__name__)
@@ -155,7 +155,7 @@ def _read_predictions(path: str, profile: Profile) -> dict[str, set]:
 
     def parse(line: str) -> tuple[str, set]:
         qid, raw = json_record(line, predictions)
-        return qid, {record_iri(r, profile) for r in expect_list(raw["relations"], "relations")}
+        return qid, {record_iri(r, profile) for r in expect(raw["relations"], list, "relations")}
 
     with _opened(path) as source:
         for qid, relations in read_lines(source, "predictions", parse):

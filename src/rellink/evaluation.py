@@ -23,8 +23,7 @@ from .terms import (
     VAR_X,
     VAR_Y,
     Variable,
-    expect_list,
-    expect_str,
+    expect,
     json_record,
     local_name,
     parse_term,
@@ -177,12 +176,12 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
 
     def parse(line: str) -> GoldRecord:
         qid, raw = json_record(line, seen)
-        question = expect_str(raw["question"], "question")
-        relations = {record_iri(r, profile) for r in expect_list(raw["relations"], "relations")}
+        question = expect(raw["question"], str, "question")
+        relations = {record_iri(r, profile) for r in expect(raw["relations"], list, "relations")}
         patterns = []
         if raw.get("graph") is not None:
-            for spo in expect_list(raw["graph"], "graph"):
-                s, p, o = (parse_term(t, profile) for t in expect_list(spo, "graph pattern"))
+            for spo in expect(raw["graph"], list, "graph"):
+                s, p, o = (parse_term(t, profile) for t in expect(spo, list, "graph pattern"))
                 if not isinstance(p, Iri):
                     raise ValueError("graph predicate must be an IRI")
                 patterns.append(TriplePattern(s, p, o))

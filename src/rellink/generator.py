@@ -15,6 +15,7 @@ import heapq
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -23,7 +24,7 @@ from typing import IO, Iterable
 
 from .knowledge_integration import EncoderInput
 from .sequence_grammar import OutputSequence, render_group, serialize_target
-from .terms import RECORD_ERRORS, expect_list, expect_str, json_record, open_input, read_lines
+from .terms import RECORD_ERRORS, expect, json_record, open_input, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,9 @@ class GeneratorConfig:
             raise GeneratorError("beam_width must be >= 1")
         if not self.timeout > 0:
             raise GeneratorError("timeout must be > 0")
+        # A longer wait overflows the socket layer on every request.
+        if self.timeout > threading.TIMEOUT_MAX:
+            raise GeneratorError(f"timeout must be <= {threading.TIMEOUT_MAX:.0f}")
         if self.kind == "fixture":
             if self.fixture_path is None or not os.access(self.fixture_path, os.R_OK):
                 raise GeneratorError(f"fixture path not readable: {self.fixture_path}")
@@ -65,20 +69,18 @@ def _ranked(raw: Iterable[tuple[str, float]], width: int) -> list[OutputSequence
     return [OutputSequence(text, score, i + 1) for i, (text, score) in enumerate(ordered)]
 
 
-def _beam(raw: dict) -> tuple[str, float]:
+def _beam(raw: object) -> tuple[str, float]:
     """One beam object as (text, score).  The score must be a JSON number: a
     string or a bool is rejected, not converted.  NaN has no place in the
     ranking and no log-probability is ``+Infinity``, so both are rejected;
     ``-Infinity`` is a log-probability and is kept."""
-    score = raw["score"]
-    if type(score) not in (int, float):
-        raise TypeError(f"beam score must be a number, got {score!r}")
-    score = float(score)
+    raw = expect(raw, dict, "beam")
+    score = float(expect(raw["score"], (int, float), "beam score"))
     if math.isnan(score):
         raise ValueError("beam score is NaN")
     if score == math.inf:
         raise ValueError("beam score is +Infinity")
-    return expect_str(raw["text"], "beam text"), score
+    return expect(raw["text"], str, "beam text"), score
 
 
 def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[str, float]]]:
@@ -87,7 +89,7 @@ def read_beam_fixture(source: IO[str] | Iterable[str]) -> dict[str, list[tuple[s
 
     def parse(line: str) -> tuple[str, list[tuple[str, float]]]:
         qid, raw = json_record(line, beams)
-        return qid, [_beam(b) for b in expect_list(raw["beams"], "beams")]
+        return qid, [_beam(b) for b in expect(raw["beams"], list, "beams")]
 
     for qid, ranked in read_lines(source, "beam fixture", parse, GeneratorError):
         beams[qid] = ranked
@@ -138,8 +140,8 @@ class RemoteGenerator:
         try:
             reply = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             reply.raise_for_status()
-            body = reply.json()
-            raw = [_beam(s) for s in expect_list(body["sequences"], "sequences")]
+            body = expect(reply.json(), dict, "reply")
+            raw = [_beam(s) for s in expect(body["sequences"], list, "sequences")]
         except (requests.RequestException, *RECORD_ERRORS) as exc:
             raise GeneratorError(f"remote generation failed: {exc}") from None
         return _ranked(sorted(raw), self.beam_width)

@@ -27,7 +27,7 @@ from typing import IO, Callable, Iterable, Iterator
 from . import brackets
 from .kb_store import KbStore
 from .similarity import DEFAULT_SIMILARITY, Similarity
-from .terms import DBPEDIA, Iri, Profile, expect_list, expect_str, json_record, read_lines, record_iri
+from .terms import DBPEDIA, Iri, Profile, expect, json_record, read_lines, record_iri
 
 DEFAULT_BUDGET = 512
 
@@ -211,30 +211,24 @@ class QuestionRecord:
     entities: list[LinkedEntity] = field(default_factory=list)
 
 
-def _offset(entity: dict, key: str) -> int:
-    """A span offset: a JSON integer, never a float, bool or string."""
-    if type(entity[key]) is not int:
-        raise TypeError(f"span {key} must be an integer, got {entity[key]!r}")
-    return entity[key]
-
-
 def read_question_records(
     source: IO[str] | Iterable[str], profile: Profile = DBPEDIA
 ) -> Iterator[QuestionRecord]:
-    """Parse linked-question JSON Lines, validating entity spans."""
+    """Parse linked-question JSON Lines, validating entity spans: each offset
+    is a JSON integer, never a float, bool or string."""
 
     def parse(line: str) -> QuestionRecord:
         qid, raw = json_record(line)
-        entities = [
-            LinkedEntity(
-                mention=e["mention"],
-                start=_offset(e, "start"),
-                end=_offset(e, "end"),
+        entities = []
+        for e in expect(raw.get("entities", []), list, "entities"):
+            e = expect(e, dict, "entity")
+            entities.append(LinkedEntity(
+                mention=expect(e["mention"], str, "mention"),
+                start=expect(e["start"], int, "span start"),
+                end=expect(e["end"], int, "span end"),
                 entity=record_iri(e["iri"], profile),
-            )
-            for e in expect_list(raw.get("entities", []), "entities")
-        ]
-        question = expect_str(raw["question"], "question")
+            ))
+        question = expect(raw["question"], str, "question")
         for entity in entities:
             entity.check_span(question)
         return QuestionRecord(qid, question, entities)

@@ -132,7 +132,8 @@ class TrigramSimilarity(Similarity):
 class WordVectorSimilarity(Similarity):
     """Same scoring scheme over vectors from a word2vec-style text file.
 
-    Each line is ``word v1 v2 ...`` of finite values after an optional first-line header.
+    Each line is ``word v1 v2 ...`` of finite values after an optional first-line
+    ``count dimension`` header, which the lines must then match.
     Out-of-vocabulary tokens contribute zero.
     """
 
@@ -143,23 +144,29 @@ class WordVectorSimilarity(Similarity):
     def load(cls, source: str | IO[str] | Iterable[str]) -> "WordVectorSimilarity":
         vectors: dict[str, list[float]] = {}
         parsed = count()
+        header: list[int] = []  # the word2vec header's vocab size and dimension
 
         def parse(line: str) -> tuple[str, list[float]] | None:
             parts = line.split()
-            if next(parsed) == 0 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-                return None  # the word2vec header, first line only: vocab size, dimension
+            if next(parsed) == 0 and len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal():
+                header[:] = map(int, parts)  # first line only
+                return None
             vector = [float(x) for x in parts[1:]]
             if not vector:
                 raise ValueError(f"{parts[0]!r} has no values")
             if not all(map(math.isfinite, vector)):
                 raise ValueError(f"{parts[0]!r} has a value that is not a finite number")
-            dimension = len(next(iter(vectors.values()), vector))
+            dimension = header[1] if header else len(next(iter(vectors.values()), vector))
             if len(vector) != dimension:
                 raise ValueError(f"{len(vector)} values, expected {dimension}")
             return parts[0].lower(), vector
 
         for word, vector in read_lines(source, "vectors", parse):
             vectors[word] = vector
+        # Lines, not distinct words: a word may repeat, in any case.
+        lines = next(parsed) - 1
+        if header and lines != header[0]:
+            raise ValueError(f"vectors line 1: header counts {header[0]} words, file has {lines}")
         return cls(vectors)
 
     def _best(self, question: str) -> Callable[[str], float]:

@@ -208,19 +208,19 @@ WIKIDATA = Profile(
 PROFILES = {"dbpedia": DBPEDIA, "wikidata": WIKIDATA}
 
 
-def expect_str(value: object, what: str) -> str:
-    """``value`` itself when it is a string; otherwise a TypeError naming ``what``."""
-    if not isinstance(value, str):
-        raise TypeError(f"{what} must be a string, got {value!r}")
-    return value
+# What each ``expect`` kind is called in JSON (RFC 8259) terms.
+_JSON_KINDS = {
+    str: "a string", list: "an array", dict: "a JSON object", int: "an integer", (int, float): "a number",
+}
 
 
-def expect_list(value: object, what: str) -> list:
-    """``value`` itself when it is a JSON array; otherwise a TypeError naming
-    ``what``, so an object is not read as its keys nor a string as its
-    characters."""
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be an array, got {value!r}")
+def expect(value: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """``value`` itself when it is of JSON ``kind``: ``str``, ``list``,
+    ``dict``, ``int`` or ``(int, float)``; otherwise a TypeError naming
+    ``what``.  A bool is never one, as ``true`` is not a JSON number; nor is
+    an object an array of its keys, or a string one of its characters."""
+    if not isinstance(value, kind) or value is True or value is False:
+        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -266,10 +266,8 @@ def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable
 
 def json_record(line: str, seen: Container[str] = ()) -> tuple[str, dict]:
     """A JSON Lines object record and its question id, a JSON string ``seen`` must not hold."""
-    raw = json.loads(line)
-    if not isinstance(raw, dict):
-        raise TypeError("record must be a JSON object")
-    qid = expect_str(raw["question_id"], "question_id")
+    raw = expect(json.loads(line), dict, "record")
+    qid = expect(raw["question_id"], str, "question_id")
     if qid in seen:
         raise ValueError(f"duplicate question_id {qid!r}")
     return qid, raw
@@ -288,13 +286,13 @@ def normalize_iri(value: str, profile: Profile) -> Iri:
     Longest namespace wins, so statement-entity IRIs compact to ``wds:`` and
     not to a truncated ``wd:`` form.  Values already prefixed pass through.
     """
-    return profile._compact(expect_str(value, "IRI"))
+    return profile._compact(expect(value, str, "IRI"))
 
 
 def record_iri(value: str, profile: Profile) -> Iri:
     """:func:`normalize_iri` through the profile's bounded memo, for record
     readers.  An error is never kept, so bad text raises the same every time."""
-    return profile._record_iri(expect_str(value, "IRI"))
+    return profile._record_iri(expect(value, str, "IRI"))
 
 
 def namespace_of(iri: Iri, profile: Profile) -> str | None:
@@ -321,7 +319,7 @@ def normalize_label(text: str) -> str:
 def parse_term(text: str, profile: Profile) -> PatternTerm:
     """Read a record's pattern term from its text form: ``?x``, ``"lit"``, or
     an IRI, compacted as :func:`record_iri` does."""
-    text = expect_str(text, "term").strip()
+    text = expect(text, str, "term").strip()
     if text.startswith("?"):
         return _VARIABLES.get(text) or Variable(text[1:])
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':

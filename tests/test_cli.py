@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -1011,11 +1012,32 @@ MALFORMED_LINES = {
     )),
     "fixture-beams-object": ("beam fixture", 2, '{"question_id": "q0", "beams": []}\n'
                              + json.dumps({"question_id": "q1", "beams": {}})),
+    "question-span-out-of-range": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Who owns Ford?",
+         "entities": [{"mention": "Ford", "start": 9, "end": 99, "iri": "dbr:Ford"}]}
+    )),
+    "gold-graph-variable-predicate": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": ["dbo:owner"],
+         "graph": [["?x", "?y", "dbr:Ford"]]}
+    )),
+    # An entity or a beam that is not an object, or a mention that is not a
+    # string, failed with a Python message that named no field.
+    "question-entity-string": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Who owns Ford?", "entities": ["Ford"]}
+    )),
+    "question-mention-int": ("questions", 1, json.dumps(
+        {"question_id": "q1", "question": "Who owns Ford?",
+         "entities": [{"mention": 5, "start": 9, "end": 13, "iri": "dbr:Ford"}]}
+    )),
+    "fixture-beam-string": ("beam fixture", 1, json.dumps({"question_id": "q1", "beams": ["[A | r]"]})),
     "vectors-nan": ("vectors", 2, "q 1 0\nbad nan 1\nlow 0.1 1\nhigh 1 0.1"),
     "vectors-infinity": ("vectors", 1, "w Infinity 1"),
     "vectors-huge-int": ("vectors", 1, f"w {HUGE} 1"),
     "vectors-late-header": ("vectors", 2, "a 0.1 0.2 0.3\n12 34\nb 0.3 0.1 0.2"),
     "vectors-lone-word": ("vectors", 3, "a 0.1 0.2 0.3\nb 0.3 0.1 0.2\nlonely"),
+    # The header's dimension binds the first vector, and its count the lines.
+    "vectors-header-dimension": ("vectors", 2, "5 2\na 1 2 3\nb 1 2 3"),
+    "vectors-header-count": ("vectors", 1, "5 2\na 1 2\nb 1 2"),
     "triples-not-a-triple": ("triples", 1, "not a triple"),
     "triples-literal-subject": ("triples", 1, f'"A" <{DBO}b> <{DBO}c> .'),
     "triples-blank-node-predicate": ("triples", 1, f"<{DBO}a> _:b <{DBO}c> ."),
@@ -1029,6 +1051,9 @@ MALFORMED_LINES = {
         "profile", 3, "profile = dbpedia\nprefix.ex = http://a.org/\nprefix.ex = http://b.org/"
     ),
     "profile-base-twice": ("profile", 2, "profile = dbpedia\nprofile = wikidata"),
+    "profile-comment-then-no-equals": (
+        "profile", 3, "profile = dbpedia\n# extra prefixes\nprefix.ex http://example.org/"
+    ),
     # Byte 0xE9 is Latin-1 "é", not UTF-8.  CRLF and a lone CR still end lines.
     "question-not-utf8": ("questions", 1, b'{"question_id": "q1", "question": "Caf\xe9?"}'),
     "fixture-not-utf8": ("beam fixture", 2, b'{"question_id": "q0", "beams": []}\r\n'
@@ -1060,6 +1085,15 @@ MALFORMED_LINE_ERRORS = {
     "gold-graph-pattern-two-terms": "not enough values to unpack (expected 3, got 2)\n",
     "question-entities-object": "entities must be an array, got {}\n",
     "fixture-beams-object": "beams must be an array, got {}\n",
+    "fixture-not-object": "record must be a JSON object, got [1]\n",
+    "question-entity-string": "entity must be a JSON object, got 'Ford'\n",
+    "question-mention-int": "mention must be a string, got 5\n",
+    "fixture-beam-string": "beam must be a JSON object, got '[A | r]'\n",
+    "question-span-out-of-range": "span [9,99) out of range for question of length 14\n",
+    "gold-graph-variable-predicate": "graph predicate must be an IRI\n",
+    "vectors-header-dimension": "3 values, expected 2\n",
+    "vectors-header-count": "header counts 5 words, file has 2\n",
+    "profile-comment-then-no-equals": "expected 'key = value'\n",
 }
 
 
@@ -1122,13 +1156,30 @@ def test_only_the_remote_generator_imports_requests(ford_files):
          "-o", str(tmp / "fixture.jsonl"), str(questions)],
         ["eval", "--eval-mode", "relaxed", "--kb", str(alma_kb), "--gold", str(gold), "--pred", str(pred)],
     ]
+    (statuses, before, after), err = _import_probe(commands)
+    assert statuses == [0, 0, 0, 0], err
+    assert not before, "a command that never builds a remote generator imported requests"
+    assert after
+
+
+def _import_probe(commands: list[list[str]]) -> tuple[list, str]:
+    """``_IMPORT_PROBE``'s report on ``commands``, and its stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *map(json.dumps, commands)],
         env=env, capture_output=True, text=True, check=True,
     )
-    statuses, before, after = json.loads(probe.stdout.splitlines()[-1])
-    assert statuses == [0, 0, 0, 0], probe.stderr
-    assert not before, "a command that never builds a remote generator imported requests"
-    assert after
+    return json.loads(probe.stdout.splitlines()[-1]), probe.stderr
+
+
+def test_timeout_past_the_socket_limit_fails_before_the_kb_loads(ford_files):
+    # Every remote request would overflow the socket layer, and the run would
+    # still exit 0; a missing --kb shows that the KB is never read.
+    tmp, _, _, questions, _ = ford_files
+    command = ["link", "--kb", str(tmp / "missing.nt"), "--generator", "remote",
+               "--endpoint", "http://127.0.0.1:9/", "--timeout", "inf", str(questions)]
+    (statuses, before, _), err = _import_probe([command])
+    assert statuses == [1]
+    assert not before, "a rejected remote configuration imported requests"
+    assert f"error: timeout must be <= {threading.TIMEOUT_MAX:.0f}\n" in err

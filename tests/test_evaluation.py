@@ -181,6 +181,11 @@ class TestRelaxedScore:
         gold = self.gold_record(alma_store)
         assert relaxed_score(alma_store, gold, set())[2] == 0.0
 
+    def test_unknown_overlap_mode_raises(self, alma_store):
+        gold = self.gold_record(alma_store)
+        with pytest.raises(ValueError, match="^unknown overlap mode 'some'$"):
+            relaxed_score(alma_store, gold, iris("dbo:state"), overlap="some")
+
     def test_unsatisfiable_gold_falls_back(self, alma_store, caplog):
         graph = (TriplePattern(Iri("dbr:Nobody"), Iri("dbo:state"), Variable("x")),)
         gold = GoldRecord("q2", "q", set(GOLD), graph)

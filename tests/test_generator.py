@@ -36,7 +36,7 @@ from rellink.knowledge_integration import (
     build_encoder_input,
     rank_candidate_relations,
 )
-from rellink.sequence_grammar import OutputSequence
+from rellink.sequence_grammar import OutputSequence, serialize_target
 from rellink.similarity import Similarity, TrigramSimilarity, WordVectorSimilarity
 from test_knowledge_integration import _outcome, _random_case, _read, _ref_shrink, _structure
 
@@ -69,6 +69,15 @@ class TestGeneratorConfig:
     def test_rejects_timeout_not_above_zero(self, timeout):
         with pytest.raises(GeneratorError, match="^timeout must be > 0$"):
             GeneratorConfig(timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [math.inf, 1e10, math.nextafter(threading.TIMEOUT_MAX, math.inf)])
+    def test_rejects_timeout_past_the_socket_limit(self, timeout):
+        # The socket layer overflows on such a wait, so every request would fail.
+        with pytest.raises(GeneratorError, match=f"^timeout must be <= {threading.TIMEOUT_MAX:.0f}$"):
+            GeneratorConfig(timeout=timeout)
+
+    def test_accepts_the_longest_timeout(self):
+        assert GeneratorConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
 
     def test_fixture_requires_readable_path(self, tmp_path):
         with pytest.raises(GeneratorError):
@@ -465,6 +474,17 @@ def test_best_first_adds_left_to_right():
     ]
 
 
+def test_best_first_breaks_a_rounding_tie_by_text():
+    # 0.5 - 2**-54 is below 0.5, yet 1.0 plus either rounds to 1.5: the totals
+    # tie, so text ranks "[b | y]" first although its list scores it lower.
+    # A successor scheme over score-sorted lists would pop "[b | z]" first.
+    choices = [[("[a | x]", 1.0)], [("[b | z]", 0.5), ("[b | y]", 0.5 - 2**-54)]]
+    expected = [OutputSequence("[a | x], [b | y]", 1.5, 1), OutputSequence("[a | x], [b | z]", 1.5, 2)]
+    assert generator_module._best_first(choices, 2) == expected
+    every = sorted((serialize_target((a, b)), sa + sb) for (a, sa), (b, sb) in product(*choices))
+    assert _ranked(every, 2) == expected
+
+
 # Recorded under CPython 3.11, where the builtin ``sum`` adds left to right;
 # it must hold on every interpreter.
 TIED_BEAMS_SHA256 = "aa70b36a95a9c95c896870401a89476e7d099ada6d13de58b49b38791f78e950"
@@ -580,8 +600,9 @@ class _StubModelHandler(BaseHTTPRequestHandler):
     score, ``/infinity`` with a ``+Infinity`` score, ``/bigint`` with a
     401-digit integer score that no float holds, ``/string`` and ``/bool``
     with a score that is a JSON string or bool, not a number, ``/object``
-    with an object for the array of sequences, and ``/deep`` with JSON
-    nested past the parser's recursion limit."""
+    with an object for the array of sequences, ``/list`` with an array for
+    the reply object, ``/beam-string`` with a string for a beam object, and
+    ``/deep`` with JSON nested past the parser's recursion limit."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -605,6 +626,10 @@ class _StubModelHandler(BaseHTTPRequestHandler):
             body = b'{"sequences": [{"text": "[A | r]", "score": true}]}'
         elif self.path == "/object":
             body = b'{"sequences": {}}'
+        elif self.path == "/list":
+            body = b'[{"text": "[A | r]", "score": -0.5}]'
+        elif self.path == "/beam-string":
+            body = b'{"sequences": ["[A | r]"]}'
         elif self.path == "/deep":
             body = b"[" * 100_000
         self.send_response(status)
@@ -696,14 +721,18 @@ class TestRemoteGeneratorOverHttp:
         assert server.posted == []
 
     @pytest.mark.parametrize(
-        "path", ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/string", "/bool", "/object", "/deep"]
+        "path",
+        ["/fail", "/garbled", "/nan", "/infinity", "/bigint", "/string", "/bool", "/object", "/list",
+         "/beam-string", "/deep"],
     )
     def test_bad_reply_becomes_generator_error(self, model_server, path):
         _, base = model_server
         with pytest.raises(GeneratorError, match="^remote generation failed: "):
             RemoteGenerator(base + path, timeout=5.0).generate(enc_input("q"))
 
-    @pytest.mark.parametrize("path", ["/nan", "/infinity", "/bigint", "/string", "/bool", "/object", "/deep"])
+    @pytest.mark.parametrize(
+        "path", ["/nan", "/infinity", "/bigint", "/string", "/bool", "/object", "/list", "/beam-string", "/deep"]
+    )
     def test_bad_reply_is_a_per_question_error(self, model_server, tmp_path, path):
         _, base = model_server
         kb = tmp_path / "kb.nt"
@@ -720,6 +749,8 @@ class TestRemoteGeneratorOverHttp:
             "/string": "beam score must be a number, got '1e3'",
             "/bool": "beam score must be a number, got True",
             "/object": "sequences must be an array, got {}",
+            "/list": "reply must be a JSON object, got [{'text': '[A | r]', 'score': -0.5}]",
+            "/beam-string": "beam must be a JSON object, got '[A | r]'",
         }.get(path, "")
         assert record["error"].endswith(ending)
 

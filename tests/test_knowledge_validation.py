@@ -22,6 +22,7 @@ from rellink.knowledge_validation import (
 )
 from rellink.sequence_grammar import (
     ArgRelPair,
+    OutputParseError,
     OutputSequence,
     detect_ask,
     parse_output,
@@ -366,6 +367,14 @@ class TestLink:
         beams = [self.beam("garbage", 1), self.beam("[Ford Y-block engine | manufacturer]", 2)]
         result = link(ford_store, FORD_QUESTION, beams, ford_entities)
         assert result.source_rank == 2
+
+    def test_beam_with_an_empty_argument_skipped(self, ford_store, ford_entities):
+        with pytest.raises(OutputParseError, match="^empty argument"):
+            parse_output("[ | owner]", ford_entities)
+        beams = [self.beam("[ | owner]", 1), self.beam("[Ford Y-block engine | manufacturer]", 2)]
+        result = link(ford_store, FORD_QUESTION, beams, ford_entities)
+        assert result.validated and result.source_rank == 2
+        assert result.relations == [Iri("dbo:manufacturer")]
 
 
 class TestAsk:

@@ -130,7 +130,7 @@ class TestRanking:
 class TestWordVectorSimilarity:
     VECTORS = "\n".join(
         [
-            "3 2",  # word2vec-style header
+            "6 2",  # word2vec-style header: word count, dimension
             "grave 1.0 0.0",
             "burial 0.9 0.1",
             "spouse 0.0 1.0",
@@ -152,7 +152,7 @@ class TestWordVectorSimilarity:
 
     def test_header_skipped(self):
         sim = WordVectorSimilarity.load(self.VECTORS)
-        assert "3" not in sim.vectors
+        assert "6" not in sim.vectors
         assert "grave" in sim.vectors
 
     def test_blank_lines_before_the_header(self):

@@ -26,7 +26,7 @@ from rellink.terms import (
     PropertyPath,
     TriplePattern,
     Variable,
-    expect_str,
+    expect,
     get_profile,
     local_name,
     namespace_of,
@@ -113,7 +113,7 @@ class TestNormalizeIri:
 def reference_normalize_iri(value: str, profile: Profile) -> Iri:
     """The per-call scan over every profile prefix that the compiled match
     replaced, kept verbatim."""
-    expect_str(value, "IRI")
+    expect(value, str, "IRI")
     best: tuple[int, str] | None = None
     for prefix, ns in profile.prefixes.items():
         if value.startswith(ns) and (best is None or len(ns) > best[0]):
@@ -391,3 +391,37 @@ class TestRelationUri:
         statement = TriplePattern(x, PropertyPath(Iri("p:P176"), Iri("ps:P176")), y)
         assert str(statement) == "(?x p:P176/ps:P176 ?y)"
         assert str(TriplePattern(x, PropertyPath(None, Iri("pq:P580")), y)) == "(?x */pq:P580 ?y)"
+
+
+class TestExpect:
+    """One check for every JSON field a record reader takes, in RFC 8259's
+    terms: ``true`` and ``false`` are neither integers nor numbers."""
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [('"q1"', str), ("[]", list), ("{}", dict), ("-3", int), ("1.5", (int, float)),
+         ("7", (int, float)), ("-Infinity", (int, float)), ('""', str)],
+    )
+    def test_returns_the_value_itself(self, text, kind):
+        value = json.loads(text)
+        assert expect(value, kind, "field") is value
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            ("5", str, "name must be a string, got 5"),
+            ('{"a": 1}', list, "name must be an array, got {'a': 1}"),
+            ('"ab"', list, "name must be an array, got 'ab'"),
+            ("[1]", dict, "name must be a JSON object, got [1]"),
+            ("null", dict, "name must be a JSON object, got None"),
+            ("4.0", int, "name must be an integer, got 4.0"),
+            ('"4"', int, "name must be an integer, got '4'"),
+            ("false", int, "name must be an integer, got False"),
+            ("true", (int, float), "name must be a number, got True"),
+            ('"1e3"', (int, float), "name must be a number, got '1e3'"),
+        ],
+    )
+    def test_names_the_field_and_the_json_kind(self, text, kind, message):
+        with pytest.raises(TypeError) as caught:
+            expect(json.loads(text), kind, "name")
+        assert str(caught.value) == message
