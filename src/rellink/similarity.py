@@ -10,8 +10,14 @@ vectors and norms are built once, and each label token's best match is
 remembered for the life of the bound scorer only; the scorer itself keeps
 no per-question state.  The encoder input binds once per question and keeps
 each ranked label's score, so no label is scored twice.  Work that depends on
-a label alone (its tokens, and each token's trigrams and norm) is done once
-per process, in bounded caches.
+a label alone (its tokens, its set of trigrams, and each token's trigrams and
+norm) is done once per process, in bounded caches.
+
+The trigram scorer filters by count, as similarity joins do: a label none of
+whose trigrams occurs in the question scores exactly 0.0 (each of its tokens
+has no match, so the mean is 0.0), so one set test settles it and the
+per-token scoring runs only for labels that share a trigram.  Most candidate
+relations of an entity share none with its question.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from itertools import count
-from typing import IO, Callable, Iterable
+from typing import IO, AbstractSet, Callable, Iterable
 
 from .terms import read_lines
 
@@ -42,6 +48,12 @@ def split_label(label: str) -> list[str]:
 @lru_cache(maxsize=_LABEL_CACHE)
 def _label_tokens(label: str) -> tuple[str, ...]:
     return tuple(split_label(label))
+
+
+@lru_cache(maxsize=_LABEL_CACHE)
+def _label_gram_set(label: str) -> frozenset[str]:
+    """Every trigram of every token of a label; empty when it has no token."""
+    return frozenset(gram for token in _label_tokens(label) for gram in _grams(token))
 
 
 def question_tokens(question: str) -> list[str]:
@@ -66,15 +78,20 @@ class Similarity:
     """Scores relation labels against a question.
 
     ``for_question(q)`` returns a scorer of labels against ``q`` alone: a
-    label scores the mean over its tokens of ``_best(q)(token)``, computed
-    once per distinct token.  ``score(q, label)`` is ``for_question(q)(label)``.
+    label scores the mean over its tokens of ``best(token)``, computed once
+    per distinct token, where ``best, grams = _best(q)``.  A label whose
+    trigrams are disjoint from ``grams`` scores 0.0 without calling ``best``;
+    ``grams`` is None when any token may match.  ``score(q, label)`` is
+    ``for_question(q)(label)``.
     """
 
     def for_question(self, question: str) -> Callable[[str], float]:
-        best = self._best(question)
+        best, grams = self._best(question)
         memo: dict[str, float] = {}
 
         def score(label: str) -> float:
+            if grams is not None and grams.isdisjoint(_label_gram_set(label)):
+                return 0.0
             tokens = _label_tokens(label)
             if not tokens:
                 return 0.0
@@ -92,15 +109,17 @@ class Similarity:
     def score(self, question: str, label: str) -> float:
         return self.for_question(question)(label)
 
-    def _best(self, question: str) -> Callable[[str], float]:
-        """A function giving a label token's best match in ``question``."""
+    def _best(self, question: str) -> tuple[Callable[[str], float], AbstractSet[str] | None]:
+        """A function giving a label token's best match in ``question``, and
+        the trigrams a token must share with ``question`` to score above 0,
+        or None."""
         raise NotImplementedError
 
 
 class TrigramSimilarity(Similarity):
     """Character-trigram cosine; max over question tokens, mean over label."""
 
-    def _best(self, question: str) -> Callable[[str], float]:
+    def _best(self, question: str) -> tuple[Callable[[str], float], AbstractSet[str]]:
         # gram -> the index of each distinct question token holding it, once
         # per occurrence, and each token's norm.  A repeated token has the
         # same cosine as its first occurrence, so it is left out.
@@ -126,7 +145,7 @@ class TrigramSimilarity(Similarity):
                 return 0.0  # no question token shares a gram
             return max(dot / (norm * norms[i]) for i, dot in dots.items())
 
-        return best
+        return best, postings.keys()
 
 
 class WordVectorSimilarity(Similarity):
@@ -144,12 +163,13 @@ class WordVectorSimilarity(Similarity):
     def load(cls, source: str | IO[str] | Iterable[str]) -> "WordVectorSimilarity":
         vectors: dict[str, list[float]] = {}
         parsed = count()
-        header: list[int] = []  # the word2vec header's vocab size and dimension
+        # The word2vec header's vocab size, dimension and line number.
+        header: list[int] = []
 
-        def parse(line: str) -> tuple[str, list[float]] | None:
+        def parse(line: str, lineno: int) -> tuple[str, list[float]] | None:
             parts = line.split()
             if next(parsed) == 0 and len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal():
-                header[:] = map(int, parts)  # first line only
+                header[:] = [*map(int, parts), lineno]  # first line only
                 return None
             vector = [float(x) for x in parts[1:]]
             if not vector:
@@ -161,15 +181,15 @@ class WordVectorSimilarity(Similarity):
                 raise ValueError(f"{len(vector)} values, expected {dimension}")
             return parts[0].lower(), vector
 
-        for word, vector in read_lines(source, "vectors", parse):
+        for word, vector in read_lines(source, "vectors", parse, numbered=True):
             vectors[word] = vector
         # Lines, not distinct words: a word may repeat, in any case.
         lines = next(parsed) - 1
         if header and lines != header[0]:
-            raise ValueError(f"vectors line 1: header counts {header[0]} words, file has {lines}")
+            raise ValueError(f"vectors line {header[2]}: header counts {header[0]} words, file has {lines}")
         return cls(vectors)
 
-    def _best(self, question: str) -> Callable[[str], float]:
+    def _best(self, question: str) -> tuple[Callable[[str], float], None]:
         q_vecs = [self.vectors.get(t) for t in question_tokens(question)]
         q_pairs = [(v, _norm(v)) for v in q_vecs if v is not None]
 
@@ -183,7 +203,7 @@ class WordVectorSimilarity(Similarity):
                 default=0.0,
             )
 
-        return best
+        return best, None
 
 
 def _norm(vector: Iterable[float]) -> float:

@@ -212,15 +212,23 @@ PROFILES = {"dbpedia": DBPEDIA, "wikidata": WIKIDATA}
 _JSON_KINDS = {
     str: "a string", list: "an array", dict: "a JSON object", int: "an integer", (int, float): "a number",
 }
+# The most characters of a wrong value's repr that an ``expect`` error shows,
+# so that one huge field cannot flood the error stream.
+_SHOWN = 80
 
 
 def expect(value: Any, kind: type | tuple[type, ...], what: str) -> Any:
     """``value`` itself when it is of JSON ``kind``: ``str``, ``list``,
     ``dict``, ``int`` or ``(int, float)``; otherwise a TypeError naming
     ``what``.  A bool is never one, as ``true`` is not a JSON number; nor is
-    an object an array of its keys, or a string one of its characters."""
+    an object an array of its keys, or a string one of its characters.  The
+    message shows at most ``_SHOWN`` characters of the value's repr, cut
+    with an ellipsis."""
     if not isinstance(value, kind) or value is True or value is False:
-        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+        shown = repr(value)
+        if len(shown) > _SHOWN:
+            shown = shown[: _SHOWN - 3] + "..."
+        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {shown}")
     return value
 
 
@@ -245,19 +253,20 @@ def _check_utf8(line: str) -> None:
         raise ValueError(f"invalid UTF-8 {what} at character {exc.start + 1}") from None
 
 
-def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable[[str], Any],
-               error: type[Exception] = ValueError) -> Iterator[Any]:
-    """``parse(line)`` for each line of ``source``, lazily, skipping blank lines
-    and None results; a record error, or text that is not UTF-8, becomes
-    ``error("<kind> line N: ...")``.  A ``str`` source is split as a text file
-    is read: only LF, CR LF and CR end a line."""
+def read_lines(source: str | IO[str] | Iterable[str], kind: str, parse: Callable[..., Any],
+               error: type[Exception] = ValueError, numbered: bool = False) -> Iterator[Any]:
+    """``parse(line)``, or ``parse(line, N)`` when ``numbered``, for each line
+    N of ``source``, lazily, skipping blank lines and None results; a record
+    error, or text that is not UTF-8, becomes ``error("<kind> line N: ...")``.
+    A ``str`` source is split as a text file is read: only LF, CR LF and CR
+    end a line."""
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 if not line.isascii():
                     _check_utf8(line)
-                record = parse(line)
+                record = parse(line, lineno) if numbered else parse(line)
             except RECORD_ERRORS as exc:
                 raise error(f"{kind} line {lineno}: {exc}") from None
             if record is not None:

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from rellink.brackets import (
+    _ESCAPES,
+    RESERVED,
     OutputParseError,
     bracket_groups,
     escape,
@@ -196,6 +198,23 @@ class TestCodecMatchesReference:
             assert escape(text) == _ref_escape(text), text
             assert unescape(text) == _ref_unescape(text), text
             assert unescape(escape(text)) == text, text
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_escape_matches_table_translate(self, seed):
+        # ``escape`` skips the table for text holding no reserved character;
+        # the result must be the table's on every text, with or without one.
+        rng = random.Random(seed)
+        plain = ["a", "Z", "0", " ", "-", "\u00e9", "\u00df", "\u4e2d", "\U0001f600", "\u00a0", "/", "."]
+        texts = ["", *RESERVED, *plain]
+        for _ in range(1000):
+            pieces = [rng.choice(plain) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.5:
+                pieces.insert(rng.randint(0, len(pieces)), rng.choice(RESERVED))
+            texts.append("".join(pieces))
+        for text in texts:
+            assert escape(text) == text.translate(_ESCAPES), text
+        assert all(any(ch in text for text in texts[len(RESERVED) + 1:]) for ch in RESERVED)
+        assert sum(escape(text) == text for text in texts) > 400
 
     @pytest.mark.parametrize("seed", range(4))
     def test_split_unescaped(self, seed):

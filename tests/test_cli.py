@@ -938,6 +938,15 @@ def test_question_id_must_be_a_string(ford_files, capsys, reader, qid):
     assert err == f"error: {reader} line 1: question_id must be a string, got {qid!r}\n"
 
 
+def test_a_huge_wrong_value_shows_only_its_start(ford_files, capsys):
+    # A gold line that is one 200,000-number array printed all of it.
+    line = json.dumps(list(range(200_000)))
+    assert _status_with_line(ford_files, "gold", line) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gold line 1: record must be a JSON object, got [0, 1, 2, ")
+    assert err.endswith("...\n") and len(err) < 200
+
+
 HUGE = 10**400  # an integer too large for a float; json writes and reads it
 
 # (reader, line number of the fault, file text): numbers that json or float()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -47,7 +48,8 @@ class TestSimilarityBase:
         def _best(self, question):
             self.bound.append(question)
             words = set(question_tokens(question))
-            return lambda token: self.asked.append(token) or (1.0 if token in words else 0.25)
+            best = lambda token: self.asked.append(token) or (1.0 if token in words else 0.25)
+            return best, None  # any token may match
 
     def test_label_scores_mean_of_best_token_matches(self):
         sim = self.Exact()
@@ -175,6 +177,15 @@ class TestWordVectorSimilarity:
         with pytest.raises(ValueError) as caught:
             WordVectorSimilarity.load(text)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text, line", [("5 2\na 1 2", 1), ("\n\n5 2\na 1 2", 3), ("\r\n \r5 2\na 1 2\n\n", 3)]
+    )
+    def test_header_count_names_the_header_line(self, text, line):
+        # Blank lines before the header count, as in every located error.
+        with pytest.raises(ValueError) as caught:
+            WordVectorSimilarity.load(text)
+        assert str(caught.value) == f"vectors line {line}: header counts 5 words, file has 1"
 
     def test_ranking_does_not_depend_on_the_interpreter(self):
         # A compensated sum (the builtin from CPython 3.12 on) scores "b"
@@ -380,6 +391,124 @@ class TestBoundScorersMatchReference:
         ranked = rank_candidate_relations(labels + labels[::-1], lambda l: scored.update([l]) or bound(l))
         assert scored == Counter(labels)
         assert ranked == _rank("Where is the grave of X?", labels)
+
+
+# -- the count filter against the scorer without it -------------------------
+#
+# Reference: the trigram scorer as it was before labels sharing no trigram
+# with the question were settled by one set test, kept verbatim (its
+# label-side caches aside).  Every score must keep its bits.
+
+
+def _parent_grams(token: str) -> list[str]:
+    return re.findall(r"(?=(...))", token) or [token]
+
+
+def _parent_label_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
+    counts = Counter(_parent_grams(token))
+    return tuple(counts.items()), _parent_norm(counts.values())
+
+
+def _parent_norm(vector) -> float:
+    total = 0.0
+    for x in vector:
+        total += x * x
+    return math.sqrt(total)
+
+
+class ParentTrigramSimilarity:
+    def for_question(self, question: str):
+        best = self._best(question)
+        memo: dict[str, float] = {}
+
+        def score(label: str) -> float:
+            tokens = tuple(split_label(label))
+            if not tokens:
+                return 0.0
+            total = 0.0
+            for token in tokens:
+                value = memo.get(token)
+                if value is None:
+                    value = memo[token] = best(token)
+                total += value
+            return total / len(tokens)
+
+        return score
+
+    def _best(self, question: str):
+        postings: dict[str, list[int]] = {}
+        norms: list[float] = []
+        for index, token in enumerate(dict.fromkeys(question_tokens(question))):
+            grams = _parent_grams(token)
+            for gram in grams:
+                postings.setdefault(gram, []).append(index)
+            distinct = len(set(grams)) == len(grams)
+            norms.append(math.sqrt(len(grams)) if distinct else _parent_norm(Counter(grams).values()))
+
+        def best(token: str) -> float:
+            items, norm = _parent_label_grams(token)
+            dots: dict[int, int] = {}
+            for gram, count in items:
+                for index in postings.get(gram, ()):
+                    dots[index] = dots.get(index, 0) + count
+            if not dots:
+                return 0.0
+            return max(dot / (norm * norms[i]) for i, dot in dots.items())
+
+        return best
+
+
+def _gram_set(text: str, tokens) -> set[str]:
+    return {g for t in tokens(text) for g in _parent_grams(t)}
+
+
+class TestCountFilterMatchesParent:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scores_keep_their_bits(self, seed):
+        rng = random.Random(seed)
+        kinds = Counter()
+        # _cases covers tokens under 3 characters, repeated grams, digits,
+        # camelCase and labels with no token.
+        for question, labels in _cases(rng, 40):
+            q_grams = _gram_set(question, question_tokens)
+            bound = TrigramSimilarity().for_question(question)
+            parent = ParentTrigramSimilarity().for_question(question)
+            for label in labels + labels:  # the second round hits the memo
+                expected = parent(label)
+                assert float.hex(bound(label)) == float.hex(expected), (question, label)
+                l_grams = _gram_set(label, split_label)
+                kinds["empty" if not l_grams else "disjoint" if l_grams.isdisjoint(q_grams)
+                      else "partial" if 0 < expected < 1 else "overlap"] += 1
+        # Every kind of label was scored, and often.
+        assert min(kinds[k] for k in ("empty", "disjoint", "partial", "overlap")) >= 50, kinds
+
+    def test_disjoint_label_never_reaches_best(self, monkeypatch):
+        asked = []
+        real = TrigramSimilarity._best
+
+        def counting(sim, question):
+            best, grams = real(sim, question)
+            return (lambda token: asked.append(token) or best(token)), grams
+
+        monkeypatch.setattr(TrigramSimilarity, "_best", counting)
+        rng = random.Random(7)
+        reached = skipped = 0
+        for question, labels in _cases(rng, 40):
+            q_grams = _gram_set(question, question_tokens)
+            bound = TrigramSimilarity().for_question(question)
+            for label in labels:
+                asked.clear()
+                bound(label)
+                if _gram_set(label, split_label).isdisjoint(q_grams):
+                    assert asked == [], (question, label)
+                    skipped += 1
+                else:
+                    reached += bool(asked)
+        assert skipped >= 100 and reached >= 100, (skipped, reached)
+        bound = TrigramSimilarity().for_question("Where is the grave of X?")
+        asked.clear()
+        assert bound("birthPlace") == bound("spouseName") == 0.0 and asked == []
+        assert bound("placeOfBurial") == 1 / 3 and asked == ["place", "of", "burial"]
 
 
 # -- one binding per question ------------------------------------------------

@@ -425,3 +425,14 @@ class TestExpect:
         with pytest.raises(TypeError) as caught:
             expect(json.loads(text), kind, "name")
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("size", [79, 80, 81, 10**5])
+    def test_shows_at_most_80_characters_of_the_value(self, size):
+        # A repr of 80 characters is shown whole; a longer one is cut to 77
+        # and an ellipsis.
+        value = "x" * (size - 2)
+        with pytest.raises(TypeError) as caught:
+            expect(value, int, "name")
+        shown = repr(value) if size <= 80 else repr(value)[:77] + "..."
+        assert str(caught.value) == f"name must be an integer, got {shown}"
+        assert len(shown) == min(size, 80)
