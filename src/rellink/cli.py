@@ -131,9 +131,21 @@ def _process_question(
         return failed
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an ``--out`` that is one of the run's input files: opening it
+    for writing would empty it before it is read."""
+    if args.out == "-" or not os.path.isfile(args.out):
+        return  # stdout, a device such as /dev/null, or a file yet to be made
+    profile = None if args.profile in PROFILES else args.profile
+    for path in (args.questions, args.kb, args.ontology, args.fixtures, args.vectors, profile):
+        if path and path != "-" and os.path.exists(path) and os.path.samefile(args.out, path):
+            raise ValueError(f"--out {args.out} would overwrite the input file {path}")
+
+
 def cmd_link(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError("--budget must be >= 1")
+    _check_out(args)
     config = _generator_config(args)
     vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
     similarity = None

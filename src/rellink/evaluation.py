@@ -181,7 +181,10 @@ def read_gold(source: IO[str] | Iterable[str], profile: Profile) -> Iterator[Gol
         patterns = []
         if raw.get("graph") is not None:
             for spo in expect(raw["graph"], list, "graph"):
-                s, p, o = (parse_term(t, profile) for t in expect(spo, list, "graph pattern"))
+                spo = expect(spo, list, "graph pattern")
+                if len(spo) != 3:
+                    raise ValueError(f"graph pattern must have 3 terms, got {len(spo)}")
+                s, p, o = (parse_term(t, profile) for t in spo)
                 if not isinstance(p, Iri):
                     raise ValueError("graph predicate must be an IRI")
                 patterns.append(TriplePattern(s, p, o))

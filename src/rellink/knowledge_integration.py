@@ -13,15 +13,16 @@ Only the budget check runs when the input is built: the question is
 counted, then each entity's type is looked up and the minimal rendering is
 counted from its parts.  Ranking and fitting go into the ``fit`` callable of
 ``EncoderInput(question, fit)``, the one way to make an input; it runs the
-first time ``structures`` or ``rendered`` is read, and its result is kept.
-The baseline generator reads ``structures`` and the remote one
-``rendered``; fixture replay reads neither, so it never ranks.
+first time ``structures`` or ``rendered`` is read, and a
+``functools.cached_property`` keeps its result.  The baseline generator
+reads ``structures`` and the remote one ``rendered``; fixture replay reads
+neither, so it never ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import IO, Callable, Iterable, Iterator
 
 from . import brackets
@@ -69,29 +70,25 @@ class EncoderInput:
     rendering.
 
     ``EncoderInput(question, fit)`` is the one way to make one: ``fit``
-    returns ``(structures, rendered)``, runs the first time either is read,
-    and its result is kept.
+    returns ``(structures, rendered)`` and runs the first time either is
+    read; ``_fit_result`` keeps what it returned.
     """
-
-    __slots__ = ("question", "_structures", "_rendered", "_fit")
 
     def __init__(self, question: str, fit: Callable[[], tuple[list[EntityStructure], str]]):
         self.question = question
         self._fit = fit
 
-    def _fitted(self) -> tuple[list[EntityStructure], str]:
-        if self._fit is not None:
-            self._structures, self._rendered = self._fit()
-            self._fit = None
-        return self._structures, self._rendered
+    @cached_property
+    def _fit_result(self) -> tuple[list[EntityStructure], str]:
+        return self._fit()
 
     @property
     def structures(self) -> list[EntityStructure]:
-        return self._fitted()[0]
+        return self._fit_result[0]
 
     @property
     def rendered(self) -> str:
-        return self._fitted()[1]
+        return self._fit_result[1]
 
 
 def token_count(text: str) -> int:
@@ -215,10 +212,12 @@ def read_question_records(
     source: IO[str] | Iterable[str], profile: Profile = DBPEDIA
 ) -> Iterator[QuestionRecord]:
     """Parse linked-question JSON Lines, validating entity spans: each offset
-    is a JSON integer, never a float, bool or string."""
+    is a JSON integer, never a float, bool or string.  A question id may
+    appear once per source."""
+    seen: set[str] = set()
 
     def parse(line: str) -> QuestionRecord:
-        qid, raw = json_record(line)
+        qid, raw = json_record(line, seen)
         entities = []
         for e in expect(raw.get("entities", []), list, "entities"):
             e = expect(e, dict, "entity")
@@ -231,6 +230,7 @@ def read_question_records(
         question = expect(raw["question"], str, "question")
         for entity in entities:
             entity.check_span(question)
+        seen.add(qid)
         return QuestionRecord(qid, question, entities)
 
     return read_lines(source, "questions", parse)

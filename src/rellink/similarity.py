@@ -7,11 +7,12 @@ and applies the same max-then-average scheme over embeddings.
 
 A scorer is bound to one question with ``for_question``: the question's
 vectors and norms are built once, and each label token's best match is
-remembered for the life of the bound scorer only; the scorer itself keeps
-no per-question state.  The encoder input binds once per question and keeps
+cached for the life of the bound scorer only; the scorer itself keeps no
+per-question state.  The encoder input binds once per question and keeps
 each ranked label's score, so no label is scored twice.  Work that depends on
-a label alone (its tokens, its set of trigrams, and each token's trigrams and
-norm) is done once per process, in bounded caches.
+a label or a token alone is done once per process, in two bounded caches:
+a label's tokens and set of trigrams, and a token's trigrams and norm, for
+label and question tokens alike.
 
 The trigram scorer filters by count, as similarity joins do: a label none of
 whose trigrams occurs in the question scores exactly 0.0 (each of its tokens
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import count
 from typing import IO, AbstractSet, Callable, Iterable
 
@@ -34,8 +35,8 @@ from .terms import read_lines
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 _TRIGRAM_RE = re.compile(r"(?=(...))")
-# Entries in each label-side cache.  A KB's relation labels share a small
-# vocabulary; the bound keeps memory flat when they do not.
+# Entries in each of the label and token caches.  A KB's relation labels
+# share a small vocabulary; the bound keeps memory flat when they do not.
 _LABEL_CACHE = 1 << 14
 
 
@@ -46,14 +47,10 @@ def split_label(label: str) -> list[str]:
 
 
 @lru_cache(maxsize=_LABEL_CACHE)
-def _label_tokens(label: str) -> tuple[str, ...]:
-    return tuple(split_label(label))
-
-
-@lru_cache(maxsize=_LABEL_CACHE)
-def _label_gram_set(label: str) -> frozenset[str]:
-    """Every trigram of every token of a label; empty when it has no token."""
-    return frozenset(gram for token in _label_tokens(label) for gram in _grams(token))
+def _label(label: str) -> tuple[tuple[str, ...], frozenset[str]]:
+    """A label's tokens and every trigram of them; no token, no trigram."""
+    tokens = tuple(split_label(label))
+    return tokens, frozenset(gram for token in tokens for gram in _grams(token))
 
 
 def question_tokens(question: str) -> list[str]:
@@ -68,8 +65,8 @@ def _grams(token: str) -> list[str]:
 
 
 @lru_cache(maxsize=_LABEL_CACHE)
-def _label_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
-    """A label token's (gram, count) items and the norm of its counts."""
+def _token_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
+    """A token's (gram, count) items and the norm of its counts."""
     counts = Counter(_grams(token))
     return tuple(counts.items()), _norm(counts.values())
 
@@ -79,28 +76,23 @@ class Similarity:
 
     ``for_question(q)`` returns a scorer of labels against ``q`` alone: a
     label scores the mean over its tokens of ``best(token)``, computed once
-    per distinct token, where ``best, grams = _best(q)``.  A label whose
-    trigrams are disjoint from ``grams`` scores 0.0 without calling ``best``;
-    ``grams`` is None when any token may match.  ``score(q, label)`` is
-    ``for_question(q)(label)``.
+    per distinct token and binding, where ``best, grams = _best(q)``.  A
+    label whose trigrams are disjoint from ``grams`` scores 0.0 without
+    calling ``best``; ``grams`` is None when any token may match.
+    ``score(q, label)`` is ``for_question(q)(label)``.
     """
 
     def for_question(self, question: str) -> Callable[[str], float]:
         best, grams = self._best(question)
-        memo: dict[str, float] = {}
+        best = cache(best)
 
         def score(label: str) -> float:
-            if grams is not None and grams.isdisjoint(_label_gram_set(label)):
-                return 0.0
-            tokens = _label_tokens(label)
-            if not tokens:
+            tokens, label_grams = _label(label)
+            if not tokens or (grams is not None and grams.isdisjoint(label_grams)):
                 return 0.0
             total = 0.0
             for token in tokens:
-                value = memo.get(token)
-                if value is None:
-                    value = memo[token] = best(token)
-                total += value
+                total += best(token)
             return total / len(tokens)
 
         return score
@@ -126,15 +118,13 @@ class TrigramSimilarity(Similarity):
         postings: dict[str, list[int]] = {}
         norms: list[float] = []
         for index, token in enumerate(dict.fromkeys(question_tokens(question))):
-            grams = _grams(token)
-            for gram in grams:
-                postings.setdefault(gram, []).append(index)
-            # A gram occurring once counts 1, so distinct grams need no Counter.
-            distinct = len(set(grams)) == len(grams)
-            norms.append(math.sqrt(len(grams)) if distinct else _norm(Counter(grams).values()))
+            items, norm = _token_grams(token)
+            for gram, count in items:
+                postings.setdefault(gram, []).extend([index] * count)
+            norms.append(norm)
 
         def best(token: str) -> float:
-            items, norm = _label_grams(token)
+            items, norm = _token_grams(token)
             # The dot products are exact ints: each posting adds the label's
             # count once per occurrence of the gram in the question token.
             dots: dict[int, int] = {}

@@ -427,6 +427,52 @@ class TestLink:
         assert config.endpoint == "http://flag.example/generate"
         assert config.timeout == 5.0
 
+    @staticmethod
+    def _every_input(ford_files) -> tuple[list[str], dict[str, Path]]:
+        """A fixture ``link`` command line reading one file of each input
+        kind, without its ``-o``, and those files by kind."""
+        tmp, kb, ontology, questions, beams = ford_files
+        vectors, profile = tmp / "vectors.txt", tmp / "profile.cfg"
+        vectors.write_text("ford 1 0\nplant 0 1\n")
+        profile.write_text("profile = dbpedia\n")
+        inputs = {"questions": questions, "kb": kb, "ontology": ontology, "fixtures": beams,
+                  "vectors": vectors, "profile": profile}
+        argv = ["link", "--kb", str(kb), "--ontology", str(ontology), "--profile", str(profile),
+                "--generator", "fixture", "--fixtures", str(beams), "--vectors", str(vectors),
+                str(questions)]
+        return argv, inputs
+
+    @pytest.mark.parametrize("target", ["questions", "kb", "ontology", "fixtures", "vectors", "profile"])
+    @pytest.mark.parametrize("via", ["path", "hard-link"])
+    def test_out_onto_an_input_is_refused(self, ford_files, capsys, target, via):
+        # Opening the output emptied the questions file before it was read,
+        # and the run exited 0 having written nothing.
+        argv, inputs = self._every_input(ford_files)
+        out = inputs[target]
+        if via == "hard-link":
+            out = ford_files[0] / "results.jsonl"
+            os.link(inputs[target], out)
+        before = {kind: path.read_bytes() for kind, path in inputs.items()}
+        assert main([*argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out} would overwrite the input file {inputs[target]}\n"
+        assert {kind: path.read_bytes() for kind, path in inputs.items()} == before
+
+    @pytest.mark.parametrize("out", ["-", os.devnull])
+    def test_stdout_and_the_null_device_are_no_input(self, ford_files, capsys, out):
+        argv, _ = self._every_input(ford_files)
+        assert main([*argv, "-o", out]) == 0
+        assert capsys.readouterr().out.count("\n") == (out == "-")
+
+    def test_repeated_question_id_is_refused(self, ford_files, capsys):
+        # link wrote both records, and eval then refused its output.
+        questions = ford_files[3]
+        questions.write_text(questions.read_text() * 2)
+        status, out = run_link(*ford_files)
+        assert status == 1
+        assert capsys.readouterr().err == "error: questions line 2: duplicate question_id 'q1'\n"
+        assert [json.loads(line)["question_id"] for line in out.read_text().splitlines()] == ["q1"]
+
 
 class TestFixtureReplayRanksNothing:
     """Fixture replay never reads the encoder input, so no relation is
@@ -1016,6 +1062,10 @@ MALFORMED_LINES = {
         {"question_id": "q1", "question": "q", "relations": ["dbo:spouse"],
          "graph": [["?x", "dbo:spouse"]]}
     )),
+    "gold-graph-pattern-four-terms": ("gold", 1, json.dumps(
+        {"question_id": "q1", "question": "q", "relations": ["dbo:spouse"],
+         "graph": [["?x", "dbo:spouse", "?y", "x"]]}
+    )),
     "question-entities-object": ("questions", 1, json.dumps(
         {"question_id": "q1", "question": "Ford?", "entities": {}}
     )),
@@ -1091,7 +1141,8 @@ MALFORMED_LINE_ERRORS = {
     "gold-graph-object": "graph must be an array, got {}\n",
     "gold-graph-string": "graph must be an array, got ''\n",
     "gold-graph-pattern-object": "graph pattern must be an array, got {",
-    "gold-graph-pattern-two-terms": "not enough values to unpack (expected 3, got 2)\n",
+    "gold-graph-pattern-two-terms": "graph pattern must have 3 terms, got 2\n",
+    "gold-graph-pattern-four-terms": "graph pattern must have 3 terms, got 4\n",
     "question-entities-object": "entities must be an array, got {}\n",
     "fixture-beams-object": "beams must be an array, got {}\n",
     "fixture-not-object": "record must be a JSON object, got [1]\n",

@@ -2,7 +2,7 @@
 records were read before it.
 
 Three states live across records: each profile's memo of record IRIs, the
-store's route memo and the similarity token memo.  The IRI memo is shrunk here
+store's route memo and the similarity label and token caches.  The IRI memo is shrunk here
 to a few entries, so that it also evicts while the records are read.
 """
 

@@ -7,6 +7,7 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -554,3 +555,59 @@ class TestOneBindingPerQuestion:
                 for label in labels:
                     assert bound(label) == fresh(label), (question, label)
                     assert shared.score(question, label) == fresh(label), (question, label)
+
+
+# -- what a binding computes once ---------------------------------------------
+
+_FRESH = count()
+
+
+class TestOncePerBinding:
+    @staticmethod
+    def _asking(monkeypatch) -> list[str]:
+        """The label tokens that reach a binding's ``best``, in order."""
+        asked: list[str] = []
+        real = TrigramSimilarity._best
+
+        def counting(sim, question):
+            best, grams = real(sim, question)
+            return (lambda token: asked.append(token) or best(token)), grams
+
+        monkeypatch.setattr(TrigramSimilarity, "_best", counting)
+        return asked
+
+    def test_each_label_token_reaches_best_once_per_binding(self, monkeypatch):
+        asked = self._asking(monkeypatch)
+        bound = TrigramSimilarity().for_question("Where is the burial place of X?")
+        for label in ("placeOfBurial", "burialPlace", "placeOfBurial", "birthPlace"):
+            bound(label)
+        # "birth" shares no trigram with the question, but "place" does.
+        assert asked == ["place", "of", "burial", "birth"]
+        asked.clear()
+        TrigramSimilarity().for_question("Where is the burial place of X?")("burialPlace")
+        assert asked == ["burial", "place"]  # a new binding asks again
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_label_tokens_reach_best_once_per_binding(self, monkeypatch, seed):
+        asked = self._asking(monkeypatch)
+        rng = random.Random(seed)
+        for question, labels in _cases(rng, 20):
+            asked.clear()
+            q_grams = _gram_set(question, question_tokens)
+            bound = TrigramSimilarity().for_question(question)
+            for label in labels + labels:
+                bound(label)
+            shared = {t for label in labels if not _gram_set(label, split_label).isdisjoint(q_grams)
+                      for t in split_label(label)}
+            assert sorted(asked) == sorted(shared), question
+
+    def test_binding_computes_each_question_tokens_grams_once(self, monkeypatch):
+        # Words no other test uses, so no cache holds their grams yet.
+        n = next(_FRESH)
+        words = [f"zq{n}alpha", f"zq{n}beta", f"zq{n}gamma"]
+        question = f"{words[0]} {words[1].upper()} {words[0]} of {words[2]} {words[1]}?"
+        computed = Counter()
+        real = similarity._grams
+        monkeypatch.setattr(similarity, "_grams", lambda token: computed.update([token]) or real(token))
+        TrigramSimilarity().for_question(question)
+        assert {w: computed[w] for w in words} == dict.fromkeys(words, 1)
