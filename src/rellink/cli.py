@@ -2,7 +2,8 @@
 
 Questions and results flow as JSON Lines, one record per question, streamed
 so large runs never hold the whole set in memory: each record is read,
-linked and written before the next is read.  Output records keep the input
+linked and written before the next is read, and only the question ids read
+so far are kept, to refuse a repeated one.  Output records keep the input
 order, so identical inputs produce byte-identical outputs.
 """
 

@@ -10,9 +10,10 @@ vectors and norms are built once, and each label token's best match is
 cached for the life of the bound scorer only; the scorer itself keeps no
 per-question state.  The encoder input binds once per question and keeps
 each ranked label's score, so no label is scored twice.  Work that depends on
-a label or a token alone is done once per process, in two bounded caches:
-a label's tokens and set of trigrams, and a token's trigrams and norm, for
-label and question tokens alike.
+a label alone is done once per process, in two bounded caches: a label's
+tokens and set of trigrams, and a label token's trigrams and norm.  Question
+tokens are not cached: a question is mostly seen once, so its tokens would
+only evict label tokens.
 
 The trigram scorer filters by count, as similarity joins do: a label none of
 whose trigrams occurs in the question scores exactly 0.0 (each of its tokens
@@ -65,8 +66,8 @@ def _grams(token: str) -> list[str]:
 
 
 @lru_cache(maxsize=_LABEL_CACHE)
-def _token_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
-    """A token's (gram, count) items and the norm of its counts."""
+def _label_grams(token: str) -> tuple[tuple[tuple[str, int], ...], float]:
+    """A label token's (gram, count) items and the norm of its counts."""
     counts = Counter(_grams(token))
     return tuple(counts.items()), _norm(counts.values())
 
@@ -118,13 +119,15 @@ class TrigramSimilarity(Similarity):
         postings: dict[str, list[int]] = {}
         norms: list[float] = []
         for index, token in enumerate(dict.fromkeys(question_tokens(question))):
-            items, norm = _token_grams(token)
-            for gram, count in items:
-                postings.setdefault(gram, []).extend([index] * count)
-            norms.append(norm)
+            grams = _grams(token)
+            for gram in grams:
+                postings.setdefault(gram, []).append(index)
+            # A gram occurring once counts 1, so distinct grams need no Counter.
+            distinct = len(set(grams)) == len(grams)
+            norms.append(math.sqrt(len(grams)) if distinct else _norm(Counter(grams).values()))
 
         def best(token: str) -> float:
-            items, norm = _token_grams(token)
+            items, norm = _label_grams(token)
             # The dot products are exact ints: each posting adds the label's
             # count once per occurrence of the gram in the question token.
             dots: dict[int, int] = {}

@@ -611,3 +611,10 @@ class TestOncePerBinding:
         monkeypatch.setattr(similarity, "_grams", lambda token: computed.update([token]) or real(token))
         TrigramSimilarity().for_question(question)
         assert {w: computed[w] for w in words} == dict.fromkeys(words, 1)
+
+    def test_binding_caches_no_question_token(self):
+        # A question is mostly seen once; its tokens must not evict label tokens.
+        n = next(_FRESH)
+        before = similarity._label_grams.cache_info().currsize
+        TrigramSimilarity().for_question(f"zq{n}alpha zq{n}beta of x?")
+        assert similarity._label_grams.cache_info().currsize == before
