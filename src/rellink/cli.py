@@ -27,7 +27,7 @@ from .evaluation import (
     report_to_dict,
     score_sets,
 )
-from .generator import GENERATOR_KINDS, GeneratorConfig, GeneratorError, make_generator
+from .generator import DEFAULT_BEAM_WIDTH, GENERATOR_KINDS, GeneratorConfig, GeneratorError, make_generator
 from .kb_store import KbLoadError, KbStore, load_kb, load_profile_config
 from .knowledge_integration import (
     DEFAULT_BUDGET,
@@ -38,7 +38,6 @@ from .knowledge_integration import (
 )
 from .knowledge_validation import (
     DEFAULT_ASK_LIMIT,
-    DEFAULT_BEAM_LIMIT,
     LinkingResult,
     ValidationConfig,
     fallback_result,
@@ -148,7 +147,7 @@ def cmd_link(args: argparse.Namespace) -> int:
         raise ValueError("--budget must be >= 1")
     _check_out(args)
     config = _generator_config(args)
-    vconfig = ValidationConfig(beam_limit=args.beams, ask_limit=args.ask_beams)
+    vconfig = ValidationConfig(ask_limit=args.ask_beams)
     similarity = None
     if args.vectors:
         with open_input(args.vectors) as handle:
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--fixtures", help="beam fixture JSONL (fixture generator)")
     p_link.add_argument("--endpoint", help="remote generator URL")
     p_link.add_argument("--timeout", type=float, default=30.0, help="remote timeout (s)")
-    p_link.add_argument("--beams", type=int, default=DEFAULT_BEAM_LIMIT)
+    p_link.add_argument("--beams", type=int, default=DEFAULT_BEAM_WIDTH)
     p_link.add_argument("--ask-beams", type=int, default=DEFAULT_ASK_LIMIT)
     p_link.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_link.add_argument("--vectors", help="word-vector text file for ranking")

@@ -4,9 +4,10 @@ The baseline synthesizes beams from the encoder input alone, pairing each
 entity mention with its candidate relation labels; it exists so the whole
 pipeline runs with no network and no trained model.  It searches the label
 combinations best-first, so its work grows with the beams it returns, not
-with the number of combinations.  All kinds return beams by descending
-score; the remote and baseline kinds break ties by text, and fixture replay
-keeps file order among equal scores.
+with the number of combinations.  Every kind's ``generate`` returns an
+iterable of at most ``beam_width`` :class:`OutputSequence` in rank order,
+which validation reads front to back, once: by descending score, the remote
+and baseline kinds breaking ties by text and fixture replay keeping file order.
 """
 
 from __future__ import annotations

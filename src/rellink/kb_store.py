@@ -459,7 +459,11 @@ class KbStore:
 
 def _parse_nt_term(raw: str, profile: Profile) -> Term:
     if raw.startswith("<"):
-        return normalize_iri(_unescape(raw[1:-1], echars=False), profile)
+        iri = _unescape(raw[1:-1], echars=False)
+        # Read as is, <_:b1> and <dbr:A> would merge with _:b1 and <.../A>.
+        if (head := iri.partition(":")[0]) == "_" or head in profile.prefixes:
+            raise ValueError(f"not an absolute IRI: {raw}")
+        return normalize_iri(iri, profile)
     if raw.startswith("_:"):
         return Iri(raw)
     # Literal: drop the quotes plus any language or datatype tag.

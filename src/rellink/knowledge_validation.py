@@ -8,9 +8,9 @@ Individually unsatisfiable patterns are pruned, the remaining choices are
 searched depth-first in pair order, never extending a prefix that has no
 solution, and the first candidate graph with a satisfying join wins; like
 the join, the search is a ``depth_first`` loop, and it joins each prefix
-anew.  Beams are scanned in rank order in one pass that parses each beam once
-and keeps the first parseable beam as the fallback; ASK questions are checked
-with fully bound triples instead.
+anew.  Beams are read in rank order through one iterator, in one pass that
+parses each beam once; the fallback, the first parseable beam, continues that
+iterator.  ASK questions are checked with fully bound triples instead.
 
 Parsing yields each pair as the ``(argument, relation label)`` key its
 patterns depend on: the resolved entity's IRI, ?y for a placeholder, or None
@@ -23,14 +23,14 @@ many beams repeat it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, islice, permutations
 from typing import Iterable, Iterator, Sequence
 
+from .generator import DEFAULT_BEAM_WIDTH
 from .kb_store import KbStore, depth_first
 from .sequence_grammar import ArgRelPair, OutputParseError, OutputSequence, detect_ask, parse_output
 from .terms import Iri, TriplePattern, VAR_X, VAR_Y, relation_uri
 
-DEFAULT_BEAM_LIMIT = 50
 DEFAULT_ASK_LIMIT = 10
 
 
@@ -49,14 +49,12 @@ class LinkingResult:
 
 @dataclass
 class ValidationConfig:
-    beam_limit: int = DEFAULT_BEAM_LIMIT
     ask_limit: int = DEFAULT_ASK_LIMIT
+    beam_limit = DEFAULT_BEAM_WIDTH  # not a field nor a bound; read by perfbench/worker.py
 
     def __post_init__(self):
-        # A negative slice bound would drop beams from the end.
-        for name, value in (("beam_limit", self.beam_limit), ("ask_limit", self.ask_limit)):
-            if value < 0:
-                raise ValueError(f"{name} must not be negative, got {value}")
+        if self.ask_limit < 0:
+            raise ValueError(f"ask_limit must not be negative, got {self.ask_limit}")
 
 
 def expand_pair(store: KbStore, pair: ArgRelPair) -> list[TriplePattern]:
@@ -88,11 +86,11 @@ def _first_graph(
     return next(depth_first(per_pair, extend, ()), None)
 
 
-def _parsed(
-    beams: Sequence[OutputSequence], entities: Sequence
-) -> Iterator[tuple[OutputSequence, list[ArgRelPair]]]:
+Parsed = tuple[OutputSequence, list[ArgRelPair]]
+
+
+def _parsed(beams: Iterable[OutputSequence], entities: Sequence) -> Iterator[Parsed]:
     """Each parseable beam with its pairs, in rank order; parses lazily."""
-    entities = list(entities)
     for seq in beams:
         try:
             pairs = parse_output(seq.text, entities)
@@ -147,61 +145,57 @@ def _ask_hit(
     return None
 
 
-def _best_effort(
-    store: KbStore, seq: OutputSequence, pairs: Sequence[ArgRelPair]
-) -> LinkingResult:
-    """A parsed beam mapped label-by-label to first routes, flagged unvalidated."""
-    relations = []
-    for _, label in pairs:
-        routes = store.routes(label)
-        if routes:
-            relations.append(relation_uri(routes[0]))
-    return LinkingResult(_unique(relations), False, seq.rank)
+def _first_mapped(store: KbStore, parsed: Iterable[Parsed]) -> LinkingResult:
+    """The first parsed beam mapped label by label to first routes, flagged unvalidated."""
+    for seq, pairs in parsed:
+        relations = []
+        for _, label in pairs:
+            routes = store.routes(label)
+            if routes:
+                relations.append(relation_uri(routes[0]))
+        return LinkingResult(_unique(relations), False, seq.rank)
+    return LinkingResult([], False, 0)
 
 
 def fallback_result(
-    store: KbStore, beams: Sequence[OutputSequence], entities: Sequence = ()
+    store: KbStore, beams: Iterable[OutputSequence], entities: Sequence = ()
 ) -> LinkingResult:
     """Top parseable beam mapped label-by-label, flagged unvalidated."""
-    for seq, pairs in _parsed(beams, entities):
-        return _best_effort(store, seq, pairs)
-    return LinkingResult([], False, 0)
+    return _first_mapped(store, _parsed(beams, entities))
 
 
 def link(
     store: KbStore,
     question: str,
-    beams: Sequence[OutputSequence],
+    beams: Iterable[OutputSequence],
     entities: Sequence = (),
     config: ValidationConfig | None = None,
 ) -> LinkingResult:
     """Scan ranked beams and return the first KB-validated linking.
 
-    Non-ASK questions validate candidate graphs for the top ``beam_limit``
-    beams.  ASK questions instead look for a fully bound triple between the
-    paired entities in the top ``ask_limit`` beams; a hit answers true,
-    otherwise the answer is false.  When nothing validates, the top
-    parseable beam is returned with best-effort URI mapping.  Each beam is
-    parsed at most once, and each distinct pair tested against the store
-    once.
+    Non-ASK questions validate candidate graphs for every beam, so the
+    generator's width bounds the scan.  ASK questions instead look for a
+    fully bound triple between the paired entities in the top ``ask_limit``
+    beams; a hit answers true, otherwise the answer is false.  When nothing
+    validates, the top parseable beam is returned with best-effort URI
+    mapping.  Beams are read no further than the one returned, each parsed
+    at most once, and each distinct pair tested against the store once.
     """
     config = config or ValidationConfig()
     is_ask = detect_ask(question)
-    limit = config.ask_limit if is_ask else config.beam_limit
+    beams = iter(beams)
     survivors: dict[ArgRelPair, list[TriplePattern]] = {}
-    first = None
-    for seq, pairs in _parsed(beams[:limit], entities):
+    first: list[Parsed] = []
+    for seq, pairs in _parsed(islice(beams, config.ask_limit) if is_ask else beams, entities):
         if is_ask:
             result = _ask_hit(store, pairs, seq.rank)
         else:
             result = validate_sequence(store, pairs, seq.rank, survivors)
         if result is not None:
             return result
-        first = first or (seq, pairs)
-    if first is not None:
-        result = _best_effort(store, *first)
-    else:
-        result = fallback_result(store, beams[limit:], entities)
+        first = first or [(seq, pairs)]
+    # The first parseable beam overall: the scan's, else one past the ASK window.
+    result = _first_mapped(store, chain(first, _parsed(beams, entities)))
     if is_ask:
         result.ask_answer = False
     return result

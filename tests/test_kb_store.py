@@ -7,6 +7,7 @@ import gc
 import io
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -74,6 +75,20 @@ class TestNtParsing:
     def test_blank_node_subject(self):
         subject, _, _ = parse_nt_line(f"_:b1 <{DBO}r> <{DBR}B> .", DBPEDIA, {})
         assert subject == Iri("_:b1")
+
+    @pytest.mark.parametrize(
+        "bracketed, same_term",
+        [("<_:b1>", "_:b1"), ("<\\u005F:b1>", "_:b1"), ("<dbr:A>", f"<{DBR}A>")],
+        ids=["blank-node-label", "escaped-blank-node-label", "prefixed-name"],
+    )
+    def test_bracketed_iri_must_be_absolute(self, bracketed, same_term):
+        # Read as is, each would load as the term on the second line: 1 triple.
+        text = f"{bracketed} <{DBO}r> <{DBR}B> .\n{same_term} <{DBO}r> <{DBR}B> .\n"
+        with pytest.raises(
+            KbLoadError, match=f"^triples line 1: not an absolute IRI: {re.escape(bracketed)}: "
+        ):
+            load_kb(text)
+        assert len(load_kb(f"<{DBR}A> <{DBO}r> <urn:dbr:B> .")) == 1
 
     def test_error_carries_line_number(self):
         bad = nt(DBR + "A", DBO + "r", DBR + "B") + "\nnot a triple\n"

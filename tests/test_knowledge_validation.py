@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from itertools import product
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import DBO, DBP, DBR, FORD_QUESTION, OBAMA_QUESTION, WD, WDT, nt
 from rellink import knowledge_validation
+from rellink.generator import FixtureGenerator
 from rellink.kb_store import KbStore, load_kb
 from rellink.knowledge_integration import LinkedEntity
 from rellink.knowledge_validation import (
@@ -331,16 +333,19 @@ class TestLink:
         result = link(ford_store, FORD_QUESTION, beams, ford_entities)
         assert result.source_rank == 1
 
-    def test_beam_limit_respected(self, ford_store, ford_entities):
-        valid = self.beam(
-            "[Ford Kansas City Assembly Plant | owningOrganisation], "
-            "[Ford Y-block engine | manufacturer]",
-            2,
-        )
-        beams = [self.beam("[Ford Kansas City Assembly Plant | noSuchRel]", 1), valid]
-        config = ValidationConfig(beam_limit=1)
-        result = link(ford_store, FORD_QUESTION, beams, ford_entities, config)
-        assert not result.validated  # the valid beam sits past the limit
+    def test_generator_width_bounds_the_scan(self, ford_store, ford_entities, tmp_path):
+        fixture = tmp_path / "beams.jsonl"
+        fixture.write_text(json.dumps({"question_id": "q", "beams": [
+            {"text": "[Ford Kansas City Assembly Plant | noSuchRel]", "score": -0.1},
+            {"text": "[Ford Kansas City Assembly Plant | owningOrganisation], "
+                     "[Ford Y-block engine | manufacturer]", "score": -0.2},
+        ]}) + "\n")
+        for width, validated in ((1, False), (2, True)):
+            # Fixture replay never reads its encoder input.
+            beams = FixtureGenerator(fixture, width).generate(None, "q")
+            result = link(ford_store, FORD_QUESTION, beams, ford_entities)
+            # At width 1 the valid beam is never generated, so never scanned.
+            assert result.validated is validated
 
     def test_nothing_validates_fallback(self, ford_store, ford_entities):
         beams = [self.beam("[Ford Kansas City Assembly Plant | location], [Ford Y-block engine | manufacturer]", 1)]
@@ -467,18 +472,71 @@ class TestParsesEachBeamOnce:
         assert result.ask_answer is False and result.source_rank == 1
         assert parsed == [b.text for b in beams]
 
-    def test_fallback_past_limit(self, parsed, ford_store, ford_entities):
+    def test_fallback_past_limit(self, parsed, obama_true_store, obama_entities):
+        # Past the ASK window the rank-4 beam is only mapped, never checked.
         beams = self.beams(
             "garbage one",
             "garbage two",
             "garbage three",
-            "[Ford Y-block engine | manufacturer]",
-            "[Ford Y-block engine | owner]",
+            "[Barack Obama | president], [Canada | president]",
+            "[Canada | president]",
         )
-        config = ValidationConfig(beam_limit=2)
-        result = link(ford_store, FORD_QUESTION, beams, ford_entities, config)
+        config = ValidationConfig(ask_limit=2)
+        result = link(obama_true_store, OBAMA_QUESTION, beams, obama_entities, config)
+        assert result.ask_answer is False
         assert not result.validated and result.source_rank == 4
         assert parsed == [b.text for b in beams[:4]]
+
+
+class TestPullsBeamsOnDemand:
+    """``link`` reads its beams once, front to back, and stops at the beam it
+    returns."""
+
+    VALID = (
+        "[Ford Kansas City Assembly Plant | owningOrganisation], "
+        "[Ford Y-block engine | manufacturer]"
+    )
+    FAILING = [
+        "garbage",
+        "[Ford Y-block engine | noSuchRel]",
+        "[Ford Kansas City Assembly Plant | location], [Ford Y-block engine | manufacturer]",
+    ]
+
+    def stream(self, texts, pulled):
+        for rank, text in enumerate(texts, 1):
+            pulled.append(rank)
+            yield OutputSequence(text, -0.1 * rank, rank)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_validated_beam_at_rank_r_pulls_r_beams(self, rank, ford_store, ford_entities):
+        texts = self.FAILING[: rank - 1] + [self.VALID] + self.FAILING
+        pulled = []
+        result = link(ford_store, FORD_QUESTION, self.stream(texts, pulled), ford_entities)
+        assert result.validated and result.source_rank == rank
+        assert pulled == list(range(1, rank + 1))
+
+    @pytest.mark.parametrize(
+        "texts, pulled_ranks, source_rank",
+        [
+            # No parseable beam in the window: pull to the first one past it.
+            (["garbage", "garbage", "garbage", "[Canada | president]", "[Canada | president]"],
+             [1, 2, 3, 4], 4),
+            # A parseable beam in the window: pull nothing past it.
+            (["garbage", "[Canada | president]", "[Canada | president]"], [1, 2], 2),
+            (["garbage"] * 4, [1, 2, 3, 4], 0),
+        ],
+        ids=["past-the-window", "in-the-window", "none-parseable"],
+    )
+    def test_failed_ask_pulls_to_the_first_parseable_beam(
+        self, texts, pulled_ranks, source_rank, obama_store, obama_entities
+    ):
+        pulled = []
+        config = ValidationConfig(ask_limit=2)
+        result = link(
+            obama_store, OBAMA_QUESTION, self.stream(texts, pulled), obama_entities, config
+        )
+        assert result.ask_answer is False and result.source_rank == source_rank
+        assert pulled == pulled_ranks
 
 
 # -- the per-question survivor dict against the code it replaced -------------
@@ -487,7 +545,9 @@ class TestParsesEachBeamOnce:
 # were before a question kept each distinct pair's surviving patterns, kept
 # verbatim but for their names and the module prefix on private helpers: every
 # beam expanded and tested every one of its pairs again, and joined every
-# member of the product of its choices from scratch.
+# member of the product of its choices from scratch.  The ``link`` reference
+# has since lost its beam limit: it scans every non-ASK beam, parses each beam
+# itself, and takes its fallback from ``fallback_result`` over all the beams.
 
 
 def _ref_enumerate_graphs(store, pairs):
@@ -514,19 +574,18 @@ def _ref_link(store, question, beams, entities=(), config=None):
     config = config or ValidationConfig()
     is_ask = detect_ask(question)
     if is_ask:
-        limit, check = config.ask_limit, knowledge_validation._ask_hit
+        scanned, check = beams[: config.ask_limit], knowledge_validation._ask_hit
     else:
-        limit, check = config.beam_limit, _ref_validate_sequence
-    first = None
-    for seq, pairs in knowledge_validation._parsed(beams[:limit], entities):
+        scanned, check = beams, _ref_validate_sequence
+    for seq in scanned:
+        try:
+            pairs = parse_output(seq.text, entities)
+        except OutputParseError:
+            continue
         result = check(store, pairs, seq.rank)
         if result is not None:
             return result
-        first = first or (seq, pairs)
-    if first is not None:
-        result = knowledge_validation._best_effort(store, *first)
-    else:
-        result = fallback_result(store, beams[limit:], entities)
+    result = fallback_result(store, beams, entities)
     if is_ask:
         result.ask_answer = False
     return result
@@ -572,7 +631,7 @@ def _random_question(rng: random.Random, profile, max_groups: int):
         groups = [rng.choice(pool) for _ in range(rng.randint(1, max_groups))]
         text = "garbage" if rng.random() < 0.1 else serialize_target(groups)
         beams.append(OutputSequence(text, -0.1 * rank, rank))
-    config = ValidationConfig(beam_limit=rng.choice([1, 3, 50]), ask_limit=rng.choice([1, 10]))
+    config = ValidationConfig(ask_limit=rng.choice([1, 10]))
     return store, question, beams, entities, config
 
 
@@ -613,6 +672,8 @@ def test_link_matches_reference_and_tests_each_pattern_once(profile, max_groups)
             kinds.update(namespace_of(r, profile) for r in result.relations)
             kinds.update("placeholder" if arg == VAR_Y else "entity" for arg, _ in pairs)
         ask_true += result.ask_answer is True
+        # A one-shot iterator reads the same.
+        assert link(store, question, iter(beams), entities, config) == expected, seed
     routed = set(profile.property_namespaces) - {profile.statement_namespace}
     assert kinds == routed | {"entity", "placeholder"}
     assert ask_true >= 5, ask_true
